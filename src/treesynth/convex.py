@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf
 
 from .errors import ArgumentError, ConvergenceError, NumericalError
 from .graphs import (
@@ -35,6 +36,7 @@ from .graphs import (
     build_reduced_laplacian,
 )
 from .greedy import SelectionResult, gain_function
+from .treeconn import whitened_incidence
 
 ARMIJO_SIGMA = 1e-4
 BACKTRACK_SHRINK = 0.5
@@ -43,6 +45,8 @@ DEFAULT_TOLERANCE = 1e-7
 DEFAULT_MAX_ITERS = 5000
 # capped-simplex projection: guaranteed bound on |sum(x) - k| of the output
 SUM_TOLERANCE = 1e-12
+# bytes of gathered candidate columns per batch of round_randomized trials
+ROUNDING_BATCH_BYTES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -89,27 +93,20 @@ class _ChannelOps:
         base = build_reduced_laplacian(inst.base_graph(channel))
         self.base = base
         self.w = np.array(inst.candidate_weights(channel))
-        c = inst.num_candidates
-        order = base.order
-        ru = np.full(c, -1, dtype=int)
-        rv = np.full(c, -1, dtype=int)
-        A = np.zeros((order, c))
-        for i, (u, v) in enumerate(inst.candidate_pairs):
-            iu, iv = base.reduced_index(u), base.reduced_index(v)
-            ru[i], rv[i] = iu, iv
-            if iu >= 0:
-                A[iu, i] = 1.0
-            if iv >= 0:
-                A[iv, i] = -1.0
-        self.A = A
-        self._ru, self._rv = ru, rv
+        pairs = np.array(inst.candidate_pairs, dtype=int).reshape(-1, 2)
+        self.A = base.incidence_matrix(pairs)
+        self._ru, self._rv = ru, rv = base.reduced_index(pairs).T
         self._mu = ru >= 0
         self._mv = rv >= 0
         self._mb = self._mu & self._mv
+        # workspaces that chol and logdet_and_grad overwrite
+        self._M = np.empty_like(base.matrix, order="F")
+        self._Y = np.empty_like(self.A, order="F")
 
-    def matrix(self, pi: np.ndarray) -> np.ndarray:
+    def matrix(self, pi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         t = pi * self.w
-        M = np.array(self.base.matrix)
+        M = np.empty_like(self.base.matrix) if out is None else out
+        M[...] = self.base.matrix
         mu, mv, mb = self._mu, self._mv, self._mb
         ru, rv = self._ru, self._rv
         np.add.at(M, (ru[mu], ru[mu]), t[mu])
@@ -119,12 +116,16 @@ class _ChannelOps:
         return M
 
     def chol(self, pi: np.ndarray) -> np.ndarray:
-        try:
-            return np.linalg.cholesky(self.matrix(pi))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                "selector-weighted Laplacian lost positive definiteness"
-            ) from exc
+        """Lower factor of L(pi), factored in place in the channel's workspace.
+
+        The solver factors thousands of order x order matrices; fresh
+        allocations of that size each cost page faults unless an earlier
+        large temporary happened to raise the allocator's mmap threshold.
+        """
+        C, info = dpotrf(self.matrix(pi, self._M), lower=1, clean=0, overwrite_a=1)
+        if info != 0:
+            raise NumericalError("selector-weighted Laplacian lost positive definiteness")
+        return C
 
     def logdet(self, pi: np.ndarray) -> float:
         C = self.chol(pi)
@@ -135,7 +136,8 @@ class _ChannelOps:
         value = float(2.0 * np.sum(np.log(np.diag(C))))
         if self.A.shape[1] == 0:
             return value, np.zeros(0)
-        Y = solve_triangular(C, self.A, lower=True, check_finite=False)
+        self._Y[...] = self.A
+        Y = solve_triangular(C, self._Y, lower=True, overwrite_b=True, check_finite=False)
         delta = np.einsum("ij,ij->j", Y, Y)
         return value, self.w * delta
 
@@ -456,60 +458,53 @@ def round_randomized(
     pi,
     seed: int = 0,
     trials: int = 1000,
-    *,
-    batch_size: int = 4096,
 ) -> RandomizedRounding:
-    """Sample Bernoulli roundings of pi and tabulate per-trial statistics."""
+    """Sample Bernoulli roundings of pi and tabulate per-trial statistics.
+
+    A trial that keeps the candidate set S has, by the matrix determinant
+    lemma, det L(S) = det L0 * det(I + Z_S^T Z_S) per channel, where
+    Z = C^{-1} A diag(sqrt(w)) is the whitened, weighted incidence matrix
+    of the candidates and C the base factor. Trials that keep equally
+    many candidates share one stacked determinant call, so a trial's
+    counts do not depend on the other trials drawn with it. Memory is
+    O(order * c) for Z plus a fixed byte budget per batch of trials;
+    counts beyond the float64 range come back as inf.
+    """
     pi = _validate_pi(pi, inst.num_candidates)
     trials = int(trials)
     if trials < 1:
         raise ArgumentError("trials must be >= 1")
-    ops = _channel_ops(inst)
+    if inst.direction != DIRECTION_ADD:
+        raise ArgumentError("randomized rounding expects an addition instance; reduce removals first")
     c = inst.num_candidates
-    order = ops[0].base.order
+    kernels = []
+    for ch, _ in inst.channels:
+        base = build_reduced_laplacian(inst.base_graph(ch))
+        Z = whitened_incidence(base, inst.candidate_pairs) * np.sqrt(inst.candidate_weights(ch))
+        kernels.append((base.log_det(), np.ascontiguousarray(Z.T)))
+    order = kernels[0][1].shape[1]
 
     num_selected = np.zeros(trials, dtype=int)
-    tree_counts = np.zeros((trials, len(ops)))
+    log_counts = np.zeros((trials, len(kernels)))
     rng = np.random.default_rng(seed)
+    # the gathered columns of one trial take at most 8 * c * order bytes
+    batch = max(1, ROUNDING_BATCH_BYTES // (8 * max(1, c * order)))
+    for done in range(0, trials, batch):
+        bits = rng.random((min(batch, trials - done), c)) < pi
+        sizes = bits.sum(axis=1)
+        num_selected[done : done + len(bits)] = sizes
+        for s in np.unique(sizes):
+            rows = np.flatnonzero(sizes == s)
+            cols = np.nonzero(bits[rows])[1].reshape(len(rows), s)
+            for j, (log_det0, Zt) in enumerate(kernels):
+                Zs = Zt[cols]  # rows x s x order
+                # Sylvester: det(I + Zs Zs^T) = det(I + Zs^T Zs); take the smaller
+                gram = Zs @ Zs.transpose(0, 2, 1) if s <= order else Zs.transpose(0, 2, 1) @ Zs
+                gram += np.eye(gram.shape[-1])
+                log_counts[done + rows, j] = log_det0 + np.linalg.slogdet(gram)[1]
 
-    # Stacked elementary matrices make whole batches one det call; fall
-    # back to per-trial factorization when that stack would be huge.
-    vectorized = c * order * order <= 5 * 10**7
-    elems = None
-    if vectorized:
-        elems = []
-        for op in ops:
-            E = np.zeros((c, order, order))
-            for i in range(c):
-                iu, iv = op._ru[i], op._rv[i]
-                if iu >= 0:
-                    E[i, iu, iu] += 1.0
-                if iv >= 0:
-                    E[i, iv, iv] += 1.0
-                if iu >= 0 and iv >= 0:
-                    E[i, iu, iv] -= 1.0
-                    E[i, iv, iu] -= 1.0
-            elems.append(E)
-
-    done = 0
-    while done < trials:
-        b = min(batch_size, trials - done)
-        bits = rng.random((b, c)) < pi
-        num_selected[done : done + b] = bits.sum(axis=1)
-        for j, op in enumerate(ops):
-            if vectorized:
-                scaled = bits * op.w
-                stack = op.base.matrix[None, :, :] + np.einsum(
-                    "tc,cij->tij", scaled, elems[j]
-                )
-                tree_counts[done : done + b, j] = np.linalg.det(stack)
-            else:
-                for t in range(b):
-                    M = op.matrix(bits[t].astype(float))
-                    sign, logdet = np.linalg.slogdet(M)
-                    tree_counts[done + t, j] = sign * math.exp(logdet)
-        done += b
-
+    with np.errstate(over="ignore"):
+        tree_counts = np.exp(log_counts)
     num_selected.setflags(write=False)
     tree_counts.setflags(write=False)
     return RandomizedRounding(

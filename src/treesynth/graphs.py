@@ -185,30 +185,6 @@ def component_count(g: WeightedGraph) -> int:
     return g.component_count
 
 
-def _cholesky_rank_one_update(factor: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Update a lower Cholesky factor C after a rank-one addition.
-
-    Returns C' with C' C'^T = C C^T + x x^T. Standard hyperbolic-rotation
-    sweep; rows above the first nonzero of x are untouched.
-    """
-    C = np.array(factor)
-    x = np.array(x, dtype=float)
-    m = x.shape[0]
-    nz = np.nonzero(x)[0]
-    start = int(nz[0]) if nz.size else m
-    for j in range(start, m):
-        cjj = C[j, j]
-        r = math.hypot(cjj, x[j])
-        c = r / cjj
-        s = x[j] / cjj
-        C[j, j] = r
-        if j + 1 < m:
-            tail = (C[j + 1 :, j] + s * x[j + 1 :]) / c
-            x[j + 1 :] = c * x[j + 1 :] - s * tail
-            C[j + 1 :, j] = tail
-    return C
-
-
 @dataclass(frozen=True)
 class ReducedLaplacian:
     """Weighted Laplacian with the anchor vertex's row and column removed.
@@ -270,53 +246,49 @@ class ReducedLaplacian:
         """log det of the matrix, computed from the Cholesky diagonal."""
         return float(2.0 * np.sum(np.log(np.diag(self.cholesky))))
 
-    def reduced_index(self, vertex: int) -> int:
-        """Row index of an external vertex, -1 for the anchor."""
-        vertex = _as_vertex(vertex)
-        if not 1 <= vertex <= self.n:
-            raise ArgumentError(f"vertex {vertex} out of range 1..{self.n}")
-        if vertex == self.anchor:
-            return -1
-        j = vertex - 1
-        return j if j < self.anchor - 1 else j - 1
+    def reduced_index(self, vertex):
+        """Row index of an external vertex, -1 for the anchor.
+
+        Accepts an integer or an integer array of any shape.
+        """
+        x = np.asarray(vertex)
+        if x.dtype.kind not in "iu":
+            if x.size:
+                raise ArgumentError(f"vertex ids must be integers, got {vertex!r}")
+            x = x.astype(int)
+        bad = x[(x < 1) | (x > self.n)]
+        if bad.size:
+            raise ArgumentError(f"vertex {bad.flat[0]} out of range 1..{self.n}")
+        return np.where(x == self.anchor, -1, np.where(x < self.anchor, x - 1, x - 2))
+
+    def incidence_matrix(self, pairs) -> np.ndarray:
+        """Signed incidence columns of edges {u, v}, anchor coordinate dropped.
+
+        Column j is +1 at u and -1 at v of the j-th pair, order x len(pairs).
+        """
+        idx = self.reduced_index(np.asarray(list(pairs)).reshape(-1, 2))
+        if np.any(idx[:, 0] == idx[:, 1]):
+            raise ArgumentError("edge endpoints must differ")
+        A = np.zeros((self.order, len(idx)))
+        for end, sign in ((idx[:, 0], 1.0), (idx[:, 1], -1.0)):
+            keep = end >= 0
+            A[end[keep], np.flatnonzero(keep)] = sign
+        return A
 
     def incidence_vector(self, u: int, v: int) -> np.ndarray:
         """Signed incidence column of edge {u, v}, anchor coordinate dropped."""
-        iu, iv = self.reduced_index(u), self.reduced_index(v)
-        if u == v:
-            raise ArgumentError("edge endpoints must differ")
-        a = np.zeros(self.order)
-        if iu >= 0:
-            a[iu] = 1.0
-        if iv >= 0:
-            a[iv] = -1.0
-        return a
+        return self.incidence_matrix([(u, v)])[:, 0]
 
     def with_edge(self, u: int, v: int, w: float) -> ReducedLaplacian:
-        """Commit edge {u, v} with weight w.
+        """Commit edge {u, v} with weight w: the matrix gains w a a^T.
 
-        The matrix gets the rank-one addition w a a^T and the cached
-        Cholesky factor is refreshed by a rank-one update, so greedy
-        loops avoid a full refactorization per step.
+        The factor of the result is computed afresh on first use.
         """
         w = float(w)
         if not math.isfinite(w) or w <= 0:
             raise ArgumentError(f"edge weight must be positive and finite, got {w!r}")
         a = self.incidence_vector(u, v)
-        iu, iv = self.reduced_index(u), self.reduced_index(v)
-        m = np.array(self.matrix)
-        if iu >= 0:
-            m[iu, iu] += w
-        if iv >= 0:
-            m[iv, iv] += w
-        if iu >= 0 and iv >= 0:
-            m[iu, iv] -= w
-            m[iv, iu] -= w
-        out = ReducedLaplacian(self.n, self.anchor, m)
-        updated = _cholesky_rank_one_update(self.cholesky, math.sqrt(w) * a)
-        updated.setflags(write=False)
-        out.__dict__["cholesky"] = updated
-        return out
+        return ReducedLaplacian(self.n, self.anchor, self.matrix + w * np.outer(a, a))
 
 
 def build_reduced_laplacian(g: WeightedGraph, anchor: int | None = None) -> ReducedLaplacian:

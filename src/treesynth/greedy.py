@@ -3,8 +3,10 @@
 The gain of adding a candidate subset, tree-connectivity of the base
 plus the subset minus that of the base alone, is normalized, monotone
 and submodular, so the classic greedy sweep earns the 1 - 1/e factor.
-Each greedy round scores all remaining candidates in one batched
-triangular solve and commits the best via a rank-one Cholesky update.
+Each greedy round reads every candidate's gain off effective resistances
+that a Sherman-Morrison (Woodbury) update keeps current: the candidates'
+incidence columns are whitened once by the base Cholesky factor, and a
+commit costs O(order * c + c * t) in round t, with no solve.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .graphs import (
     WeightedGraph,
     build_reduced_laplacian,
 )
-from .treeconn import batch_effective_resistance, tree_connectivity
+from .treeconn import tree_connectivity, whitened_incidence
 
 # exhaustive_select refuses to walk more subsets than this
 EXHAUSTIVE_MAX_SUBSETS = 10**6
@@ -159,47 +161,58 @@ def _greedy_run(
     inst: EdgeSelectionInstance,
     budget: int,
     stop_threshold: float | None = None,
-    rank_one_updates: bool = True,
 ) -> SelectionResult:
     start = time.perf_counter()
     fn = gain_function(inst)
-    channels = inst.channels
-    laps = {ch: build_reduced_laplacian(inst.base_graph(ch)) for ch, _ in channels}
-    graphs = {ch: inst.base_graph(ch) for ch, _ in channels}
+    c = inst.num_candidates
     pairs = inst.candidate_pairs
-    weights = {ch: inst.candidate_weights(ch) for ch, _ in channels}
+    # Exact duplicate candidates share one kernel column, so their gains
+    # tie exactly and the lowest index wins, as it does from scratch; BLAS
+    # matrix-vector products can round two identical columns differently.
+    keys = np.array(
+        [(min(e[:2]), max(e[:2]), *e[2:]) for e in inst.candidates], dtype=float
+    ).reshape(c, 2 + len(inst.channels))
+    _, first, col = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    col = col.reshape(-1)
+    kernels = []
+    for ch, mult in inst.channels:
+        Y = whitened_incidence(
+            build_reduced_laplacian(inst.base_graph(ch)), [pairs[i] for i in first]
+        )
+        kernels.append((mult, inst.candidate_weights(ch), Y, np.einsum("ij,ij->j", Y, Y)))
+    # rows t of U[j] are the low-rank factor of channel j; grown by doubling
+    U = np.empty((len(kernels), min(budget, 16), len(first)))
 
-    remaining = list(range(inst.num_candidates))
+    available = np.ones(c, dtype=bool)
     selected: list[int] = []
     trace: list[TraceStep] = []
 
-    for _ in range(budget):
+    for t in range(budget):
         if stop_threshold is not None and fn(selected) >= stop_threshold:
             break
-        rem_pairs = [pairs[i] for i in remaining]
-        gains = np.zeros(len(remaining))
+        gains = np.zeros(c)
         scores = []
-        for ch, mult in channels:
-            delta = batch_effective_resistance(laps[ch], rem_pairs)
-            s = weights[ch][remaining] * delta
+        for mult, w, _, resist in kernels:
+            s = w * resist[col]
             scores.append(s)
             gains += mult * np.log1p(s)
-        pos = int(np.argmax(gains))  # first max wins, lowest index on ties
-        idx = remaining.pop(pos)
-        u, v = pairs[idx]
-        for ch, _ in channels:
-            w = float(weights[ch][idx])
-            if rank_one_updates:
-                laps[ch] = laps[ch].with_edge(u, v, w)
-            else:
-                graphs[ch] = graphs[ch].with_edges([(u, v, w)])
-                laps[ch] = build_reduced_laplacian(graphs[ch])
-        if len(channels) == 1:
-            step_score: float | tuple[float, float] = float(scores[0][pos])
+        gains[~available] = -np.inf
+        idx = int(np.argmax(gains))  # first max wins, lowest index on ties
+        available[idx] = False
+        e = col[idx]
+        if t == U.shape[1]:
+            U = np.concatenate((U, np.empty_like(U)), axis=1)
+        for (_, w, Y, resist), Uj in zip(kernels, U):
+            # column e of the current Gram matrix Y^T Y - U^T U (Sherman-Morrison)
+            g = Y.T @ Y[:, e] - Uj[:t].T @ Uj[:t, e]
+            Uj[t] = g * math.sqrt(w[idx] / (1.0 + w[idx] * g[e]))
+            resist -= Uj[t] ** 2
+        if len(kernels) == 1:
+            step_score: float | tuple[float, float] = float(scores[0][idx])
         else:
-            step_score = (float(scores[0][pos]), float(scores[1][pos]))
+            step_score = (float(scores[0][idx]), float(scores[1][idx]))
         selected.append(idx)
-        trace.append(TraceStep(idx, u, v, step_score, float(gains[pos])))
+        trace.append(TraceStep(idx, *pairs[idx], step_score, float(gains[idx])))
 
     return SelectionResult(
         selected=tuple(selected),
@@ -211,18 +224,19 @@ def _greedy_run(
     )
 
 
-def greedy_select(inst: EdgeSelectionInstance, *, rank_one_updates: bool = True) -> SelectionResult:
+def greedy_select(inst: EdgeSelectionInstance) -> SelectionResult:
     """k rounds of greedy candidate selection.
 
     Each round picks the remaining candidate with the largest exact gain
-    (ties to the lowest index) and commits it. ``rank_one_updates=False``
-    refactorizes from scratch after every commit instead; both paths
-    must agree to well under 1e-9 and the flag exists so tests can say
-    so.
+    (ties to the lowest index) and commits it. The gains come from one
+    whitened incidence matrix Y per channel: committing an edge appends
+    a row to a low-rank factor whose squared column norms come off the
+    resistances, so no round solves or refactorizes anything. Memory is
+    O(order * c + c * k).
     """
     if inst.direction != DIRECTION_ADD:
         raise ArgumentError("greedy_select expects an addition instance; reduce removals first")
-    return _greedy_run(inst, budget=inst.k, rank_one_updates=rank_one_updates)
+    return _greedy_run(inst, budget=inst.k)
 
 
 def greedy_to_threshold(inst: EdgeSelectionInstance, tau_min: float) -> SelectionResult:

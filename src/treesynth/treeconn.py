@@ -116,6 +116,20 @@ def _is_spanning_tree(n: int, edges) -> bool:
     return True
 
 
+def whitened_incidence(L: ReducedLaplacian, pairs) -> np.ndarray:
+    """Y = C^{-1} A for the incidence columns A of ``pairs``, C the factor of L.
+
+    Y_i . Y_j = a_i^T L^{-1} a_j, so the squared column norms are the
+    effective resistances and Y^T Y is the pairs' Gram matrix, which
+    greedy selection and randomized rounding update without forming it.
+    One triangular solve; order x len(pairs).
+    """
+    A = L.incidence_matrix(pairs)
+    if A.shape[1] == 0:
+        return A
+    return solve_triangular(L.cholesky, A, lower=True, check_finite=False)
+
+
 @dataclass(frozen=True)
 class EffectiveResistance:
     value: float
@@ -128,21 +142,13 @@ def effective_resistance(L: ReducedLaplacian, u: int, v: int) -> EffectiveResist
     One triangular solve against the cached Cholesky factor; the
     squared norm of the solution is the quadratic form.
     """
-    a = L.incidence_vector(u, v)
-    y = solve_triangular(L.cholesky, a, lower=True, check_finite=False)
+    y = whitened_incidence(L, [(u, v)])[:, 0]
     return EffectiveResistance(float(y @ y), (u, v))
 
 
 def batch_effective_resistance(L: ReducedLaplacian, pairs) -> np.ndarray:
     """Effective resistances for many vertex pairs in one solve."""
-    pairs = list(pairs)
-    if not pairs:
-        return np.zeros(0)
-    A = np.zeros((L.order, len(pairs)))
-    for col, (u, v) in enumerate(pairs):
-        a = L.incidence_vector(u, v)
-        A[:, col] = a
-    Y = solve_triangular(L.cholesky, A, lower=True, check_finite=False)
+    Y = whitened_incidence(L, pairs)
     return np.einsum("ij,ij->j", Y, Y)
 
 

@@ -27,6 +27,16 @@ def random_add_instance(rng, n, m, c, k, weight_range=(1.0, 5.0)):
     )
 
 
+def slam_instance(inst, rng):
+    """A single-weight instance with a second, random channel weight."""
+    def second(edges):
+        return tuple((*e, float(rng.uniform(1.0, 5.0))) for e in edges)
+
+    return EdgeSelectionInstance(
+        inst.n, second(inst.base_edges), second(inst.candidates), inst.k, objective="slam-double"
+    )
+
+
 @pytest.fixture
 def mini_g2o():
     return DATA / "mini.g2o"

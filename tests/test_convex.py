@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from treesynth import (
     EdgeSelectionInstance,
     laplacian_of_pi,
     project_capped_simplex,
+    random_instance,
     relaxed_objective_and_gradient,
     round_deterministic,
     round_randomized,
@@ -19,7 +21,8 @@ from treesynth import (
     solve_p3,
     tree_connectivity,
 )
-from conftest import random_add_instance
+from treesynth import convex
+from conftest import random_add_instance, slam_instance
 
 
 def star_instance(k=2):
@@ -305,9 +308,54 @@ def test_randomized_rounding_expectations_match_enumeration():
     assert rr.mean_num_selected == pytest.approx(float(pi.sum()), abs=0.05)
 
 
-def test_randomized_rounding_batched_and_loop_paths_agree():
-    inst = star_instance()
-    pi = np.array([0.4, 0.6, 0.2])
-    fast = round_randomized(inst, pi, seed=3, trials=256)
-    slow = round_randomized(inst, pi, seed=3, trials=256, batch_size=256)
-    assert np.array_equal(fast.tree_counts, slow.tree_counts)
+def test_randomized_rounding_trials_do_not_depend_on_batch(monkeypatch):
+    rng = np.random.default_rng(4)
+    inst = slam_instance(random_add_instance(rng, 8, 10, 12, 4), rng)
+    pi = rng.uniform(0.1, 0.9, size=12)
+    short = round_randomized(inst, pi, seed=6, trials=300)
+    long = round_randomized(inst, pi, seed=6, trials=600)
+    # batches of 7 trials instead of one batch of all 600
+    monkeypatch.setattr(convex, "ROUNDING_BATCH_BYTES", 8 * 12 * 7 * 7)
+    split = round_randomized(inst, pi, seed=6, trials=600)
+    assert np.array_equal(short.tree_counts, long.tree_counts[:300])
+    assert np.array_equal(short.num_selected, long.num_selected[:300])
+    assert np.array_equal(split.tree_counts, long.tree_counts)
+    assert np.array_equal(split.num_selected, long.num_selected)
+
+
+def test_randomized_rounding_counts_match_dense_determinants():
+    rng = np.random.default_rng(8)
+    single = random_add_instance(rng, 7, 9, 10, 4)
+    # complement candidates: c = 6 > order = 4, so most trials keep more
+    # candidates than the Laplacian has rows
+    wide = random_instance(5, 4, "complement", (1.0, 3.0), seed=1, k=3)
+    pi = rng.uniform(0.1, 0.9, size=10)
+    # the slam case keeps few candidates, so some of its trials keep none
+    cases = [(single, pi), (wide, np.full(6, 0.85)), (slam_instance(single, rng), pi / 4)]
+    sizes = []
+    for inst, p in cases:
+        rr = round_randomized(inst, p, seed=2, trials=40)
+        bits = np.random.default_rng(2).random((40, inst.num_candidates)) < p
+        assert np.array_equal(rr.num_selected, bits.sum(axis=1))
+        sizes.append(rr.num_selected)
+        for t in range(40):
+            chosen = np.flatnonzero(bits[t])
+            for j, (channel, _) in enumerate(inst.channels):
+                g = inst.base_graph(channel).with_edges(inst.candidate_edges(chosen, channel))
+                dense = np.linalg.det(g.full_laplacian()[:-1, :-1])
+                assert rr.tree_counts[t, j] == pytest.approx(dense, rel=1e-12)
+    assert np.any(sizes[1] > 4) and np.any(sizes[2] == 0)
+
+
+def test_randomized_rounding_overflow_reads_inf_at_every_size():
+    huge = EdgeSelectionInstance(3, ((1, 2, 1e200), (2, 3, 1e200)), ((1, 3, 1e200),), 1)
+    # a large instance too: a 401-vertex path of weight-100 edges has
+    # 1e800 trees, and 320 chords make c * order^2 about 5e7
+    n = 401
+    path = tuple((i, i + 1, 100.0) for i in range(1, n))
+    long = EdgeSelectionInstance(n, path, tuple((i, i + 2, 1.0) for i in range(1, 321)), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for inst in (huge, long):
+            rr = round_randomized(inst, np.full(inst.num_candidates, 0.5), seed=0, trials=20)
+            assert np.all(np.isposinf(rr.tree_counts))

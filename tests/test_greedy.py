@@ -15,10 +15,11 @@ from treesynth import (
     greedy_min_selection,
     greedy_select,
     greedy_to_threshold,
+    random_instance,
     reduce_removal_to_addition,
     tree_connectivity,
 )
-from conftest import random_add_instance
+from conftest import random_add_instance, slam_instance
 
 
 def star_instance(k=2):
@@ -114,14 +115,66 @@ def test_greedy_breaks_ties_by_lowest_index():
     assert res.selected == (0,)
 
 
-def test_greedy_rank_one_path_matches_rebuild_path():
+def reference_greedy(inst):
+    """Greedy from scratch: each round takes the argmax of the gain
+    function over selected + [i], every graph rebuilt, lowest index on
+    ties. Returns the selection and the marginal gain of each round."""
+    fn = gain_function(inst)
+    selected, gains = [], []
+    for _ in range(inst.k):
+        value = fn(selected)
+        best, best_value = None, -math.inf
+        for i in range(inst.num_candidates):
+            if i not in selected:
+                v = fn(selected + [i])
+                if v > best_value:
+                    best, best_value = i, v
+        selected.append(best)
+        gains.append(best_value - value)
+    return tuple(selected), gains
+
+
+def check_against_reference(inst):
+    res = greedy_select(inst)
+    selected, gains = reference_greedy(inst)
+    assert res.selected == selected
+    assert [s.gain for s in res.trace] == pytest.approx(gains, abs=1e-9)
+    assert res.tau_achieved == gain_function(inst).absolute(selected)
+    return selected
+
+
+def test_greedy_matches_from_scratch_reference():
     rng = np.random.default_rng(21)
-    for _ in range(15):
-        inst = random_add_instance(rng, 8, 10, 9, 4)
-        fast = greedy_select(inst, rank_one_updates=True)
-        slow = greedy_select(inst, rank_one_updates=False)
-        assert fast.selected == slow.selected
-        assert fast.tau_achieved == pytest.approx(slow.tau_achieved, abs=1e-12)
+    for _ in range(8):
+        single = random_add_instance(rng, 8, 10, 9, 4)
+        check_against_reference(single)
+        check_against_reference(slam_instance(single, rng))
+    for seed in range(3):
+        # complement candidates: c = 19 > order = 7
+        wide = random_instance(8, 9, "complement", (1.0, 4.0), seed=seed, k=6)
+        check_against_reference(wide)
+        check_against_reference(slam_instance(wide, rng))
+    repeats = 0
+    for _ in range(3):
+        single = random_add_instance(rng, 7, 8, 5, 5)
+        for inst in (single, slam_instance(single, rng)):
+            # each candidate three times, once with its endpoints swapped:
+            # every round breaks an exact tie between copies
+            swapped = tuple((e[1], e[0], *e[2:]) for e in inst.candidates)
+            cands = inst.candidates + swapped + inst.candidates
+            selected = check_against_reference(
+                EdgeSelectionInstance(inst.n, inst.base_edges, cands, 5, objective=inst.objective)
+            )
+            # a second copy of one edge taken in a later round
+            repeats += len({i % 5 for i in selected}) < len(selected)
+    assert repeats >= 2
+    # a heavy chord copied 7 and 13 times outscores the weak candidates
+    # in every round, so each round takes the lowest remaining copy
+    path = tuple((i, i + 1, 100.0) for i in range(1, 13))
+    weak = tuple((i, i + 1, 1.0) for i in range(1, 13))
+    for copies in (7, 13):
+        inst = EdgeSelectionInstance(13, path, weak + ((1, 13, 50.0),) * copies, 5)
+        assert check_against_reference(inst) == (12, 13, 14, 15, 16)
 
 
 def test_greedy_reports_fresh_tau():
