@@ -10,7 +10,6 @@ Usage: python scripts/random_graph_sweep.py [--n 12] [--m-init 16] [--seed 0]
 
 import argparse
 import dataclasses
-import math
 import sys
 
 from treesynth import (
@@ -21,7 +20,7 @@ from treesynth import (
     round_deterministic,
     solve_p2,
 )
-from treesynth.greedy import EXHAUSTIVE_MAX_SUBSETS
+from treesynth.greedy import exhaustive_fits
 
 
 def main() -> int:
@@ -48,7 +47,7 @@ def main() -> int:
         bundle = build_bundle(
             gr.baseline, gr.tau_achieved, rounded.tau_achieved, relaxed.tau_cvx_star
         )
-        if math.comb(args.c, k) <= EXHAUSTIVE_MAX_SUBSETS:
+        if exhaustive_fits(inst):
             opt = f"{exhaustive_select(inst).tau_achieved:12.6f}"
         else:
             opt = f"{'-':>12}"

@@ -54,10 +54,8 @@ from .graphs import (
 from .greedy import (
     GainFunction,
     SelectionResult,
-    evaluate_gain,
     exhaustive_select,
     gain_function,
-    greedy_min_selection,
     greedy_select,
     greedy_to_threshold,
 )
@@ -74,7 +72,6 @@ from .treeconn import (
     batch_effective_resistance,
     count_spanning_trees_bruteforce,
     effective_resistance,
-    score_candidate,
     tree_connectivity,
     tree_connectivity_spectral,
 )
@@ -110,12 +107,10 @@ __all__ = [
     "dataset_proxy",
     "dopt_proxy",
     "effective_resistance",
-    "evaluate_gain",
     "exhaustive_select",
     "find_dataset",
     "gain_function",
     "gap_for_design",
-    "greedy_min_selection",
     "greedy_select",
     "greedy_to_threshold",
     "instance_from_json_dict",
@@ -132,7 +127,6 @@ __all__ = [
     "round_deterministic",
     "round_randomized",
     "save_instance",
-    "score_candidate",
     "solve_p2",
     "solve_p3",
     "to_instance",

@@ -48,6 +48,7 @@ from .graphs import (
 )
 from .greedy import (
     EXHAUSTIVE_MAX_SUBSETS,
+    exhaustive_fits,
     exhaustive_select,
     greedy_select,
     greedy_to_threshold,
@@ -202,15 +203,14 @@ def cmd_synthesize(args) -> int:
     )
 
     algorithms = ["greedy", "convex", "exhaustive"] if args.algorithm == "all" else [args.algorithm]
-    if args.algorithm == "all":
-        n_subsets = math.comb(work.num_candidates, work.k)
-        if n_subsets > EXHAUSTIVE_MAX_SUBSETS:
-            algorithms.remove("exhaustive")
-            _say(
-                f"note: skipping exhaustive search, C(c, k) = {n_subsets} subsets "
-                f"exceeds the {EXHAUSTIVE_MAX_SUBSETS} guard",
-                to_stderr=True,
-            )
+    if args.algorithm == "all" and not exhaustive_fits(work):
+        algorithms.remove("exhaustive")
+        _say(
+            f"note: skipping exhaustive search, C(c, k) = "
+            f"{math.comb(work.num_candidates, work.k)} subsets "
+            f"exceeds the {EXHAUSTIVE_MAX_SUBSETS} guard",
+            to_stderr=True,
+        )
 
     results: dict[str, dict] = {}
     timings: dict[str, list[float]] = {name: [] for name in algorithms}
@@ -369,9 +369,7 @@ def cmd_evaluate(args) -> int:
             doc["dopt_proxy_base"] = proxy_base
             doc["dopt_proxy_full"] = proxy_full
     _emit_json(doc, args.output)
-    if args.output is None:
-        pass
-    else:
+    if args.output is not None:
         _say(f"wrote {args.output}")
     return EXIT_OK
 
@@ -413,7 +411,7 @@ def _bench_row(inst: EdgeSelectionInstance, sweep: str, value: int, args) -> dic
 
     opt: float | None = None
     t_oracle: float | None = None
-    if args.oracle and math.comb(inst.num_candidates, inst.k) <= EXHAUSTIVE_MAX_SUBSETS:
+    if args.oracle and exhaustive_fits(inst):
         t0 = time.perf_counter()
         opt = exhaustive_select(inst).tau_achieved
         t_oracle = time.perf_counter() - t0

@@ -35,8 +35,7 @@ from .graphs import (
     ReducedLaplacian,
     build_reduced_laplacian,
 )
-from .greedy import SelectionResult, gain_function
-from .treeconn import whitened_incidence
+from .greedy import SelectionResult, gain_function, subset_log_dets
 
 ARMIJO_SIGMA = 1e-4
 BACKTRACK_SHRINK = 0.5
@@ -45,8 +44,6 @@ DEFAULT_TOLERANCE = 1e-7
 DEFAULT_MAX_ITERS = 5000
 # capped-simplex projection: guaranteed bound on |sum(x) - k| of the output
 SUM_TOLERANCE = 1e-12
-# bytes of gathered candidate columns per batch of round_randomized trials
-ROUNDING_BATCH_BYTES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -102,6 +99,8 @@ class _ChannelOps:
         # workspaces that chol and logdet_and_grad overwrite
         self._M = np.empty_like(base.matrix, order="F")
         self._Y = np.empty_like(self.A, order="F")
+        # (pi, factor of L(pi)) of the last successful chol
+        self._last: tuple[np.ndarray, np.ndarray] | None = None
 
     def matrix(self, pi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         t = pi * self.w
@@ -121,10 +120,16 @@ class _ChannelOps:
         The solver factors thousands of order x order matrices; fresh
         allocations of that size each cost page faults unless an earlier
         large temporary happened to raise the allocator's mmap threshold.
+        The factor of the last point is reused: the ascent factors each
+        accepted point in its line search, then again for the gradient.
         """
+        if self._last is not None and np.array_equal(pi, self._last[0]):
+            return self._last[1]
+        self._last = None
         C, info = dpotrf(self.matrix(pi, self._M), lower=1, clean=0, overwrite_a=1)
         if info != 0:
             raise NumericalError("selector-weighted Laplacian lost positive definiteness")
+        self._last = (pi.copy(), C)
         return C
 
     def logdet(self, pi: np.ndarray) -> float:
@@ -183,13 +188,7 @@ def relaxed_objective_and_gradient(
     nonnegative: the objective is monotone in every selector.
     """
     pi = _validate_pi(pi, inst.num_candidates)
-    value = 0.0
-    grad = np.zeros(inst.num_candidates)
-    for ops in _channel_ops(inst):
-        v, g = ops.logdet_and_grad(pi)
-        value += ops.mult * v
-        grad += ops.mult * g
-    return value, grad
+    return _Objective(_channel_ops(inst))(pi)
 
 
 def project_capped_simplex(v, k: float) -> np.ndarray:
@@ -236,7 +235,7 @@ def project_capped_simplex(v, k: float) -> np.ndarray:
     return x
 
 
-def _projected_ascent(value_and_grad, project, start, tolerance, max_iters, make_best):
+def _projected_ascent(objective, project, start, tolerance, max_iters, make_best):
     """Shared ascent loop: Armijo backtracking along the projection arc.
 
     Accepted steps never decrease the objective (the projection
@@ -245,7 +244,7 @@ def _projected_ascent(value_and_grad, project, start, tolerance, max_iters, make
     carrying the best iterate via ``make_best``.
     """
     pi = project(np.asarray(start, dtype=float).reshape(-1))
-    value, grad = value_and_grad(pi)
+    value, grad = objective(pi)
     curve = [value]
     iterations = 0
     while True:
@@ -264,7 +263,7 @@ def _projected_ascent(value_and_grad, project, start, tolerance, max_iters, make
             d = cand - pi
             gd = float(grad @ d)
             # objective only here; the gradient is recomputed on acceptance
-            cand_value = _value_only_hook(value_and_grad, cand)
+            cand_value = objective.value_only(cand)
             if gd > 0.0 and cand_value >= value + ARMIJO_SIGMA * gd:
                 pi = cand
                 break
@@ -275,38 +274,19 @@ def _projected_ascent(value_and_grad, project, start, tolerance, max_iters, make
                     f"(residual {residual:.3e})",
                     best=make_best(pi, value, iterations, residual, tuple(curve)),
                 )
-        value, grad = value_and_grad(pi)
+        value, grad = objective(pi)
         curve.append(value)
         iterations += 1
     return pi, value, iterations, residual, tuple(curve)
 
 
-def _value_only_hook(value_and_grad, pi):
-    fn = getattr(value_and_grad, "value_only", None)
-    if fn is not None:
-        return fn(pi)
-    return value_and_grad(pi)[0]
+class _Objective:
+    """Channel-combined log det L(pi) minus lam * sum(pi); lam = 0 is P2.
 
+    P3 keeps pi >= 0, so its L1 penalty is this linear term.
+    """
 
-class _ObjectiveP2:
-    def __init__(self, ops: list[_ChannelOps]):
-        self.ops = ops
-
-    def __call__(self, pi):
-        value = 0.0
-        grad = np.zeros(pi.size)
-        for op in self.ops:
-            v, g = op.logdet_and_grad(pi)
-            value += op.mult * v
-            grad += op.mult * g
-        return value, grad
-
-    def value_only(self, pi):
-        return sum(op.mult * op.logdet(pi) for op in self.ops)
-
-
-class _ObjectiveP3:
-    def __init__(self, ops: list[_ChannelOps], lam: float):
+    def __init__(self, ops: list[_ChannelOps], lam: float = 0.0):
         self.ops = ops
         self.lam = lam
 
@@ -317,7 +297,6 @@ class _ObjectiveP3:
             v, g = op.logdet_and_grad(pi)
             value += op.mult * v
             grad += op.mult * g
-        # pi >= 0, so the L1 penalty is a plain linear term
         return value - self.lam * float(pi.sum()), grad - self.lam
 
     def value_only(self, pi):
@@ -339,19 +318,17 @@ def solve_p2(
     """
     c = inst.num_candidates
     k = inst.k
-    ops = _channel_ops(inst)
-    objective = _ObjectiveP2(ops)
+    objective = _Objective(_channel_ops(inst))
     if start is None:
         start = np.full(c, k / c if c else 0.0)
-    pi, value, iterations, residual, curve = _projected_ascent(
+    return RelaxedSolution(*_projected_ascent(
         objective,
         lambda v: project_capped_simplex(v, k),
         start,
         float(tolerance),
         int(max_iters),
-        lambda p, val, it, res, cur: RelaxedSolution(p, val, it, res, cur),
-    )
-    return RelaxedSolution(pi, value, iterations, residual, curve)
+        RelaxedSolution,
+    ))
 
 
 def solve_p3(
@@ -373,7 +350,7 @@ def solve_p3(
         raise ArgumentError(f"lambda must be finite and >= 0, got {lam!r}")
     c = inst.num_candidates
     ops = _channel_ops(inst)
-    objective = _ObjectiveP3(ops, lam)
+    objective = _Objective(ops, lam)
 
     def as_solution(p, val, it, res, cur):
         tau = sum(op.mult * op.logdet(p) for op in ops)
@@ -381,16 +358,14 @@ def solve_p3(
 
     if start is None:
         start = np.full(c, 0.5)
-    pi, _, iterations, residual, curve = _projected_ascent(
+    return as_solution(*_projected_ascent(
         objective,
         lambda v: np.clip(v, 0.0, 1.0),
         start,
         float(tolerance),
         int(max_iters),
         as_solution,
-    )
-    tau = sum(op.mult * op.logdet(pi) for op in ops)
-    return RelaxedSolution(pi, tau, iterations, residual, curve)
+    ))
 
 
 def round_deterministic(
@@ -427,8 +402,8 @@ def round_deterministic(
 class RandomizedRounding:
     """Independent Bernoulli(pi_i) rounding trials.
 
-    num_selected[t] is the size of trial t's selection; tree_counts[t, j]
-    is the raw weighted spanning-tree count of the trial's design under
+    num_selected[t] is the size of trial t's selection; log_tree_counts[t, j]
+    is the log weighted spanning-tree count of the trial's design under
     channel j (base edges always included, so counts stay positive even
     when a trial keeps nothing). In expectation the selection size is
     sum(pi) and each channel's tree count is det L(pi).
@@ -438,11 +413,17 @@ class RandomizedRounding:
     seed: int
     channels: tuple[str | None, ...]
     num_selected: np.ndarray
-    tree_counts: np.ndarray
+    log_tree_counts: np.ndarray
 
     @property
     def trials(self) -> int:
         return int(self.num_selected.size)
+
+    @property
+    def tree_counts(self) -> np.ndarray:
+        """Raw counts, exp of log_tree_counts; inf beyond the float64 range."""
+        with np.errstate(over="ignore"):
+            return np.exp(self.log_tree_counts)
 
     @property
     def mean_num_selected(self) -> float:
@@ -451,6 +432,12 @@ class RandomizedRounding:
     @property
     def mean_tree_counts(self) -> np.ndarray:
         return self.tree_counts.mean(axis=0)
+
+    @property
+    def mean_log_tree_counts(self) -> np.ndarray:
+        """log of mean_tree_counts, finite where the raw counts overflow."""
+        top = self.log_tree_counts.max(axis=0)
+        return top + np.log(np.exp(self.log_tree_counts - top).mean(axis=0))
 
 
 def round_randomized(
@@ -462,13 +449,11 @@ def round_randomized(
     """Sample Bernoulli roundings of pi and tabulate per-trial statistics.
 
     A trial that keeps the candidate set S has, by the matrix determinant
-    lemma, det L(S) = det L0 * det(I + Z_S^T Z_S) per channel, where
-    Z = C^{-1} A diag(sqrt(w)) is the whitened, weighted incidence matrix
-    of the candidates and C the base factor. Trials that keep equally
-    many candidates share one stacked determinant call, so a trial's
-    counts do not depend on the other trials drawn with it. Memory is
-    O(order * c) for Z plus a fixed byte budget per batch of trials;
-    counts beyond the float64 range come back as inf.
+    lemma, det L(S) = det L0 * det(I + Z_S^T Z_S) per channel
+    (treeconn.SubsetLogDet). Trials that keep equally many candidates
+    share one stacked determinant call, so a trial's counts do not depend
+    on the other trials drawn with it. Memory is O(order * c) for Z plus
+    LEMMA_BATCH_BYTES per batch of trials.
     """
     pi = _validate_pi(pi, inst.num_candidates)
     trials = int(trials)
@@ -477,18 +462,12 @@ def round_randomized(
     if inst.direction != DIRECTION_ADD:
         raise ArgumentError("randomized rounding expects an addition instance; reduce removals first")
     c = inst.num_candidates
-    kernels = []
-    for ch, _ in inst.channels:
-        base = build_reduced_laplacian(inst.base_graph(ch))
-        Z = whitened_incidence(base, inst.candidate_pairs) * np.sqrt(inst.candidate_weights(ch))
-        kernels.append((base.log_det(), np.ascontiguousarray(Z.T)))
-    order = kernels[0][1].shape[1]
+    lemmas = subset_log_dets(inst)
 
     num_selected = np.zeros(trials, dtype=int)
-    log_counts = np.zeros((trials, len(kernels)))
+    log_counts = np.zeros((trials, len(lemmas)))
     rng = np.random.default_rng(seed)
-    # the gathered columns of one trial take at most 8 * c * order bytes
-    batch = max(1, ROUNDING_BATCH_BYTES // (8 * max(1, c * order)))
+    batch = lemmas[0][1].batch_rows(c)  # a trial keeps at most all c candidates
     for done in range(0, trials, batch):
         bits = rng.random((min(batch, trials - done), c)) < pi
         sizes = bits.sum(axis=1)
@@ -496,21 +475,15 @@ def round_randomized(
         for s in np.unique(sizes):
             rows = np.flatnonzero(sizes == s)
             cols = np.nonzero(bits[rows])[1].reshape(len(rows), s)
-            for j, (log_det0, Zt) in enumerate(kernels):
-                Zs = Zt[cols]  # rows x s x order
-                # Sylvester: det(I + Zs Zs^T) = det(I + Zs^T Zs); take the smaller
-                gram = Zs @ Zs.transpose(0, 2, 1) if s <= order else Zs.transpose(0, 2, 1) @ Zs
-                gram += np.eye(gram.shape[-1])
-                log_counts[done + rows, j] = log_det0 + np.linalg.slogdet(gram)[1]
+            for j, (_, lemma) in enumerate(lemmas):
+                log_counts[done + rows, j] = lemma(cols)
 
-    with np.errstate(over="ignore"):
-        tree_counts = np.exp(log_counts)
     num_selected.setflags(write=False)
-    tree_counts.setflags(write=False)
+    log_counts.setflags(write=False)
     return RandomizedRounding(
         pi=pi,
         seed=int(seed),
         channels=tuple(ch for ch, _ in inst.channels),
         num_selected=num_selected,
-        tree_counts=tree_counts,
+        log_tree_counts=log_counts,
     )

@@ -7,6 +7,12 @@ Each greedy round reads every candidate's gain off effective resistances
 that a Sherman-Morrison (Woodbury) update keeps current: the candidates'
 incidence columns are whitened once by the base Cholesky factor, and a
 commit costs O(order * c + c * t) in round t, with no solve.
+
+Exhaustive search scores k-subsets on the same whitened columns, a
+stacked determinant-lemma batch at a time, so its memory is a fixed
+byte budget rather than C(c, k); the near-ties of the best are then
+re-scored from scratch, which keeps the lexicographic tie rule and a
+from-scratch tau.
 """
 
 from __future__ import annotations
@@ -15,23 +21,19 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import ArgumentError, InfeasibleError, SizeGuardError
-from .graphs import (
-    DIRECTION_ADD,
-    DIRECTION_REMOVE,
-    OBJECTIVE_SINGLE,
-    EdgeSelectionInstance,
-    WeightedGraph,
-    build_reduced_laplacian,
-)
-from .treeconn import tree_connectivity, whitened_incidence
+from .graphs import DIRECTION_ADD, EdgeSelectionInstance, build_reduced_laplacian
+from .treeconn import SubsetLogDet, tree_connectivity, whitened_incidence
 
 # exhaustive_select refuses to walk more subsets than this
 EXHAUSTIVE_MAX_SUBSETS = 10**6
+# batched exhaustive scores this close (relative) to the best are
+# re-scored from scratch; the two agree to about 1e-14 relative
+EXHAUSTIVE_TIE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -153,10 +155,6 @@ def gain_function(inst: EdgeSelectionInstance) -> GainFunction:
     return GainFunction(inst, baselines)
 
 
-def evaluate_gain(fn: GainFunction, subset: Iterable[int]) -> float:
-    return fn(subset)
-
-
 def _greedy_run(
     inst: EdgeSelectionInstance,
     budget: int,
@@ -260,47 +258,41 @@ def greedy_to_threshold(inst: EdgeSelectionInstance, tau_min: float) -> Selectio
     return _greedy_run(inst, budget=inst.num_candidates, stop_threshold=tau_min)
 
 
-def greedy_min_selection(
-    base: WeightedGraph, candidates: Sequence[Sequence], tau_min: float
-) -> SelectionResult:
-    """Smallest greedy selection whose gain reaches tau_min.
+def subset_log_dets(inst: EdgeSelectionInstance) -> list[tuple[float, SubsetLogDet]]:
+    """(channel multiplier, SubsetLogDet over all candidates) per channel."""
+    return [
+        (mult, SubsetLogDet(build_reduced_laplacian(inst.base_graph(ch)),
+                            inst.candidate_pairs, inst.candidate_weights(ch)))
+        for ch, mult in inst.channels
+    ]
 
-    Single-weight form: candidates are (u, v, w) triples over ``base``.
-    """
-    cands = tuple((int(e[0]), int(e[1]), float(e[2])) for e in candidates)
-    inst = EdgeSelectionInstance(
-        n=base.n,
-        base_edges=base.edges,
-        candidates=cands,
-        k=len(cands),
-        direction=DIRECTION_ADD,
-        objective=OBJECTIVE_SINGLE,
-    )
-    return greedy_to_threshold(inst, tau_min)
+
+def exhaustive_fits(inst: EdgeSelectionInstance) -> bool:
+    """Whether exhaustive search accepts the instance: C(c, k) <= 10^6."""
+    return math.comb(inst.num_candidates, inst.k) <= EXHAUSTIVE_MAX_SUBSETS
 
 
 def exhaustive_select(inst: EdgeSelectionInstance) -> SelectionResult:
     """Optimal selection by trying every k-subset. Small instances only.
 
-    Ties keep the lexicographically smallest index subset. Guarded to
-    at most 10^6 subsets.
+    Memory is LEMMA_BATCH_BYTES plus the shortlist of near-ties. Ties
+    keep the lexicographically smallest index subset, and tau_achieved
+    is the from-scratch objective. Guarded to at most 10^6 subsets.
     """
     if inst.direction != DIRECTION_ADD:
         raise ArgumentError("exhaustive_select expects an addition instance; reduce removals first")
-    n_subsets = math.comb(inst.num_candidates, inst.k)
-    if n_subsets > EXHAUSTIVE_MAX_SUBSETS:
+    c, k = inst.num_candidates, inst.k
+    if not exhaustive_fits(inst):
         raise SizeGuardError(
-            f"exhaustive search refused: C({inst.num_candidates}, {inst.k}) = {n_subsets} "
+            f"exhaustive search refused: C({c}, {k}) = {math.comb(c, k)} "
             f"subsets exceeds the {EXHAUSTIVE_MAX_SUBSETS} limit"
         )
     start = time.perf_counter()
     fn = gain_function(inst)
-    best_val = -math.inf
-    best: tuple[int, ...] = ()
-    for subset in itertools.combinations(range(inst.num_candidates), inst.k):
-        val = fn.absolute(subset)
-        if val > best_val:
-            best_val, best = val, subset
+    # one subset needs no scoring (and n = 1 has no reduced Laplacian)
+    shortlist = _exhaustive_shortlist(inst) if math.comb(c, k) > 1 else [tuple(range(k))]
+    # max keeps the first of equal values, the lexicographically smallest
+    best_val, best = max(((fn.absolute(s), s) for s in shortlist), key=lambda vs: vs[0])
     return SelectionResult(
         selected=best,
         edges=tuple(inst.candidates[i] for i in best),
@@ -309,3 +301,28 @@ def exhaustive_select(inst: EdgeSelectionInstance) -> SelectionResult:
         trace=(),
         elapsed=time.perf_counter() - start,
     )
+
+
+def _exhaustive_shortlist(inst: EdgeSelectionInstance) -> list[tuple[int, ...]]:
+    """k-subsets, in lexicographic order, whose batched objective ties the best.
+
+    Ties are relative to the size of the summed terms, which bounds the
+    rounding of both the batched and the from-scratch evaluation.
+    """
+    lemmas, k = subset_log_dets(inst), inst.k
+    scale = 1.0 + sum(abs(mult * lemma.log_det0) for mult, lemma in lemmas)
+
+    def floor(top: float) -> float:
+        return top - EXHAUSTIVE_TIE_MARGIN * (scale + abs(top))
+
+    combos = itertools.combinations(range(inst.num_candidates), k)
+    best = -math.inf
+    kept: list[tuple[np.ndarray, np.ndarray]] = []
+    while chunk := list(itertools.islice(combos, lemmas[0][1].batch_rows(k))):
+        cols = np.array(chunk, dtype=np.intp).reshape(len(chunk), k)
+        vals = sum(mult * lemma(cols) for mult, lemma in lemmas)
+        best = max(best, float(vals.max()))
+        near = vals >= floor(best)
+        if near.any():
+            kept.append((cols[near], vals[near]))
+    return [tuple(row) for s, v in kept for row in s[v >= floor(best)].tolist()]

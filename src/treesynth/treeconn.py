@@ -33,6 +33,9 @@ from .graphs import (
 # anything that is big on both axes.
 ORACLE_MAX_EDGES = 12
 ORACLE_MAX_VERTICES = 8
+# bytes of gathered columns per SubsetLogDet call; larger batches bought
+# no speed and raised peak memory
+LEMMA_BATCH_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -130,6 +133,37 @@ def whitened_incidence(L: ReducedLaplacian, pairs) -> np.ndarray:
     return solve_triangular(L.cholesky, A, lower=True, check_finite=False)
 
 
+class SubsetLogDet:
+    """log det L(S) for batches of candidate subsets S, by the determinant lemma.
+
+    det L(S) = det L0 * det(I + Z_S^T Z_S), where L(S) is the base L0
+    plus the candidates in S and Z = C^{-1} A diag(sqrt(w)) is the
+    whitened, weighted incidence of all candidates. A batch shares one
+    stacked slogdet on the smaller Sylvester form, s x s or
+    order x order, and each subset's value does not depend on the rest
+    of its batch. Memory is O(order * c) plus the batch.
+    """
+
+    def __init__(self, L: ReducedLaplacian, pairs, weights):
+        self.log_det0 = L.log_det()
+        Z = whitened_incidence(L, pairs) * np.sqrt(weights)
+        self.Zt = np.ascontiguousarray(Z.T)
+
+    def batch_rows(self, width: int) -> int:
+        """Subsets of ``width`` candidates per call within LEMMA_BATCH_BYTES."""
+        return max(1, LEMMA_BATCH_BYTES // (8 * max(1, width * self.Zt.shape[1])))
+
+    def __call__(self, cols: np.ndarray) -> np.ndarray:
+        """log det L(S) for every row S of the b x s index array ``cols``."""
+        Zs = self.Zt[cols]  # b x s x order
+        if cols.shape[1] <= self.Zt.shape[1]:
+            gram = Zs @ Zs.transpose(0, 2, 1)
+        else:
+            gram = Zs.transpose(0, 2, 1) @ Zs
+        gram += np.eye(gram.shape[-1])
+        return self.log_det0 + np.linalg.slogdet(gram)[1]
+
+
 @dataclass(frozen=True)
 class EffectiveResistance:
     value: float
@@ -150,19 +184,3 @@ def batch_effective_resistance(L: ReducedLaplacian, pairs) -> np.ndarray:
     """Effective resistances for many vertex pairs in one solve."""
     Y = whitened_incidence(L, pairs)
     return np.einsum("ij,ij->j", Y, Y)
-
-
-@dataclass(frozen=True)
-class CandidateScore:
-    """score = w * Delta; gain = log(1 + score), the exact tau increase."""
-
-    score: float
-    gain: float
-
-
-def score_candidate(L: ReducedLaplacian, edge) -> CandidateScore:
-    """Score one candidate edge (u, v, w) against the graph behind L."""
-    u, v, w = edge
-    r = effective_resistance(L, u, v)
-    s = float(w) * r.value
-    return CandidateScore(s, math.log1p(s))

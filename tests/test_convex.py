@@ -21,7 +21,7 @@ from treesynth import (
     solve_p3,
     tree_connectivity,
 )
-from treesynth import convex
+from treesynth import convex, treeconn
 from conftest import random_add_instance, slam_instance
 
 
@@ -203,6 +203,30 @@ def test_solver_iteration_cap_raises_with_best_iterate():
     assert best.iterations == 1
 
 
+def test_solver_factors_each_accepted_point_once(monkeypatch):
+    rng = np.random.default_rng(12)
+    inst = slam_instance(random_add_instance(rng, 9, 12, 10, 4), rng)
+    calls = []
+    dpotrf = convex.dpotrf
+    monkeypatch.setattr(convex, "dpotrf", lambda *a, **kw: calls.append(1) or dpotrf(*a, **kw))
+    reused = solve_p2(inst)
+    reused_calls = len(calls)
+
+    chol = convex._ChannelOps.chol
+
+    def fresh(self, pi):
+        self._last = None  # forget the cached factor: every call factors
+        return chol(self, pi)
+
+    monkeypatch.setattr(convex._ChannelOps, "chol", fresh)
+    calls.clear()
+    rebuilt = solve_p2(inst)
+    assert np.array_equal(reused.pi, rebuilt.pi)
+    assert reused.objective_curve == rebuilt.objective_curve
+    assert reused.iterations == rebuilt.iterations > 0
+    assert len(calls) - reused_calls == 2 * reused.iterations
+
+
 def test_relaxation_upper_bounds_every_integral_point():
     rng = np.random.default_rng(37)
     for _ in range(6):
@@ -314,8 +338,8 @@ def test_randomized_rounding_trials_do_not_depend_on_batch(monkeypatch):
     pi = rng.uniform(0.1, 0.9, size=12)
     short = round_randomized(inst, pi, seed=6, trials=300)
     long = round_randomized(inst, pi, seed=6, trials=600)
-    # batches of 7 trials instead of one batch of all 600
-    monkeypatch.setattr(convex, "ROUNDING_BATCH_BYTES", 8 * 12 * 7 * 7)
+    # batches of 7 trials instead of 195
+    monkeypatch.setattr(treeconn, "LEMMA_BATCH_BYTES", 8 * 12 * 7 * 7)
     split = round_randomized(inst, pi, seed=6, trials=600)
     assert np.array_equal(short.tree_counts, long.tree_counts[:300])
     assert np.array_equal(short.num_selected, long.num_selected[:300])
@@ -359,3 +383,25 @@ def test_randomized_rounding_overflow_reads_inf_at_every_size():
         for inst in (huge, long):
             rr = round_randomized(inst, np.full(inst.num_candidates, 0.5), seed=0, trials=20)
             assert np.all(np.isposinf(rr.tree_counts))
+
+
+def test_randomized_rounding_log_counts():
+    rng = np.random.default_rng(15)
+    inst = slam_instance(random_add_instance(rng, 8, 10, 12, 4), rng)
+    rr = round_randomized(inst, rng.uniform(0.1, 0.9, size=12), seed=3, trials=500)
+    assert np.array_equal(rr.tree_counts, np.exp(rr.log_tree_counts))
+    assert rr.mean_log_tree_counts == pytest.approx(np.log(rr.mean_tree_counts), rel=1e-12)
+    # a 300-vertex path of weight-100 edges has 1e598 trees: every raw
+    # count overflows, the logs do not
+    n = 300
+    path = tuple((i, i + 1, 100.0) for i in range(1, n))
+    chords = tuple((i, i + 2, 1.0) for i in range(1, 286))
+    big = EdgeSelectionInstance(n, path, chords, 51)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rr = round_randomized(big, np.full(285, 51 / 285), seed=0, trials=10)
+        mean_log = rr.mean_log_tree_counts
+    assert np.all(np.isposinf(rr.tree_counts))
+    assert np.all(np.isfinite(rr.log_tree_counts))
+    assert np.all(rr.log_tree_counts.min(axis=0) <= mean_log)
+    assert np.all(mean_log <= rr.log_tree_counts.max(axis=0))

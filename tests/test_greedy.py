@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,19 +7,19 @@ import pytest
 from treesynth import (
     ArgumentError,
     EdgeSelectionInstance,
+    GainFunction,
     InfeasibleError,
     SizeGuardError,
     WeightedGraph,
-    evaluate_gain,
     exhaustive_select,
     gain_function,
-    greedy_min_selection,
     greedy_select,
     greedy_to_threshold,
     random_instance,
     reduce_removal_to_addition,
     tree_connectivity,
 )
+from treesynth import treeconn
 from conftest import random_add_instance, slam_instance
 
 
@@ -53,7 +54,7 @@ def test_gain_rejects_bad_subsets():
     with pytest.raises(ArgumentError):
         fn((5,))
     with pytest.raises(ArgumentError):
-        evaluate_gain(fn, (-1,))
+        fn((-1,))
 
 
 def test_gain_function_requires_addition_instances():
@@ -213,6 +214,91 @@ def test_exhaustive_prefers_lexicographically_smallest_tie():
     assert exhaustive_select(inst).selected == (0,)
 
 
+def reference_exhaustive(inst):
+    """First maximum of the from-scratch objective over all k-subsets."""
+    fn = gain_function(inst)
+    best, best_value = None, -math.inf
+    for subset in itertools.combinations(range(inst.num_candidates), inst.k):
+        v = fn.absolute(subset)
+        if v > best_value:
+            best, best_value = subset, v
+    return best, best_value
+
+
+def check_exhaustive(inst):
+    res = exhaustive_select(inst)
+    selected, tau = reference_exhaustive(inst)
+    assert res.selected == selected
+    assert res.tau_achieved == tau
+    return res
+
+
+def test_exhaustive_matches_from_scratch_reference():
+    rng = np.random.default_rng(41)
+    for k in (0, 1, 3, 7):  # k = 7 = c
+        single = random_add_instance(rng, 7, 9, 7, k)
+        check_exhaustive(single)
+        check_exhaustive(slam_instance(single, rng))
+    for seed in range(3):
+        # complement candidates: c = 6 > order = 4, and k = 5 > order
+        # takes the order x order Sylvester form
+        wide = random_instance(5, 4, "complement", (1.0, 4.0), seed=seed, k=5)
+        check_exhaustive(wide)
+        check_exhaustive(slam_instance(wide, rng))
+    for _ in range(3):
+        n = 6
+        base = tuple((u, v, float(rng.uniform(1.0, 3.0)))
+                     for u in range(1, n + 1) for v in range(u + 1, n + 1))
+        cands = tuple(base[i] for i in rng.choice(len(base), size=7, replace=False))
+        removal = EdgeSelectionInstance(n, base, cands, 3, direction="remove")
+        check_exhaustive(reduce_removal_to_addition(removal))
+    # an 8-cycle with all 20 chords at one weight: rotations and
+    # reflections of a design tie exactly, so the from-scratch rounding
+    # decides among them, which batched scores alone get wrong here
+    cycle = tuple((i, i % 8 + 1, 1.0) for i in range(1, 9))
+    chords = tuple((u, v, 1.0) for u in range(1, 8) for v in range(u + 2, 9) if (u, v) != (1, 8))
+    check_exhaustive(EdgeSelectionInstance(8, cycle, chords, 3))
+
+
+def test_exhaustive_does_not_depend_on_batch(monkeypatch):
+    rng = np.random.default_rng(43)
+    single = random_add_instance(rng, 8, 10, 10, 4)
+    # a heavy chord copied 6 times: the optimum ties across batches
+    path = tuple((i, i + 1, 100.0) for i in range(1, 9))
+    copies = EdgeSelectionInstance(9, path, ((1, 5, 1.0), (2, 7, 2.0)) + ((1, 9, 50.0),) * 6, 3)
+    cases = [single, slam_instance(single, rng), copies]
+    whole = [check_exhaustive(inst) for inst in cases]
+    assert whole[2].selected == (2, 3, 4)
+
+    batches = []
+    lemma_call = treeconn.SubsetLogDet.__call__
+
+    def record(self, cols):
+        batches.append((cols.shape[0], self.batch_rows(cols.shape[1])))
+        return lemma_call(self, cols)
+
+    rescored = []
+    absolute = GainFunction.absolute
+
+    def count(self, subset):
+        rescored.append(subset)
+        return absolute(self, subset)
+
+    monkeypatch.setattr(treeconn.SubsetLogDet, "__call__", record)
+    monkeypatch.setattr(GainFunction, "absolute", count)
+    for budget in (8, 8 * 4 * 7 * 5):  # 1 and 5 subsets per batch
+        monkeypatch.setattr(treeconn, "LEMMA_BATCH_BYTES", budget)
+        batches.clear()
+        for inst, res, ties in zip(cases, whole, (1, 1, math.comb(6, 3))):
+            rescored.clear()
+            split = exhaustive_select(inst)
+            assert split.selected == res.selected
+            assert split.tau_achieved == res.tau_achieved
+            # only the near-ties of the best are scored from scratch
+            assert len(rescored) == ties
+        assert all(b <= rows <= 5 for b, rows in batches)
+
+
 def test_exhaustive_size_guard():
     rng = np.random.default_rng(1)
     inst = random_add_instance(rng, 12, 20, 40, 12)
@@ -238,14 +324,14 @@ def test_greedy_factor_bound_spot_check():
 def test_threshold_spec_example_single_step():
     base = ((1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0))
     cands = ((1, 3, 1.0), (1, 4, 1.0))
-    res = greedy_min_selection(WeightedGraph(4, base), cands, math.log(3.0))
+    res = greedy_to_threshold(EdgeSelectionInstance(4, base, cands, 2), math.log(3.0))
     assert res.selected == (1,)
     assert res.gain == pytest.approx(math.log(4.0), rel=1e-12)
 
 
 def test_threshold_zero_selects_nothing():
     base = ((1, 2, 1.0), (2, 3, 1.0))
-    res = greedy_min_selection(WeightedGraph(3, base), ((1, 3, 1.0),), 0.0)
+    res = greedy_to_threshold(EdgeSelectionInstance(3, base, ((1, 3, 1.0),), 1), 0.0)
     assert res.selected == ()
 
 

@@ -5,13 +5,14 @@ import pytest
 
 from treesynth import (
     DataError,
+    EdgeSelectionInstance,
     SizeGuardError,
     WeightedGraph,
     batch_effective_resistance,
     build_reduced_laplacian,
     count_spanning_trees_bruteforce,
     effective_resistance,
-    score_candidate,
+    greedy_select,
     tree_connectivity,
     tree_connectivity_spectral,
 )
@@ -110,19 +111,18 @@ def test_batch_matches_single_pair_queries():
 
 def test_candidate_score_is_gain_exponent():
     g = WeightedGraph(4, ((1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)))
-    L = build_reduced_laplacian(g)
-    sc = score_candidate(L, (1, 4, 1.0))
-    assert sc.score == pytest.approx(3.0, rel=1e-12)
-    assert sc.gain == pytest.approx(math.log(4.0), rel=1e-12)
+    step = greedy_select(EdgeSelectionInstance(4, g.edges, ((1, 4, 1.0),), 1)).trace[0]
+    assert step.score == pytest.approx(3.0, rel=1e-12)
+    assert step.gain == pytest.approx(math.log(4.0), rel=1e-12)
     # the gain must equal the realized tau difference
     before = tree_connectivity(g).tau
     after = tree_connectivity(g.with_edges(((1, 4, 1.0),))).tau
-    assert sc.gain == pytest.approx(after - before, abs=1e-12)
+    assert step.gain == pytest.approx(after - before, abs=1e-12)
 
 
 def test_score_respects_candidate_weight():
     g = WeightedGraph(3, ((1, 2, 1.0), (2, 3, 1.0)))
     L = build_reduced_laplacian(g)
     r = effective_resistance(L, 1, 3).value
-    sc = score_candidate(L, (1, 3, 2.5))
-    assert sc.score == pytest.approx(2.5 * r, rel=1e-12)
+    step = greedy_select(EdgeSelectionInstance(3, g.edges, ((1, 3, 2.5),), 1)).trace[0]
+    assert step.score == pytest.approx(2.5 * r, rel=1e-12)
