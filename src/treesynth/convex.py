@@ -39,10 +39,9 @@ from .greedy import SelectionResult, gain_function, subset_log_dets
 
 ARMIJO_SIGMA = 1e-4
 BACKTRACK_SHRINK = 0.5
-INITIAL_STEP = 1.0
 DEFAULT_TOLERANCE = 1e-7
 DEFAULT_MAX_ITERS = 5000
-# capped-simplex projection: guaranteed bound on |sum(x) - k| of the output
+# capped-simplex projection: |sum(x) - k| <= SUM_TOLERANCE * max(1, k)
 SUM_TOLERANCE = 1e-12
 
 
@@ -88,7 +87,7 @@ class _ChannelOps:
     def __init__(self, inst: EdgeSelectionInstance, channel: str | None, mult: float):
         self.mult = mult
         base = build_reduced_laplacian(inst.base_graph(channel))
-        self.base = base
+        self.anchor = base.anchor
         self.w = np.array(inst.candidate_weights(channel))
         pairs = np.array(inst.candidate_pairs, dtype=int).reshape(-1, 2)
         self.A = base.incidence_matrix(pairs)
@@ -96,16 +95,20 @@ class _ChannelOps:
         self._mu = ru >= 0
         self._mv = rv >= 0
         self._mb = self._mu & self._mv
+        # Fortran order like the workspace, so assembly is a same-layout
+        # copy; the C-order original is dropped before the workspace exists
+        self._base = np.asfortranarray(base.matrix)
+        del base
         # workspaces that chol and logdet_and_grad overwrite
-        self._M = np.empty_like(base.matrix, order="F")
+        self._M = np.empty_like(self._base)
         self._Y = np.empty_like(self.A, order="F")
         # (pi, factor of L(pi)) of the last successful chol
         self._last: tuple[np.ndarray, np.ndarray] | None = None
 
     def matrix(self, pi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         t = pi * self.w
-        M = np.empty_like(self.base.matrix) if out is None else out
-        M[...] = self.base.matrix
+        M = np.empty_like(self._base) if out is None else out
+        M[...] = self._base
         mu, mv, mb = self._mu, self._mv, self._mb
         ru, rv = self._ru, self._rv
         np.add.at(M, (ru[mu], ru[mu]), t[mu])
@@ -175,7 +178,7 @@ def laplacian_of_pi(
     elif channel not in ("p", "theta"):
         raise ArgumentError("slam-double instances require channel 'p' or 'theta'")
     ops = _ChannelOps(inst, channel, 1.0)
-    return ReducedLaplacian(inst.n, ops.base.anchor, ops.matrix(pi))
+    return ReducedLaplacian(inst.n, ops.anchor, ops.matrix(pi))
 
 
 def relaxed_objective_and_gradient(
@@ -194,12 +197,18 @@ def relaxed_objective_and_gradient(
 def project_capped_simplex(v, k: float) -> np.ndarray:
     """Euclidean projection onto {x : 0 <= x <= 1, sum x = k}.
 
-    Bisection on the shift theta in clip(v - theta, 0, 1); the sum is
-    monotone in theta. The interval is halved until it collapses to
-    adjacent floats, then the leftover sum defect (a few ulp) is spread
-    over the strictly interior coordinates. Anything sloppier leaves a
-    systematic per-coordinate bias that the ascent line search reads as
-    a descent direction once the true step shrinks below it.
+    The projection is clip(v - theta, 0, 1) for the shift theta at which
+    the sum s(theta) of that vector equals k. s is piecewise linear and
+    non-increasing with breakpoints at v_i - 1 and v_i, so one sort and
+    one prefix sum evaluate it at all 2c breakpoints, and theta solves
+    the linear piece that brackets k (Wang and Lu, "Projection onto the
+    capped simplex", 2015). The leftover sum defect of the clipped vector
+    is then spread over the strictly interior coordinates, so the output
+    meets |sum(x) - k| <= SUM_TOLERANCE * max(1, k); anything sloppier
+    leaves a systematic per-coordinate bias that the ascent line search
+    reads as a descent direction once the true step shrinks below it.
+    Entries must be finite and below 2**52 in magnitude, where v_i - 1
+    is still a float distinct from v_i.
     """
     v = np.asarray(v, dtype=float).reshape(-1)
     c = v.size
@@ -208,25 +217,26 @@ def project_capped_simplex(v, k: float) -> np.ndarray:
         raise ArgumentError(f"target sum {k} outside 0..{c}")
     if c == 0:
         return np.zeros(0)
+    a = np.sort(v)  # NaN sorts last
+    if not (-(2.0**52) < a[0] and a[-1] < 2.0**52):
+        raise ArgumentError("projection needs finite entries below 2**52 in magnitude")
     if k == 0.0:
         return np.zeros(c)
     if k == float(c):
         return np.ones(c)
-    lo = float(v.min()) - 1.0  # sum = c >= k here
-    hi = float(v.max())        # sum = 0 <= k here
-    for _ in range(200):
-        theta = 0.5 * (lo + hi)
-        if theta <= lo or theta >= hi:
-            break
-        s = float(np.clip(v - theta, 0.0, 1.0).sum())
-        if s > k:
-            lo = theta
-        elif s < k:
-            hi = theta
-        else:
-            lo = hi = theta
-            break
-    x = np.clip(v - 0.5 * (lo + hi), 0.0, 1.0)
+    lo = a - 1.0
+    prefix = np.zeros(c + 1)
+    np.cumsum(a, out=prefix[1:])
+    theta = np.concatenate((lo, a))
+    theta.sort()
+    # at theta, the coordinates below `zeros` clip to 0, those from `ones` on to 1
+    zeros = np.searchsorted(a, theta, "right")
+    ones = np.searchsorted(lo, theta, "left")
+    s = (c - ones) + (prefix[ones] - prefix[zeros]) - theta * (ones - zeros)
+    # s[0] = c > k > 0 = s[-1]: the last breakpoint with s >= k starts the piece
+    j = np.flatnonzero(s >= k)[-1]
+    shift = theta[j] + (s[j] - k) * (theta[j + 1] - theta[j]) / (s[j] - s[j + 1])
+    x = np.clip(v - shift, 0.0, 1.0)
     free = (x > 0.0) & (x < 1.0)
     n_free = int(free.sum())
     if n_free:
@@ -248,7 +258,9 @@ def _projected_ascent(objective, project, start, tolerance, max_iters, make_best
     curve = [value]
     iterations = 0
     while True:
-        residual = float(np.max(np.abs(pi - project(pi + grad)))) if pi.size else 0.0
+        # the unit step is both the residual's point and the first trial
+        cand = project(pi + grad)
+        residual = float(np.max(np.abs(pi - cand))) if pi.size else 0.0
         if residual <= tolerance:
             break
         if iterations >= max_iters:
@@ -257,9 +269,8 @@ def _projected_ascent(objective, project, start, tolerance, max_iters, make_best
                 f"{max_iters} iterations (residual {residual:.3e})",
                 best=make_best(pi, value, iterations, residual, tuple(curve)),
             )
-        t = INITIAL_STEP
+        t = 1.0
         while True:
-            cand = project(pi + t * grad)
             d = cand - pi
             gd = float(grad @ d)
             # objective only here; the gradient is recomputed on acceptance
@@ -274,6 +285,7 @@ def _projected_ascent(objective, project, start, tolerance, max_iters, make_best
                     f"(residual {residual:.3e})",
                     best=make_best(pi, value, iterations, residual, tuple(curve)),
                 )
+            cand = project(pi + t * grad)
         value, grad = objective(pi)
         curve.append(value)
         iterations += 1

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from treesynth import EdgeSelectionInstance, save_instance
+from treesynth import EdgeSelectionInstance, cli, save_instance
 from treesynth.cli import main
 
 
@@ -37,6 +37,29 @@ def test_gen_is_deterministic(tmp_path):
     c = tmp_path / "c.json"
     assert run(*args[:-2], "--seed", "10", "--output", str(c)) == 0
     assert a.read_bytes() != c.read_bytes()
+
+
+def test_back_to_back_calls_are_independent(tmp_path, inst_path, monkeypatch):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    monkeypatch.setattr(cli, "_PARSER", None)
+    synth = ["synthesize", "--instance", str(inst_path), "--algorithm", "all", "--output"]
+    assert run(*synth, str(tmp_path / "s1.json")) == 0
+    # a gen call on defaults after calls that set --k, --seed and
+    # --weight-range: nothing carries over
+    assert run("gen", "--n", "6", "--m-init", "7", "--output", str(tmp_path / "d.json")) == 0
+    assert run("transmogrify") == 2
+    assert run(*synth, str(tmp_path / "s2.json"), "--seed", "3") == 0
+    assert run(
+        "gen", "--n", "6", "--m-init", "7", "--k", "0", "--seed", "0", "--mode", "complement",
+        "--weight-range", "1", "1", "--output", str(tmp_path / "e.json"),
+    ) == 0
+    assert run("--version") == 0
+    assert run(*synth, str(tmp_path / "s3.json")) == 0
+    assert (tmp_path / "d.json").read_bytes() == (tmp_path / "e.json").read_bytes()
+    assert (tmp_path / "s1.json").read_bytes() == (tmp_path / "s3.json").read_bytes()
+    assert len(builds) == 1
 
 
 def test_gen_writes_loadable_instance(inst_path):

@@ -72,6 +72,51 @@ def test_projection_rejects_impossible_budget():
         project_capped_simplex(np.array([0.5]), 2.0)
 
 
+def bisect_projection(v, k):
+    """Reference: bisection on theta until the bracket is two adjacent floats."""
+    lo, hi = v.min() - 1.0, v.max()
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return np.clip(v - mid, 0.0, 1.0)
+        s = np.clip(v - mid, 0.0, 1.0).sum()
+        if s == k:
+            return np.clip(v - mid, 0.0, 1.0)
+        lo, hi = (mid, hi) if s > k else (lo, mid)
+
+
+def test_projection_matches_reference_bisection():
+    rng = np.random.default_rng(19)
+    sizes = [1, 2, 3, 5, 18, 100, 285, 2000]
+    for trial in range(400):
+        c = sizes[trial % len(sizes)]
+        scale, offset = 10.0 ** rng.uniform(-8, 4, size=2)
+        v = scale * rng.standard_normal(c) + offset * rng.standard_normal()
+        if trial % 3 == 0:
+            v = np.round(v / scale * 2) * scale / 2  # tied entries
+        k = float(rng.integers(1, c + 1)) if trial % 2 else rng.uniform(0, c)
+        x = project_capped_simplex(v, k)
+        scale_v = max(1.0, float(np.max(np.abs(v))))
+        assert np.max(np.abs(x - bisect_projection(v, k))) <= 1e-12 * scale_v
+        assert np.all(x >= 0.0) and np.all(x <= 1.0)
+        assert abs(x.sum() - k) <= convex.SUM_TOLERANCE * max(1.0, k)
+        # KKT: the free coordinates share one shift theta, the clipped
+        # ones lie on the right side of it
+        free = (x > 0.0) & (x < 1.0)
+        if free.any():
+            shift = v[free] - x[free]
+            theta = float(np.median(shift))
+            assert np.max(np.abs(shift - theta)) <= 1e-12 * scale_v
+            assert np.all(v[x == 0.0] <= theta + 1e-12 * scale_v)
+            assert np.all(v[x == 1.0] >= theta + 1.0 - 1e-12 * scale_v)
+
+
+def test_projection_rejects_nonfinite_entries():
+    for bad in (np.nan, np.inf, -np.inf, 2.0**60):
+        with pytest.raises(ArgumentError):
+            project_capped_simplex(np.array([0.5, bad]), 1.0)
+
+
 def test_projection_minimizes_distance_against_enumeration():
     # brute-force the KKT structure: compare against a fine grid optimum
     rng = np.random.default_rng(3)
@@ -225,6 +270,43 @@ def test_solver_factors_each_accepted_point_once(monkeypatch):
     assert reused.objective_curve == rebuilt.objective_curve
     assert reused.iterations == rebuilt.iterations > 0
     assert len(calls) - reused_calls == 2 * reused.iterations
+
+
+def test_solver_projects_each_step_once(monkeypatch):
+    rng = np.random.default_rng(12)
+    # a 40-vertex path with short and long chords backtracks in most
+    # iterations; the random slam-double instance never does
+    n = 40
+    path = tuple((i, i + 1, 1.0) for i in range(1, n))
+    chords = tuple((i, i + 2, 1.0) for i in range(1, n - 1))
+    chords += tuple((i, i + n // 2, 3.0) for i in range(1, n // 2 + 1))
+    cases = [
+        slam_instance(random_add_instance(rng, 9, 12, 10, 4), rng),
+        EdgeSelectionInstance(n, path, chords, 5),
+    ]
+    projections, trials = [], []
+    project = convex.project_capped_simplex
+    value_only = convex._Objective.value_only
+    monkeypatch.setattr(
+        convex, "project_capped_simplex",
+        lambda *a, **kw: projections.append(1) or project(*a, **kw))
+    monkeypatch.setattr(
+        convex._Objective, "value_only",
+        lambda self, pi: trials.append(1) or value_only(self, pi))
+    backtracks = 0
+    for inst in cases:
+        projections.clear()
+        trials.clear()
+        sol = solve_p2(inst)
+        # every line-search trial evaluates the objective once, and each
+        # accepted iteration had exactly one unit-step trial
+        backtracked = len(trials) - sol.iterations
+        # the start, one residual check per iteration plus the final
+        # one, and one per backtracked trial; the unit-step trial reuses
+        # the residual's projection
+        assert len(projections) == 1 + (sol.iterations + 1) + backtracked
+        backtracks += backtracked
+    assert backtracks > 0
 
 
 def test_relaxation_upper_bounds_every_integral_point():
