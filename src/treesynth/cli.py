@@ -32,14 +32,14 @@ from .errors import (
     ArgumentError,
     ConvergenceError,
     DataError,
-    NumericalError,
     TreesynthError,
 )
 from .graphs import (
     DIRECTION_REMOVE,
-    OBJECTIVE_SINGLE,
     OBJECTIVE_SLAM,
     EdgeSelectionInstance,
+    _json_int,
+    _read_json,
     load_instance,
     instance_to_json_dict,
     random_instance,
@@ -53,7 +53,7 @@ from .greedy import (
     greedy_select,
     greedy_to_threshold,
 )
-from .slam import dopt_proxy, find_dataset, parse_g2o, to_instance
+from .slam import PoseGraphDataset, channel_taus, find_dataset, parse_g2o, to_instance
 from .treeconn import tree_connectivity
 
 EXIT_OK = 0
@@ -99,46 +99,58 @@ def _say(msg: str, to_stderr: bool = False) -> None:
 
 
 def _load_base_pairs(path: str) -> set[tuple[int, int]]:
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"base-edge override file not found: {p}")
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"base-edge override {p} is not valid JSON: {exc}") from exc
+    doc = _read_json(path, "base-edge override file")
     if not isinstance(doc, list):
         raise DataError("base-edge override must be a JSON array of [i, j] pairs")
     pairs = set()
     for entry in doc:
         if not (isinstance(entry, list) and len(entry) == 2):
             raise DataError(f"base-edge override entries must be [i, j] pairs, got {entry!r}")
-        pairs.add((int(entry[0]), int(entry[1])))
+        pairs.add(tuple(_json_int(x, "base-edge pose id") for x in entry))
     return pairs
 
 
+def _load_dataset(args) -> PoseGraphDataset:
+    path = find_dataset(args.g2o)
+    if path is None:
+        raise DataError(
+            f"dataset not found: {args.g2o} (also looked under $TREECONN_DATA_DIR)"
+        )
+    base_pairs = _load_base_pairs(args.base_edges) if args.base_edges else None
+    return parse_g2o(path, normalize=args.normalize, base_pairs=base_pairs)
+
+
 def _load_instance_from_args(args, *, need_k: bool = True) -> EdgeSelectionInstance:
-    if getattr(args, "instance", None) and getattr(args, "g2o", None):
+    if args.instance and args.g2o:
         raise ArgumentError("pass exactly one of --instance and --g2o")
-    if getattr(args, "instance", None):
+    if args.instance:
         inst = load_instance(args.instance)
-        if getattr(args, "k", None) is not None:
+        if args.k is not None:
             inst = dataclasses.replace(inst, k=args.k)
         return inst
-    if getattr(args, "g2o", None):
-        path = find_dataset(args.g2o)
-        if path is None:
-            raise DataError(
-                f"dataset not found: {args.g2o} (also looked under $TREECONN_DATA_DIR)"
-            )
-        base_pairs = _load_base_pairs(args.base_edges) if getattr(args, "base_edges", None) else None
-        ds = parse_g2o(path, normalize=getattr(args, "normalize", False), base_pairs=base_pairs)
-        k = getattr(args, "k", None)
-        if k is None:
-            if need_k:
-                raise ArgumentError("--k is required with --g2o")
-            k = 0
-        return to_instance(ds, k)
-    raise ArgumentError("pass one of --instance or --g2o")
+    if not args.g2o:
+        raise ArgumentError("pass one of --instance or --g2o")
+    ds = _load_dataset(args)
+    if args.k is None and need_k:
+        raise ArgumentError("--k is required with --g2o")
+    return to_instance(ds, args.k or 0)
+
+
+def _as_addition(inst: EdgeSelectionInstance) -> EdgeSelectionInstance:
+    """The instance itself, or the addition form of a removal instance."""
+    return reduce_removal_to_addition(inst) if inst.direction == DIRECTION_REMOVE else inst
+
+
+def _random_instance(args, *, m_init: int, seed: int, k: int) -> EdgeSelectionInstance:
+    return random_instance(
+        n=args.n,
+        m_init=m_init,
+        candidate_mode=args.mode,
+        weight_range=tuple(args.weight_range),
+        seed=seed,
+        k=k,
+        sample_size=args.c,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +158,7 @@ def _load_instance_from_args(args, *, need_k: bool = True) -> EdgeSelectionInsta
 
 
 def cmd_gen(args) -> int:
-    inst = random_instance(
-        n=args.n,
-        m_init=args.m_init,
-        candidate_mode=args.mode,
-        weight_range=tuple(args.weight_range),
-        seed=args.seed,
-        k=args.k,
-        sample_size=args.c,
-    )
+    inst = _random_instance(args, m_init=args.m_init, seed=args.seed, k=args.k)
     _emit_json(instance_to_json_dict(inst), args.output)
     if args.output:
         d = inst.describe()
@@ -175,10 +179,10 @@ def _selection_doc(res, original, reduced) -> dict:
     return doc
 
 
-def _run_convex(work, args):
+def _run_convex(work, args, lam: float | None = None):
     t0 = time.perf_counter()
-    if args.lam is not None:
-        relaxed = solve_p3(work, args.lam, tolerance=args.tolerance, max_iters=args.max_iters)
+    if lam is not None:
+        relaxed = solve_p3(work, lam, tolerance=args.tolerance, max_iters=args.max_iters)
         k_eff = min(len(relaxed.pi), max(0, int(round(float(relaxed.pi.sum())))))
         rounded = round_deterministic(work, relaxed.pi, k_eff)
     else:
@@ -192,15 +196,13 @@ def cmd_synthesize(args) -> int:
         raise ArgumentError("--tau-min is a greedy stopping rule; use --algorithm greedy")
     if args.lam is not None and args.algorithm != "convex":
         raise ArgumentError("--lambda applies to --algorithm convex")
+    if args.repeat < 1:
+        raise ArgumentError(f"--repeat must be at least 1, got {args.repeat}")
 
     original = _load_instance_from_args(args, need_k=args.tau_min is None)
     if args.tau_min is not None and original.direction == DIRECTION_REMOVE:
         raise ArgumentError("--tau-min applies to addition instances")
-    work = (
-        reduce_removal_to_addition(original)
-        if original.direction == DIRECTION_REMOVE
-        else original
-    )
+    work = _as_addition(original)
 
     algorithms = ["greedy", "convex", "exhaustive"] if args.algorithm == "all" else [args.algorithm]
     if args.algorithm == "all" and not exhaustive_fits(work):
@@ -224,7 +226,7 @@ def cmd_synthesize(args) -> int:
                 timings[name].append(res.elapsed)
                 results[name] = _selection_doc(res, original, work)
             elif name == "convex":
-                relaxed, rounded, elapsed = _run_convex(work, args)
+                relaxed, rounded, elapsed = _run_convex(work, args, args.lam)
                 timings[name].append(elapsed)
                 doc = _selection_doc(rounded, original, work)
                 doc["relaxed"] = relaxed.to_dict()
@@ -261,44 +263,23 @@ def cmd_synthesize(args) -> int:
 
 
 def _read_design(path: str) -> list[int]:
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"design file not found: {p}")
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"design file {p} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, list) or not all(isinstance(x, int) for x in doc):
+    doc = _read_json(path, "design file")
+    if not isinstance(doc, list):
         raise DataError("design file must hold a JSON array of candidate indices")
-    return doc
+    return [_json_int(x, "design index") for x in doc]
 
 
 def cmd_certify(args) -> int:
     original = _load_instance_from_args(args)
-    work = (
-        reduce_removal_to_addition(original)
-        if original.direction == DIRECTION_REMOVE
-        else original
-    )
+    work = _as_addition(original)
     bundle = certify(work, tolerance=args.tolerance, max_iters=args.max_iters)
     doc = {"instance": original.describe(), "bundle": bundle.to_dict()}
     if args.design:
         design = _read_design(args.design)
         if original.direction == DIRECTION_REMOVE:
-            if len(set(design)) != len(design):
-                raise ArgumentError("design may not repeat candidate indices")
-            if len(design) != original.k:
-                raise ArgumentError(
-                    f"design has {len(design)} removals, the budget is k={original.k}"
-                )
-            bad = [i for i in design if not 0 <= i < original.num_candidates]
-            if bad:
-                raise ArgumentError(f"design indices out of range: {bad}")
-            kept = [i for i in range(original.num_candidates) if i not in set(design)]
-            gap = gap_for_design(work, kept, bundle)
-        else:
-            gap = gap_for_design(work, design, bundle)
-        doc["gap"] = gap.to_dict()
+            # removing a set is keeping its complement in the reduced instance
+            design = removal_set_from_addition(original, design)
+        doc["gap"] = gap_for_design(work, design, bundle).to_dict()
     _emit_json(doc, args.output)
     _say(
         f"lower={bundle.lower!r} upper={bundle.upper!r} "
@@ -314,23 +295,9 @@ def cmd_certify(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    if getattr(args, "g2o", None):
-        path = find_dataset(args.g2o)
-        if path is None:
-            raise DataError(
-                f"dataset not found: {args.g2o} (also looked under $TREECONN_DATA_DIR)"
-            )
-        base_pairs = _load_base_pairs(args.base_edges) if args.base_edges else None
-        ds = parse_g2o(path, normalize=args.normalize, base_pairs=base_pairs)
-        edges = ds.odometry + ds.loop_closures
-        from .graphs import WeightedGraph  # local to keep the import list honest
-
-        gp = WeightedGraph(ds.poses, tuple((u, v, wp) for u, v, wp, _ in edges))
-        gt = WeightedGraph(ds.poses, tuple((u, v, wt) for u, v, _, wt in edges))
-        if not gp.connected:
-            raise DataError(f"graph is disconnected ({gp.component_count} components)")
-        tau_p = tree_connectivity(gp).tau
-        tau_t = tree_connectivity(gt).tau
+    if args.g2o:
+        ds = _load_dataset(args)
+        tau_p, tau_t = channel_taus(ds.poses, ds.odometry + ds.loop_closures)
         doc = {
             "poses": ds.poses,
             "odometry_edges": len(ds.odometry),
@@ -345,29 +312,17 @@ def cmd_evaluate(args) -> int:
     else:
         inst = _load_instance_from_args(args, need_k=False)
         doc = {"instance": inst.describe()}
-        if inst.objective == OBJECTIVE_SINGLE:
-            base = inst.base_graph()
-            full = base.with_edges(inst.candidate_edges(range(inst.num_candidates)))
-            doc["tau_base"] = tree_connectivity(base).tau
-            doc["tau_full"] = tree_connectivity(full).tau
-        else:
-            taus = {}
-            proxy_base = 0.0
-            proxy_full = 0.0
-            for channel, mult in inst.channels:
-                base = inst.base_graph(channel)
-                full = base.with_edges(
-                    inst.candidate_edges(range(inst.num_candidates), channel)
-                )
-                tb = tree_connectivity(base).tau
-                tf = tree_connectivity(full).tau
-                taus[f"tau_{channel}_base"] = tb
-                taus[f"tau_{channel}_full"] = tf
-                proxy_base += mult * tb
-                proxy_full += mult * tf
-            doc.update(taus)
-            doc["dopt_proxy_base"] = proxy_base
-            doc["dopt_proxy_full"] = proxy_full
+        proxy = {"base": 0.0, "full": 0.0}
+        for channel, mult in inst.channels:
+            base = inst.base_graph(channel)
+            full = base.with_edges(inst.candidate_edges(range(inst.num_candidates), channel))
+            prefix = "tau" if channel is None else f"tau_{channel}"
+            for which, g in (("base", base), ("full", full)):
+                tau = tree_connectivity(g).tau
+                doc[f"{prefix}_{which}"] = tau
+                proxy[which] += mult * tau
+        if inst.objective == OBJECTIVE_SLAM:
+            doc.update({f"dopt_proxy_{which}": value for which, value in proxy.items()})
     _emit_json(doc, args.output)
     if args.output is not None:
         _say(f"wrote {args.output}")
@@ -400,11 +355,7 @@ def _bench_row(inst: EdgeSelectionInstance, sweep: str, value: int, args) -> dic
     greedy = greedy_select(inst)
     t_greedy = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    relaxed = solve_p2(inst, tolerance=args.tolerance, max_iters=args.max_iters)
-    rounded = round_deterministic(inst, relaxed.pi)
-    t_convex = time.perf_counter() - t0
-
+    relaxed, rounded, t_convex = _run_convex(inst, args)
     bundle = build_bundle(
         greedy.baseline, greedy.tau_achieved, rounded.tau_achieved, relaxed.tau_cvx_star
     )
@@ -466,22 +417,11 @@ def cmd_bench(args) -> int:
     if args.k_sweep:
         values = _parse_sweep(args.k_sweep, "--k-sweep")
         if args.instance or args.g2o:
-            setattr(args, "k", getattr(args, "k", None))
-            base_inst = _load_instance_from_args(args, need_k=False)
+            base_inst = _as_addition(_load_instance_from_args(args, need_k=False))
         else:
             if args.n is None or args.m_init is None:
                 raise ArgumentError("generated bench instances need --n and --m-init")
-            base_inst = random_instance(
-                n=args.n,
-                m_init=args.m_init,
-                candidate_mode=args.mode,
-                weight_range=tuple(args.weight_range),
-                seed=args.seed,
-                k=0,
-                sample_size=args.c,
-            )
-        if base_inst.direction == DIRECTION_REMOVE:
-            base_inst = reduce_removal_to_addition(base_inst)
+            base_inst = _random_instance(args, m_init=args.m_init, seed=args.seed, k=0)
         for kk in values:
             if kk > base_inst.num_candidates:
                 raise ArgumentError(
@@ -495,15 +435,7 @@ def cmd_bench(args) -> int:
             raise ArgumentError("--m-init-sweep needs --n and --k")
         children = np.random.SeedSequence(args.seed).spawn(len(values))
         for child, m in zip(children, values):
-            inst = random_instance(
-                n=args.n,
-                m_init=m,
-                candidate_mode=args.mode,
-                weight_range=tuple(args.weight_range),
-                seed=int(child.generate_state(1)[0]),
-                k=args.k,
-                sample_size=args.c,
-            )
+            inst = _random_instance(args, m_init=m, seed=int(child.generate_state(1)[0]), k=args.k)
             rows.append(_bench_row(inst, "m_init", m, args))
 
     _write_bench(rows, args)
@@ -603,17 +535,12 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         return args.func(args)
-    except ArgumentError as exc:
-        _say(f"error: {exc}", to_stderr=True)
-        return EXIT_ARGUMENT
-    except (DataError, NumericalError) as exc:
-        _say(f"error: {exc}", to_stderr=True)
-        return EXIT_DATA
-    except ConvergenceError as exc:
-        _say(f"error: {exc}", to_stderr=True)
-        return EXIT_CONVERGENCE
     except TreesynthError as exc:
         _say(f"error: {exc}", to_stderr=True)
+        if isinstance(exc, ArgumentError):
+            return EXIT_ARGUMENT
+        if isinstance(exc, ConvergenceError):
+            return EXIT_CONVERGENCE
         return EXIT_DATA
 
 

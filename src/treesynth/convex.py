@@ -30,7 +30,6 @@ from scipy.linalg.lapack import dpotrf
 from .errors import ArgumentError, ConvergenceError, NumericalError
 from .graphs import (
     DIRECTION_ADD,
-    OBJECTIVE_SINGLE,
     EdgeSelectionInstance,
     ReducedLaplacian,
     build_reduced_laplacian,
@@ -172,11 +171,6 @@ def laplacian_of_pi(
 ) -> ReducedLaplacian:
     """Reduced Laplacian of base plus pi-scaled candidates, one channel."""
     pi = _validate_pi(pi, inst.num_candidates)
-    if inst.objective == OBJECTIVE_SINGLE:
-        if channel is not None:
-            raise ArgumentError("single-weight instances have no named channels")
-    elif channel not in ("p", "theta"):
-        raise ArgumentError("slam-double instances require channel 'p' or 'theta'")
     ops = _ChannelOps(inst, channel, 1.0)
     return ReducedLaplacian(inst.n, ops.anchor, ops.matrix(pi))
 

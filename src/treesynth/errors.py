@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: ArgumentError (and subclasses) exit
-with 2, DataError and NumericalError with 3, ConvergenceError with 4.
+The CLI maps these onto exit codes by class: ArgumentError and its
+subclass SizeGuardError exit with 2, ConvergenceError with 4, and every
+other error (DataError, its subclass InfeasibleError, NumericalError)
+with 3.
 """
 
 from __future__ import annotations

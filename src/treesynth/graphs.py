@@ -298,24 +298,11 @@ def build_reduced_laplacian(g: WeightedGraph, anchor: int | None = None) -> Redu
     anchor = g.n if anchor is None else _as_vertex(anchor)
     if not 1 <= anchor <= g.n:
         raise ArgumentError(f"anchor {anchor} out of range 1..{g.n}")
-    aj = anchor - 1
-    m = np.zeros((g.n - 1, g.n - 1))
-
-    def ridx(vertex: int) -> int:
-        if vertex == anchor:
-            return -1
-        j = vertex - 1
-        return j if j < aj else j - 1
-
-    for u, v, w in g.edges:
-        iu, iv = ridx(u), ridx(v)
-        if iu >= 0:
-            m[iu, iu] += w
-        if iv >= 0:
-            m[iv, iv] += w
-        if iu >= 0 and iv >= 0:
-            m[iu, iv] -= w
-            m[iv, iu] -= w
+    L = g.full_laplacian()
+    a = anchor - 1
+    # the default anchor is a slice, which ReducedLaplacian copies anyway;
+    # np.delete for the others (it costs more than the assembly at small n)
+    m = L[:-1, :-1] if anchor == g.n else np.delete(np.delete(L, a, axis=0), a, axis=1)
     return ReducedLaplacian(g.n, anchor, m)
 
 
@@ -438,10 +425,12 @@ class EdgeSelectionInstance:
         return out
 
     def base_graph(self, channel: str | None = None) -> WeightedGraph:
-        if channel is None and self.objective == OBJECTIVE_SLAM:
-            raise ArgumentError("slam-double instances require a channel, 'p' or 'theta'")
-        if channel is not None and self.objective == OBJECTIVE_SINGLE:
-            raise ArgumentError("single-weight instances have no named channels")
+        if channel not in self._base_graphs:
+            if self.objective == OBJECTIVE_SINGLE:
+                raise ArgumentError("single-weight instances have no named channels")
+            raise ArgumentError(
+                f"slam-double instances require a channel, 'p' or 'theta', got {channel!r}"
+            )
         return self._base_graphs[channel]
 
     @cached_property
@@ -513,21 +502,23 @@ def reduce_removal_to_addition(inst: EdgeSelectionInstance) -> EdgeSelectionInst
     )
 
 
-def removal_set_from_addition(inst: EdgeSelectionInstance, kept_indices: Iterable[int]) -> tuple[int, ...]:
-    """Map a kept-candidate selection of the reduced instance back to the
-    removal set of the original: everything not kept gets removed."""
-    raw = [int(i) for i in kept_indices]
-    kept = set(raw)
-    if len(kept) != len(raw):
-        raise ArgumentError("kept indices repeat")
-    bad = [i for i in kept if not 0 <= i < inst.num_candidates]
+def removal_set_from_addition(inst: EdgeSelectionInstance, design: Iterable[int]) -> tuple[int, ...]:
+    """The candidates a design of exactly ``inst.k`` indices leaves out.
+
+    The kept set of a reduced instance maps to the removal set of the
+    original, and a removal design of the original (pass the original)
+    to the kept set of its reduction.
+    """
+    raw = [int(i) for i in design]
+    chosen = set(raw)
+    if len(chosen) != len(raw):
+        raise ArgumentError("design may not repeat candidate indices")
+    bad = [i for i in chosen if not 0 <= i < inst.num_candidates]
     if bad:
-        raise ArgumentError(f"kept indices out of range: {sorted(bad)}")
-    if len(kept) != inst.k:
-        raise ArgumentError(
-            f"kept {len(kept)} candidates, the reduced budget keeps exactly {inst.k}"
-        )
-    return tuple(i for i in range(inst.num_candidates) if i not in kept)
+        raise ArgumentError(f"design indices out of range: {sorted(bad)}")
+    if len(chosen) != inst.k:
+        raise ArgumentError(f"design has {len(chosen)} candidates, the budget is k={inst.k}")
+    return tuple(i for i in range(inst.num_candidates) if i not in chosen)
 
 
 def random_instance(
@@ -698,15 +689,19 @@ def instance_from_json_dict(doc: dict) -> EdgeSelectionInstance:
         raise DataError(f"invalid instance file: {exc}") from exc
 
 
-def load_instance(path: str | Path) -> EdgeSelectionInstance:
+def _read_json(path: str | Path, what: str):
+    """Parsed JSON of a file; DataError naming ``what`` when unreadable."""
     path = Path(path)
     if not path.exists():
-        raise DataError(f"instance file not found: {path}")
+        raise DataError(f"{what} not found: {path}")
     try:
-        doc = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
-        raise DataError(f"instance file {path} is not valid JSON: {exc}") from exc
-    return instance_from_json_dict(doc)
+        raise DataError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def load_instance(path: str | Path) -> EdgeSelectionInstance:
+    return instance_from_json_dict(_read_json(path, "instance file"))
 
 
 def save_instance(inst: EdgeSelectionInstance, path: str | Path) -> None:

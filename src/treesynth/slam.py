@@ -252,11 +252,10 @@ def to_instance(
     )
 
 
-def dopt_proxy(n: int, edges: Iterable[tuple]) -> float:
-    """D-optimality proxy of a dual-weighted graph.
+def channel_taus(n: int, edges: Iterable[tuple]) -> tuple[float, float]:
+    """(tau_p, tau_theta): tree-connectivity of each weight channel.
 
-    Twice the translational tree-connectivity plus the rotational one,
-    over (u, v, wp, wt) edges on vertices 1..n. DataError when the graph
+    Over (u, v, wp, wt) edges on vertices 1..n. DataError when the graph
     is disconnected (the proxy would be meaningless).
     """
     edges = list(edges)
@@ -264,7 +263,14 @@ def dopt_proxy(n: int, edges: Iterable[tuple]) -> float:
     gt = WeightedGraph(n, tuple((u, v, wt) for u, v, _, wt in edges))
     if not gp.connected:
         raise DataError(f"graph is disconnected ({gp.component_count} components)")
-    return 2.0 * tree_connectivity(gp).tau + tree_connectivity(gt).tau
+    return tree_connectivity(gp).tau, tree_connectivity(gt).tau
+
+
+def dopt_proxy(n: int, edges: Iterable[tuple]) -> float:
+    """D-optimality proxy of a dual-weighted graph: twice the
+    translational tree-connectivity plus the rotational one."""
+    tau_p, tau_theta = channel_taus(n, edges)
+    return 2.0 * tau_p + tau_theta
 
 
 def dataset_proxy(ds: PoseGraphDataset) -> float:

@@ -3,8 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from treesynth import EdgeSelectionInstance, cli, save_instance
+from treesynth import (
+    EdgeSelectionInstance,
+    certify,
+    cli,
+    gap_for_design,
+    reduce_removal_to_addition,
+    save_instance,
+    tree_connectivity,
+)
 from treesynth.cli import main
+
+from conftest import random_add_instance, slam_instance
 
 
 def run(*argv):
@@ -151,10 +161,49 @@ def test_certify_with_design(tmp_path, inst_path, capsys):
     assert run("certify", "--instance", str(inst_path), "--design", str(bad)) == 2
 
 
+def test_certify_removal_design_judges_its_kept_complement(tmp_path, capsys):
+    path = tmp_path / "rem.json"
+    base = tuple((u, v, 1.0 + 0.1 * (u + v)) for u in range(1, 7) for v in range(u + 1, 7))
+    cands = ((1, 2, 1.3), (1, 3, 1.4), (2, 4, 1.6), (3, 5, 1.8), (4, 6, 2.0), (2, 6, 1.8))
+    inst = EdgeSelectionInstance(6, base, cands, 2, direction="remove")
+    save_instance(inst, path)
+    design = tmp_path / "design.json"
+    design.write_text("[3, 1]")
+    assert run("certify", "--instance", str(path), "--design", str(design)) == 0
+    doc = json.loads(capsys.readouterr().out)
+    reduced = reduce_removal_to_addition(inst)
+    expected = gap_for_design(reduced, [0, 2, 4, 5], certify(reduced))
+    assert doc["gap"] == expected.to_dict()
+    # too few removals, a repeated index, an index past the candidates
+    for bad in ("[1]", "[1, 1]", "[1, 6]"):
+        design.write_text(bad)
+        assert run("certify", "--instance", str(path), "--design", str(design)) == 2
+
+
 def test_evaluate_instance(inst_path, capsys):
     assert run("evaluate", "--instance", str(inst_path)) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["tau_full"] >= doc["tau_base"]
+
+
+def test_evaluate_slam_double_instance(tmp_path, capsys):
+    rng = np.random.default_rng(11)
+    inst = slam_instance(random_add_instance(rng, 8, 10, 6, 2), rng)
+    path = tmp_path / "slam.json"
+    save_instance(inst, path)
+    assert run("evaluate", "--instance", str(path)) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == [
+        "instance", "tau_p_base", "tau_p_full", "tau_theta_base", "tau_theta_full",
+        "dopt_proxy_base", "dopt_proxy_full",
+    ]
+    for channel in ("p", "theta"):
+        base = inst.base_graph(channel)
+        full = base.with_edges(inst.candidate_edges(range(inst.num_candidates), channel))
+        assert doc[f"tau_{channel}_base"] == tree_connectivity(base).tau
+        assert doc[f"tau_{channel}_full"] == tree_connectivity(full).tau
+    for key in ("base", "full"):
+        assert doc[f"dopt_proxy_{key}"] == 2.0 * doc[f"tau_p_{key}"] + doc[f"tau_theta_{key}"]
 
 
 def test_evaluate_g2o(mini_g2o, capsys):
@@ -256,3 +305,27 @@ def test_exit_code_malformed_g2o(tmp_path):
     bad = tmp_path / "bad.g2o"
     bad.write_text("EDGE_SE2 0 1 broken\n")
     assert run("evaluate", "--g2o", str(bad)) == 3
+
+
+def test_exit_code_repeat_below_one(inst_path, capsys):
+    assert run("synthesize", "--instance", str(inst_path), "--repeat", "0") == 2
+    # refused before anything is written
+    assert capsys.readouterr().out == ""
+
+
+def test_exit_code_design_file_needs_integers(tmp_path, inst_path, capsys):
+    design = tmp_path / "design.json"
+    design.write_text("[true, false, 2]")
+    assert run("certify", "--instance", str(inst_path), "--design", str(design)) == 3
+    # integral floats count as integers, as they do in instance files
+    design.write_text("[0.0, 1, 2.0]")
+    assert run("certify", "--instance", str(inst_path), "--design", str(design)) == 0
+    assert json.loads(capsys.readouterr().out)["gap"]["design_tau"] > 0
+
+
+@pytest.mark.parametrize("pairs", ['[["a", 1]]', "[[0.5, 1]]", "[[0, true]]"])
+def test_exit_code_base_edges_need_integers(tmp_path, mini_g2o, pairs):
+    base = tmp_path / "base.json"
+    base.write_text(pairs)
+    assert run("evaluate", "--g2o", str(mini_g2o), "--base-edges", str(base)) == 3
+

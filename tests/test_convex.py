@@ -188,8 +188,9 @@ def test_laplacian_of_pi_channel_rules():
     cands = tuple((u, v, w, w) for u, v, w in inst.candidates)
     dual = EdgeSelectionInstance(4, base, cands, 2, objective="slam-double")
     laplacian_of_pi(dual, np.zeros(3), "p")
-    with pytest.raises(ArgumentError):
-        laplacian_of_pi(dual, np.zeros(3))
+    for channel in (None, "bogus"):
+        with pytest.raises(ArgumentError):
+            laplacian_of_pi(dual, np.zeros(3), channel)
 
 
 def test_pi_validation():

@@ -189,6 +189,9 @@ def test_instance_dual_channel_shapes():
     assert inst.channels == (("p", 2.0), ("theta", 1.0))
     assert inst.base_graph("p").weight(1, 2) == 1.0
     assert inst.base_graph("theta").weight(1, 2) == 2.0
+    for channel in (None, "bogus"):
+        with pytest.raises(ArgumentError):
+            inst.base_graph(channel)
     with pytest.raises(ArgumentError):
         EdgeSelectionInstance(3, base, ((1, 3, 1.0),), 1, objective="slam-double")
 
