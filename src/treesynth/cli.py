@@ -200,8 +200,13 @@ def cmd_synthesize(args) -> int:
         raise ArgumentError(f"--repeat must be at least 1, got {args.repeat}")
 
     original = _load_instance_from_args(args, need_k=args.tau_min is None)
-    if args.tau_min is not None and original.direction == DIRECTION_REMOVE:
-        raise ArgumentError("--tau-min applies to addition instances")
+    if original.direction == DIRECTION_REMOVE:
+        # both choose their own design size, and a removal design must
+        # remove exactly k
+        if args.tau_min is not None:
+            raise ArgumentError("--tau-min applies to addition instances")
+        if args.lam is not None:
+            raise ArgumentError("--lambda applies to addition instances")
     work = _as_addition(original)
 
     algorithms = ["greedy", "convex", "exhaustive"] if args.algorithm == "all" else [args.algorithm]
@@ -295,7 +300,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    if args.g2o:
+    # both sources fall through to the instance loader, which refuses them
+    if args.g2o and not args.instance:
         ds = _load_dataset(args)
         tau_p, tau_t = channel_taus(ds.poses, ds.odometry + ds.loop_closures)
         doc = {
@@ -470,7 +476,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     solver = argparse.ArgumentParser(add_help=False)
     solver.add_argument("--seed", type=int, default=0, help="master random seed")
-    solver.add_argument("--tolerance", type=float, default=1e-7, help="solver KKT tolerance")
+    solver.add_argument(
+        "--tolerance", type=float, default=1e-7,
+        help="relaxation stop: KKT residual, or Frank-Wolfe gap relative to its start",
+    )
     solver.add_argument("--max-iters", type=int, default=5000, help="solver iteration cap")
 
     out = argparse.ArgumentParser(add_help=False)

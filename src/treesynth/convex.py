@@ -6,11 +6,12 @@ log det L(pi) is concave and the budgeted relaxation
 
     maximize log det L(pi)  subject to  sum pi = k, 0 <= pi <= 1
 
-is solved to optimality by projected-gradient ascent with an Armijo
-backtracking line search. The optimum upper-bounds every integral
-design of the same budget; rounding pi back to a k-subset recovers a
-feasible design. An L1-penalized box variant trades the hard budget for
-a sparsity price lambda.
+is solved by projected-gradient ascent with an Armijo backtracking
+line search. The optimum upper-bounds every integral design of the same
+budget, and so does f(pi) plus the Frank-Wolfe gap at any feasible pi,
+which is what the solver reports; rounding pi back to a k-subset
+recovers a feasible design. An L1-penalized box variant trades the hard
+budget for a sparsity price lambda.
 
 For slam-double instances the objective is the 2:1 channel combination
 throughout, matching the rest of the package.
@@ -50,8 +51,12 @@ class RelaxedSolution:
 
     kkt_residual is the infinity norm of pi - P(pi + grad), the
     projected-gradient fixed-point residual, zero exactly at an optimum.
-    objective_curve holds one value per accepted iterate and never
-    decreases.
+    fw_gap is the Frank-Wolfe gap max_x grad.(x - pi) over the feasible
+    set at the final pi; by concavity the optimum is at most f(pi) +
+    fw_gap. objective_curve holds one value per accepted iterate and
+    never decreases; its last entry is f(pi). stop_reason is "residual"
+    or "gap" (see _projected_ascent); the best iterate carried by a
+    ConvergenceError says "iteration cap" or "line search stalled".
     """
 
     pi: np.ndarray
@@ -59,6 +64,8 @@ class RelaxedSolution:
     iterations: int
     kkt_residual: float
     objective_curve: tuple[float, ...]
+    fw_gap: float
+    stop_reason: str
 
     def __post_init__(self) -> None:
         pi = np.array(self.pi, dtype=float)
@@ -172,7 +179,7 @@ def laplacian_of_pi(
     """Reduced Laplacian of base plus pi-scaled candidates, one channel."""
     pi = _validate_pi(pi, inst.num_candidates)
     ops = _ChannelOps(inst, channel, 1.0)
-    return ReducedLaplacian(inst.n, ops.anchor, ops.matrix(pi))
+    return ReducedLaplacian._trusted(inst.n, ops.anchor, ops.matrix(pi))
 
 
 def relaxed_objective_and_gradient(
@@ -239,34 +246,50 @@ def project_capped_simplex(v, k: float) -> np.ndarray:
     return x
 
 
-def _projected_ascent(objective, project, start, tolerance, max_iters, make_best):
+def _projected_ascent(objective, project, fw_gap, start, tolerance, max_iters, make_best):
     """Shared ascent loop: Armijo backtracking along the projection arc.
 
     Accepted steps never decrease the objective (the projection
     inequality makes the directional derivative nonnegative), so the
-    recorded curve is monotone. Non-convergence raises ConvergenceError
-    carrying the best iterate via ``make_best``.
+    recorded curve is monotone. The loop stops at the first iterate
+    where the residual |pi - P(pi + grad)|_inf is at most ``tolerance``
+    ("residual") or where the Frank-Wolfe gap ``fw_gap(grad, pi)`` is at
+    most tolerance * max(1, gap0), gap0 being the gap at the start
+    ("gap"). The gap threshold is relative to gap0 and not to |f|:
+    scaling every weight by s shifts log det by order * log s but leaves
+    the gradient, and with it the gap, unchanged. The unit-step trial's
+    grad.(P(pi + grad) - pi) is a lower bound on the gap, so the gap
+    itself is computed only once that falls to the threshold.
+    Non-convergence raises ConvergenceError carrying the best iterate
+    via ``make_best``. Returns, as make_best takes them, (pi, f(pi),
+    grad, iterations, residual, curve, gap, stop reason).
     """
     pi = project(np.asarray(start, dtype=float).reshape(-1))
     value, grad = objective(pi)
     curve = [value]
     iterations = 0
+    threshold = tolerance * max(1.0, fw_gap(grad, pi))
     while True:
         # the unit step is both the residual's point and the first trial
         cand = project(pi + grad)
         residual = float(np.max(np.abs(pi - cand))) if pi.size else 0.0
+        gd = float(grad @ (cand - pi))
         if residual <= tolerance:
-            break
+            return (pi, value, grad, iterations, residual, tuple(curve),
+                    fw_gap(grad, pi), "residual")
+        if gd <= threshold:
+            gap = fw_gap(grad, pi)
+            if gap <= threshold:
+                return pi, value, grad, iterations, residual, tuple(curve), gap, "gap"
         if iterations >= max_iters:
             raise ConvergenceError(
                 f"projected gradient did not reach tolerance {tolerance} in "
                 f"{max_iters} iterations (residual {residual:.3e})",
-                best=make_best(pi, value, iterations, residual, tuple(curve)),
+                best=make_best(pi, value, grad, iterations, residual, tuple(curve),
+                               fw_gap(grad, pi), "iteration cap"),
             )
         t = 1.0
         while True:
-            d = cand - pi
-            gd = float(grad @ d)
             # objective only here; the gradient is recomputed on acceptance
             cand_value = objective.value_only(cand)
             if gd > 0.0 and cand_value >= value + ARMIJO_SIGMA * gd:
@@ -277,13 +300,14 @@ def _projected_ascent(objective, project, start, tolerance, max_iters, make_best
                 raise ConvergenceError(
                     "line search stalled before reaching tolerance "
                     f"(residual {residual:.3e})",
-                    best=make_best(pi, value, iterations, residual, tuple(curve)),
+                    best=make_best(pi, value, grad, iterations, residual, tuple(curve),
+                                   fw_gap(grad, pi), "line search stalled"),
                 )
             cand = project(pi + t * grad)
+            gd = float(grad @ (cand - pi))
         value, grad = objective(pi)
         curve.append(value)
         iterations += 1
-    return pi, value, iterations, residual, tuple(curve)
 
 
 class _Objective:
@@ -310,6 +334,20 @@ class _Objective:
         return value - self.lam * float(pi.sum())
 
 
+def _fp_allowance(order: int, value: float, grad: np.ndarray) -> float:
+    """Floating-point allowance added to f(pi) + gap in the certified bound.
+
+    Each channel's log det sums the logs of ``order`` Cholesky pivots,
+    and the gap sums c gradient terms twice, so
+    eps * (order * sum(mult * |log det|) + c * sum|grad|) covers the
+    rounding of those sums. Every log det is nonnegative (the base graph
+    is connected and weights are >= 1), so the first sum is |f|. The
+    backward error of the factorization itself, which grows with the
+    condition number of L(pi), is not covered.
+    """
+    return float(np.finfo(float).eps * (order * abs(value) + grad.size * np.abs(grad).sum()))
+
+
 def solve_p2(
     inst: EdgeSelectionInstance,
     tolerance: float = DEFAULT_TOLERANCE,
@@ -319,21 +357,37 @@ def solve_p2(
     """Budgeted relaxation: maximize the objective over the capped simplex.
 
     Any feasible ``start`` may be supplied (it is projected first);
-    the default is the uniform k/c vector. The converged objective
-    value upper-bounds tau of every k-edge integral design.
+    the default is the uniform k/c vector. The ascent stops once the
+    residual |pi - P(pi + grad)|_inf is at most ``tolerance`` or the
+    Frank-Wolfe gap sum top-k(grad) - grad.pi is at most tolerance *
+    max(1, gap at the start). f is concave, so f(pi) + gap bounds the
+    relaxation optimum (Jaggi, "Revisiting Frank-Wolfe", ICML 2013),
+    which bounds tau of every k-edge integral design. tau_cvx_star is
+    that certified value plus a floating-point allowance
+    (_fp_allowance), and the best iterate of a ConvergenceError carries
+    it too.
     """
     c = inst.num_candidates
     k = inst.k
-    objective = _Objective(_channel_ops(inst))
+
+    def budget_gap(grad, p):
+        top = np.partition(grad, c - k)[c - k:].sum() if k else 0.0
+        return max(0.0, float(top - grad @ p))
+
+    def as_solution(p, val, grad, it, res, cur, gap, reason):
+        tau = val + gap + _fp_allowance(inst.n - 1, val, grad)
+        return RelaxedSolution(p, tau, it, res, cur, gap, reason)
+
     if start is None:
         start = np.full(c, k / c if c else 0.0)
-    return RelaxedSolution(*_projected_ascent(
-        objective,
+    return as_solution(*_projected_ascent(
+        _Objective(_channel_ops(inst)),
         lambda v: project_capped_simplex(v, k),
+        budget_gap,
         start,
         float(tolerance),
         int(max_iters),
-        RelaxedSolution,
+        as_solution,
     ))
 
 
@@ -347,26 +401,31 @@ def solve_p3(
     """L1-penalized relaxation over the box [0, 1]^c.
 
     lambda = 0 drives every selector to 1; lambda above the largest
-    initial score w_i * Delta_i drives them all to 0. tau_cvx_star
-    reports the unpenalized objective at the final selector while the
-    recorded curve tracks the penalized one the solver climbs.
+    initial score w_i * Delta_i drives them all to 0. The stop rule is
+    solve_p2's, with the box gap sum max(grad, 0) - grad.pi of the
+    penalized objective. tau_cvx_star reports the unpenalized objective
+    at the final selector while the recorded curve tracks the penalized
+    one the solver climbs; it is not a certificate.
     """
     lam = float(lam)
     if lam < 0 or not math.isfinite(lam):
         raise ArgumentError(f"lambda must be finite and >= 0, got {lam!r}")
     c = inst.num_candidates
     ops = _channel_ops(inst)
-    objective = _Objective(ops, lam)
 
-    def as_solution(p, val, it, res, cur):
+    def box_gap(grad, p):
+        return max(0.0, float(np.maximum(grad, 0.0).sum() - grad @ p))
+
+    def as_solution(p, val, grad, it, res, cur, gap, reason):
         tau = sum(op.mult * op.logdet(p) for op in ops)
-        return RelaxedSolution(p, tau, it, res, cur)
+        return RelaxedSolution(p, tau, it, res, cur, gap, reason)
 
     if start is None:
         start = np.full(c, 0.5)
     return as_solution(*_projected_ascent(
-        objective,
+        _Objective(ops, lam),
         lambda v: np.clip(v, 0.0, 1.0),
+        box_gap,
         start,
         float(tolerance),
         int(max_iters),

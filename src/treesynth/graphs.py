@@ -219,6 +219,21 @@ class ReducedLaplacian:
         object.__setattr__(self, "anchor", anchor)
         object.__setattr__(self, "matrix", m)
 
+    @classmethod
+    def _trusted(cls, n: int, anchor: int, matrix: np.ndarray) -> ReducedLaplacian:
+        """Wrap a matrix the package assembled itself, without __post_init__.
+
+        For float matrices of the right order that are symmetric by
+        construction and owned by no one else: the copy and the symmetry
+        check are about half of a small build.
+        """
+        lap = object.__new__(cls)
+        matrix.setflags(write=False)
+        object.__setattr__(lap, "n", n)
+        object.__setattr__(lap, "anchor", anchor)
+        object.__setattr__(lap, "matrix", matrix)
+        return lap
+
     @property
     def order(self) -> int:
         return self.n - 1
@@ -300,10 +315,14 @@ def build_reduced_laplacian(g: WeightedGraph, anchor: int | None = None) -> Redu
         raise ArgumentError(f"anchor {anchor} out of range 1..{g.n}")
     L = g.full_laplacian()
     a = anchor - 1
-    # the default anchor is a slice, which ReducedLaplacian copies anyway;
-    # np.delete for the others (it costs more than the assembly at small n)
-    m = L[:-1, :-1] if anchor == g.n else np.delete(np.delete(L, a, axis=0), a, axis=1)
-    return ReducedLaplacian(g.n, anchor, m)
+    # the default anchor's slice is copied so that the matrix owns
+    # contiguous memory; np.delete for the others (it costs more than the
+    # assembly at small n)
+    if anchor == g.n:
+        m = np.ascontiguousarray(L[:-1, :-1])
+    else:
+        m = np.delete(np.delete(L, a, axis=0), a, axis=1)
+    return ReducedLaplacian._trusted(g.n, anchor, m)
 
 
 def _edge_weight(edge: tuple, channel: str | None) -> float:

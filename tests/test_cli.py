@@ -329,3 +329,25 @@ def test_exit_code_base_edges_need_integers(tmp_path, mini_g2o, pairs):
     base.write_text(pairs)
     assert run("evaluate", "--g2o", str(mini_g2o), "--base-edges", str(base)) == 3
 
+
+def test_exit_code_lambda_on_removal_instance(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "rem.json"
+    base = tuple((u, v, 1.0) for u in range(1, 6) for v in range(u + 1, 6))
+    cands = ((1, 2, 1.0), (1, 3, 1.0), (2, 4, 1.0), (3, 5, 1.0))
+    save_instance(EdgeSelectionInstance(5, base, cands, 2, direction="remove"), path)
+    args = ["synthesize", "--instance", str(path), "--algorithm", "convex"]
+    solved = []
+    solve_p3 = cli.solve_p3
+    monkeypatch.setattr(cli, "solve_p3", lambda *a, **kw: solved.append(1) or solve_p3(*a, **kw))
+    assert run(*args, "--lambda", "0.8") == 2
+    # refused before the relaxation runs and before anything is written
+    assert solved == []
+    out = capsys.readouterr()
+    assert out.out == "" and "--lambda applies to addition instances" in out.err
+    assert run(*args) == 0
+
+
+def test_exit_code_evaluate_both_sources(inst_path, mini_g2o, capsys):
+    assert run("evaluate", "--instance", str(inst_path), "--g2o", str(mini_g2o)) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "exactly one of --instance and --g2o" in out.err

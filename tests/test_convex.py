@@ -11,6 +11,7 @@ from treesynth import (
     ArgumentError,
     ConvergenceError,
     EdgeSelectionInstance,
+    exhaustive_select,
     laplacian_of_pi,
     project_capped_simplex,
     random_instance,
@@ -29,6 +30,23 @@ def star_instance(k=2):
     base = ((1, 4, 1.0), (2, 4, 1.0), (3, 4, 1.0))
     cands = ((1, 2, 1.0), (2, 3, 1.0), (1, 3, 1.0))
     return EdgeSelectionInstance(4, base, cands, k)
+
+
+def path_with_chords(k=5, n=40):
+    """A path with short and long chords; its line search backtracks often."""
+    path = tuple((i, i + 1, 1.0) for i in range(1, n))
+    chords = tuple((i, i + 2, 1.0) for i in range(1, n - 1))
+    chords += tuple((i, i + n // 2, 3.0) for i in range(1, n // 2 + 1))
+    return EdgeSelectionInstance(n, path, chords, k)
+
+
+def scaled(inst, s):
+    """The instance with every weight of every channel multiplied by s."""
+    def mul(edges):
+        return tuple((u, v, *(w * s for w in ws)) for u, v, *ws in edges)
+
+    return EdgeSelectionInstance(
+        inst.n, mul(inst.base_edges), mul(inst.candidates), inst.k, objective=inst.objective)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +328,82 @@ def test_solver_projects_each_step_once(monkeypatch):
     assert backtracks > 0
 
 
+def test_certified_bound_is_above_exhaustive_optimum():
+    # f(pi) at a loosely converged iterate can sit below OPT; f(pi) plus
+    # the Frank-Wolfe gap cannot
+    rng = np.random.default_rng(43)
+    for i in range(30):
+        inst = random_add_instance(rng, 8, 10, 9, 4)
+        if i % 2:
+            inst = slam_instance(inst, rng)
+        opt = exhaustive_select(inst).tau_achieved
+        for tol in (1e-1, 1e-2, 1e-3):
+            sol = solve_p2(inst, tolerance=tol)
+            assert sol.tau_cvx_star >= opt
+            assert sol.tau_cvx_star >= sol.objective_curve[-1] + sol.fw_gap
+
+
+def test_stop_rule_is_scale_free():
+    # scaling every weight by a power of two scales L(pi) exactly and
+    # leaves the gradient's bits alone, while log det shifts by
+    # order * log(s): a rule relative to |f| would stop elsewhere
+    rng = np.random.default_rng(7)
+    cases = [path_with_chords(k) for k in (3, 5, 8)]
+    for i in range(6):
+        inst = random_add_instance(rng, 9, 12, 10, 4)
+        cases.append(slam_instance(inst, rng) if i % 2 else inst)
+    reasons = set()
+    for inst in cases:
+        ref = solve_p2(inst)
+        reasons.add(ref.stop_reason)
+        for s in (4.0, 16.0):
+            sol = solve_p2(scaled(inst, s))
+            assert (sol.iterations, sol.stop_reason) == (ref.iterations, ref.stop_reason)
+            assert sol.pi.tobytes() == ref.pi.tobytes()
+            assert sol.fw_gap == ref.fw_gap
+    assert reasons == {"gap", "residual"}
+
+
+def test_gap_stop_certifies_its_bound():
+    inst = path_with_chords()
+    c, k, order = inst.num_candidates, inst.k, inst.n - 1
+    sol = solve_p2(inst)
+    assert sol.stop_reason == "gap"
+    assert sol.kkt_residual > convex.DEFAULT_TOLERANCE
+    value, grad = relaxed_objective_and_gradient(inst, sol.pi)
+    assert value == sol.objective_curve[-1]
+    # the gap at the uniform start sets the scale of the stop threshold
+    _, grad0 = relaxed_objective_and_gradient(inst, np.full(c, k / c))
+    gap0 = np.sort(grad0)[-k:].sum() - grad0.sum() * k / c
+    assert 0.0 < sol.fw_gap <= convex.DEFAULT_TOLERANCE * gap0
+    assert sol.fw_gap == pytest.approx(np.sort(grad)[-k:].sum() - grad @ sol.pi, rel=1e-9)
+    # tau_cvx_star = f(pi) + gap + eps * (order * |log det| + c * sum|grad|)
+    eps_fp = np.finfo(float).eps * (order * abs(value) + c * np.abs(grad).sum())
+    excess = sol.tau_cvx_star - value - sol.fw_gap
+    assert abs(excess - eps_fp) <= 4 * np.spacing(value) < eps_fp / 10
+    assert sol.to_dict().keys() == {"pi", "tau_cvx_star", "iterations", "kkt_residual"}
+
+
+def test_convergence_error_carries_the_certified_bound(monkeypatch):
+    rng = np.random.default_rng(31)
+    inst = slam_instance(random_add_instance(rng, 8, 10, 9, 4), rng)
+    with pytest.raises(ConvergenceError) as err:
+        solve_p2(inst, max_iters=2)
+    best = err.value.best
+    assert (best.iterations, best.stop_reason) == (2, "iteration cap")
+    value, grad = relaxed_objective_and_gradient(inst, best.pi)
+    assert best.fw_gap > 1e-3
+    assert best.tau_cvx_star == pytest.approx(value + best.fw_gap, rel=1e-12)
+    assert best.tau_cvx_star > value + best.fw_gap
+    # every trial point fails the Armijo test: the line search stalls at the start
+    monkeypatch.setattr(convex._Objective, "value_only", lambda self, pi: -math.inf)
+    with pytest.raises(ConvergenceError) as err:
+        solve_p2(inst)
+    best = err.value.best
+    assert (best.iterations, best.stop_reason) == (0, "line search stalled")
+    assert best.tau_cvx_star > best.objective_curve[-1] + best.fw_gap
+
+
 def test_relaxation_upper_bounds_every_integral_point():
     rng = np.random.default_rng(37)
     for _ in range(6):
@@ -346,6 +440,16 @@ def test_penalty_monotone_shrinks_support():
 def test_penalty_rejects_negative_lambda():
     with pytest.raises(ArgumentError):
         solve_p3(star_instance(), -0.5)
+
+
+def test_penalized_solver_reports_the_box_gap():
+    inst = path_with_chords()
+    sol = solve_p3(inst, 1.0)
+    assert sol.stop_reason == "gap"
+    _, grad = relaxed_objective_and_gradient(inst, sol.pi)
+    grad = grad - 1.0  # the penalized objective's gradient
+    gap = np.maximum(grad, 0.0).sum() - grad @ sol.pi
+    assert 0.0 < sol.fw_gap == pytest.approx(gap, rel=1e-9)
 
 
 def test_penalized_report_carries_unpenalized_objective():

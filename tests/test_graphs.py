@@ -115,6 +115,33 @@ def test_reduced_laplacian_default_anchor_is_last_vertex():
     assert math.exp(L.log_det()) == pytest.approx(26.0, rel=1e-12)
 
 
+def test_reduced_laplacian_checks_outside_input_only():
+    g = WeightedGraph(4, ((1, 2, 1.5), (2, 3, 2.0), (3, 4, 1.0), (1, 4, 3.0), (1, 3, 1.0)))
+    full = g.full_laplacian()
+    for anchor in range(1, 5):
+        # assembled matrices skip the check: exactly symmetric, read-only,
+        # and what the checked constructor makes of the same matrix
+        built = build_reduced_laplacian(g, anchor=anchor)
+        keep = [i for i in range(4) if i != anchor - 1]
+        assert np.array_equal(built.matrix, full[np.ix_(keep, keep)])
+        assert np.array_equal(built.matrix, built.matrix.T)
+        assert not built.matrix.flags.writeable
+        checked = ReducedLaplacian(4, anchor, full[np.ix_(keep, keep)])
+        assert (built.n, built.anchor) == (checked.n, checked.anchor)
+        assert built.log_det() == checked.log_det()
+    m = full[:-1, :-1].copy()
+    checked = ReducedLaplacian(4, 4, m)
+    m[0, 0] = 99.0  # the checked constructor keeps its own copy
+    assert checked.matrix[0, 0] == full[0, 0]
+    m[0, 1] += 1e-9
+    with pytest.raises(ArgumentError, match="symmetric"):
+        ReducedLaplacian(4, 4, m)
+    with pytest.raises(ArgumentError, match="shape"):
+        ReducedLaplacian(4, 4, full)
+    with pytest.raises(ArgumentError):
+        ReducedLaplacian(4, 5, full[:-1, :-1])
+
+
 def test_reduced_laplacian_anchor_invariance_of_logdet():
     g = WeightedGraph(4, ((1, 2, 1.5), (2, 3, 2.0), (3, 4, 1.0), (1, 4, 3.0), (1, 3, 1.0)))
     dets = {a: build_reduced_laplacian(g, anchor=a).log_det() for a in range(1, 5)}
