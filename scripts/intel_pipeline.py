@@ -57,7 +57,8 @@ def main() -> int:
     rounded = round_deterministic(inst, relaxed.pi)
     t_convex = time.perf_counter() - t0
     print(f"relaxation: tau*={relaxed.tau_cvx_star:.6f} rounded={rounded.tau_achieved:.6f} "
-          f"({t_convex:.1f}s, {relaxed.iterations} iterations)")
+          f"({t_convex:.1f}s, {relaxed.iterations} iterations, stop {relaxed.stop_reason}, "
+          f"gap {relaxed.fw_gap:.3e})")
 
     bundle = build_bundle(
         gr.baseline, gr.tau_achieved, rounded.tau_achieved, relaxed.tau_cvx_star

@@ -549,6 +549,14 @@ def main(argv=None) -> int:
         if isinstance(exc, ArgumentError):
             return EXIT_ARGUMENT
         if isinstance(exc, ConvergenceError):
+            best = exc.best
+            if best is not None:
+                _say("best iterate: " + json.dumps({
+                    "tau_cvx_star": best.tau_cvx_star,
+                    "stop_reason": best.stop_reason,
+                    "fw_gap": best.fw_gap,
+                    "iterations": best.iterations,
+                }), to_stderr=True)
             return EXIT_CONVERGENCE
         return EXIT_DATA
 

@@ -7,11 +7,13 @@ log det L(pi) is concave and the budgeted relaxation
     maximize log det L(pi)  subject to  sum pi = k, 0 <= pi <= 1
 
 is solved by projected-gradient ascent with an Armijo backtracking
-line search. The optimum upper-bounds every integral design of the same
-budget, and so does f(pi) plus the Frank-Wolfe gap at any feasible pi,
-which is what the solver reports; rounding pi back to a k-subset
-recovers a feasible design. An L1-penalized box variant trades the hard
-budget for a sparsity price lambda.
+line search whose first trial is the Barzilai-Borwein step fitted to
+the last move, clipped to [BB_STEP_MIN, BB_STEP_MAX]. The optimum
+upper-bounds every integral design of the same budget, and so does f(pi)
+plus the Frank-Wolfe gap at any feasible pi, which is what the solver
+reports; rounding pi back to a k-subset recovers a feasible design. An
+L1-penalized box variant trades the hard budget for a sparsity price
+lambda.
 
 For slam-double instances the objective is the 2:1 channel combination
 throughout, matching the rest of the package.
@@ -39,6 +41,9 @@ from .greedy import SelectionResult, gain_function, subset_log_dets
 
 ARMIJO_SIGMA = 1e-4
 BACKTRACK_SHRINK = 0.5
+# safeguard interval of the Barzilai-Borwein first trial step
+BB_STEP_MIN = 1e-3
+BB_STEP_MAX = 1e3
 DEFAULT_TOLERANCE = 1e-7
 DEFAULT_MAX_ITERS = 5000
 # capped-simplex projection: |sum(x) - k| <= SUM_TOLERANCE * max(1, k)
@@ -249,6 +254,15 @@ def project_capped_simplex(v, k: float) -> np.ndarray:
 def _projected_ascent(objective, project, fw_gap, start, tolerance, max_iters, make_best):
     """Shared ascent loop: Armijo backtracking along the projection arc.
 
+    The first trial of each iteration is P(pi + alpha * grad) with the
+    Barzilai-Borwein step alpha = s.s / s.y of the last accepted move,
+    s = pi_new - pi_old and y = grad_old - grad_new (Barzilai and
+    Borwein, IMA J. Numer. Anal. 1988; projected as SPG by Birgin,
+    Martinez and Raydan, SIAM J. Optim. 2000). f is concave, so s.y >= 0;
+    alpha is clipped to [BB_STEP_MIN, BB_STEP_MAX], and s.y <= 0, which
+    only rounding can cause, takes BB_STEP_MAX. Iteration 0 tries the
+    unit step. A rejected trial halves the step.
+
     Accepted steps never decrease the objective (the projection
     inequality makes the directional derivative nonnegative), so the
     recorded curve is monotone. The loop stops at the first iterate
@@ -257,9 +271,7 @@ def _projected_ascent(objective, project, fw_gap, start, tolerance, max_iters, m
     most tolerance * max(1, gap0), gap0 being the gap at the start
     ("gap"). The gap threshold is relative to gap0 and not to |f|:
     scaling every weight by s shifts log det by order * log s but leaves
-    the gradient, and with it the gap, unchanged. The unit-step trial's
-    grad.(P(pi + grad) - pi) is a lower bound on the gap, so the gap
-    itself is computed only once that falls to the threshold.
+    the gradient, and with it the gap, unchanged.
     Non-convergence raises ConvergenceError carrying the best iterate
     via ``make_best``. Returns, as make_best takes them, (pi, f(pi),
     grad, iterations, residual, curve, gap, stop reason).
@@ -269,31 +281,28 @@ def _projected_ascent(objective, project, fw_gap, start, tolerance, max_iters, m
     curve = [value]
     iterations = 0
     threshold = tolerance * max(1.0, fw_gap(grad, pi))
+    alpha = 1.0
     while True:
-        # the unit step is both the residual's point and the first trial
-        cand = project(pi + grad)
-        residual = float(np.max(np.abs(pi - cand))) if pi.size else 0.0
-        gd = float(grad @ (cand - pi))
+        residual = float(np.max(np.abs(pi - project(pi + grad)))) if pi.size else 0.0
+        gap = fw_gap(grad, pi)
         if residual <= tolerance:
-            return (pi, value, grad, iterations, residual, tuple(curve),
-                    fw_gap(grad, pi), "residual")
-        if gd <= threshold:
-            gap = fw_gap(grad, pi)
-            if gap <= threshold:
-                return pi, value, grad, iterations, residual, tuple(curve), gap, "gap"
+            return pi, value, grad, iterations, residual, tuple(curve), gap, "residual"
+        if gap <= threshold:
+            return pi, value, grad, iterations, residual, tuple(curve), gap, "gap"
         if iterations >= max_iters:
             raise ConvergenceError(
                 f"projected gradient did not reach tolerance {tolerance} in "
                 f"{max_iters} iterations (residual {residual:.3e})",
                 best=make_best(pi, value, grad, iterations, residual, tuple(curve),
-                               fw_gap(grad, pi), "iteration cap"),
+                               gap, "iteration cap"),
             )
         t = 1.0
         while True:
-            # objective only here; the gradient is recomputed on acceptance
+            cand = project(pi + (t * alpha) * grad)
+            gd = float(grad @ (cand - pi))
+            # objective only here; the gradient is computed on acceptance
             cand_value = objective.value_only(cand)
             if gd > 0.0 and cand_value >= value + ARMIJO_SIGMA * gd:
-                pi = cand
                 break
             t *= BACKTRACK_SHRINK
             if t < 1e-18:
@@ -301,11 +310,14 @@ def _projected_ascent(objective, project, fw_gap, start, tolerance, max_iters, m
                     "line search stalled before reaching tolerance "
                     f"(residual {residual:.3e})",
                     best=make_best(pi, value, grad, iterations, residual, tuple(curve),
-                                   fw_gap(grad, pi), "line search stalled"),
+                                   gap, "line search stalled"),
                 )
-            cand = project(pi + t * grad)
-            gd = float(grad @ (cand - pi))
+        s = cand - pi
+        old_grad = grad
+        pi = cand
         value, grad = objective(pi)
+        sy = float(s @ (old_grad - grad))
+        alpha = min(max(float(s @ s) / sy, BB_STEP_MIN), BB_STEP_MAX) if sy > 0.0 else BB_STEP_MAX
         curve.append(value)
         iterations += 1
 

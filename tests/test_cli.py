@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from treesynth import (
+    ConvergenceError,
     EdgeSelectionInstance,
     certify,
     cli,
     gap_for_design,
+    load_instance,
     reduce_removal_to_addition,
     save_instance,
+    solve_p2,
     tree_connectivity,
 )
 from treesynth.cli import main
@@ -299,6 +302,28 @@ def test_exit_code_solver_nonconvergence(inst_path):
         "synthesize", "--instance", str(inst_path), "--algorithm", "convex",
         "--max-iters", "1",
     ) == 4
+
+
+def test_exit_code_solver_nonconvergence_reports_best_iterate(inst_path, capsys):
+    assert run(
+        "synthesize", "--instance", str(inst_path), "--algorithm", "convex",
+        "--max-iters", "1",
+    ) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error, best_line = captured.err.splitlines()
+    assert error.startswith("error: projected gradient did not reach tolerance")
+    label, doc = best_line.split(": ", 1)
+    assert label == "best iterate"
+    with pytest.raises(ConvergenceError) as err:
+        solve_p2(load_instance(inst_path), max_iters=1)
+    best = err.value.best
+    assert json.loads(doc) == {
+        "tau_cvx_star": best.tau_cvx_star,
+        "stop_reason": "iteration cap",
+        "fw_gap": best.fw_gap,
+        "iterations": 1,
+    }
 
 
 def test_exit_code_malformed_g2o(tmp_path):

@@ -33,7 +33,7 @@ def star_instance(k=2):
 
 
 def path_with_chords(k=5, n=40):
-    """A path with short and long chords; its line search backtracks often."""
+    """A path with short and long chords; at k=3 its line search backtracks."""
     path = tuple((i, i + 1, 1.0) for i in range(1, n))
     chords = tuple((i, i + 2, 1.0) for i in range(1, n - 1))
     chords += tuple((i, i + n // 2, 3.0) for i in range(1, n // 2 + 1))
@@ -293,15 +293,11 @@ def test_solver_factors_each_accepted_point_once(monkeypatch):
 
 def test_solver_projects_each_step_once(monkeypatch):
     rng = np.random.default_rng(12)
-    # a 40-vertex path with short and long chords backtracks in most
-    # iterations; the random slam-double instance never does
-    n = 40
-    path = tuple((i, i + 1, 1.0) for i in range(1, n))
-    chords = tuple((i, i + 2, 1.0) for i in range(1, n - 1))
-    chords += tuple((i, i + n // 2, 3.0) for i in range(1, n // 2 + 1))
+    # the path with chords at k=3 backtracks; the random slam-double
+    # instance never does
     cases = [
         slam_instance(random_add_instance(rng, 9, 12, 10, 4), rng),
-        EdgeSelectionInstance(n, path, chords, 5),
+        path_with_chords(3),
     ]
     projections, trials = [], []
     project = convex.project_capped_simplex
@@ -318,12 +314,12 @@ def test_solver_projects_each_step_once(monkeypatch):
         trials.clear()
         sol = solve_p2(inst)
         # every line-search trial evaluates the objective once, and each
-        # accepted iteration had exactly one unit-step trial
+        # accepted iteration ended with exactly one accepted trial
         backtracked = len(trials) - sol.iterations
         # the start, one residual check per iteration plus the final
-        # one, and one per backtracked trial; the unit-step trial reuses
-        # the residual's projection
-        assert len(projections) == 1 + (sol.iterations + 1) + backtracked
+        # one, and one per line-search trial: the first trial is the
+        # Barzilai-Borwein step, not the residual's unit step
+        assert len(projections) == 1 + (sol.iterations + 1) + len(trials)
         backtracks += backtracked
     assert backtracks > 0
 
@@ -365,7 +361,7 @@ def test_stop_rule_is_scale_free():
 
 
 def test_gap_stop_certifies_its_bound():
-    inst = path_with_chords()
+    inst = path_with_chords(3)
     c, k, order = inst.num_candidates, inst.k, inst.n - 1
     sol = solve_p2(inst)
     assert sol.stop_reason == "gap"
@@ -402,6 +398,21 @@ def test_convergence_error_carries_the_certified_bound(monkeypatch):
     best = err.value.best
     assert (best.iterations, best.stop_reason) == (0, "line search stalled")
     assert best.tau_cvx_star > best.objective_curve[-1] + best.fw_gap
+
+
+def test_solver_converges_at_defaults_on_random_instances():
+    # with the unit step as every first trial, some of these instances
+    # need hundreds of iterations; the Barzilai-Borwein trial needs tens
+    rng = np.random.default_rng(5)
+    for i in range(100):
+        n, c = int(rng.integers(8, 14)), int(rng.integers(4, 11))
+        m = int(rng.integers(n - 1, min(n * (n - 1) // 2 - c, 2 * n) + 1))
+        inst = random_add_instance(rng, n, m, c, int(rng.integers(1, c)))
+        if i % 2:
+            inst = slam_instance(inst, rng)
+        sol = solve_p2(inst)
+        assert sol.iterations <= 60
+        assert sol.tau_cvx_star >= exhaustive_select(inst).tau_achieved
 
 
 def test_relaxation_upper_bounds_every_integral_point():
