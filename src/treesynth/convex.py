@@ -8,7 +8,11 @@ log det L(pi) is concave and the budgeted relaxation
 
 is solved by projected-gradient ascent with an Armijo backtracking
 line search whose first trial is the Barzilai-Borwein step fitted to
-the last move, clipped to [BB_STEP_MIN, BB_STEP_MAX]. The optimum
+the last move, clipped to [BB_STEP_MIN, BB_STEP_MAX]. The objective and
+gradient come from the matrix determinant lemma on each channel's
+candidate Gram matrix, restricted to the support of pi
+(treeconn.SubsetLogDet): O(s^3 + s^2 c) per iteration for s nonzero
+selectors, against O(order^3 + order^2 c) on L(pi) itself. The optimum
 upper-bounds every integral design of the same budget, and so does f(pi)
 plus the Frank-Wolfe gap at any feasible pi, which is what the solver
 reports; rounding pi back to a k-subset recovers a feasible design. An
@@ -27,10 +31,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf
 
-from .errors import ArgumentError, ConvergenceError, NumericalError
+from .errors import ArgumentError, ConvergenceError
 from .graphs import (
     DIRECTION_ADD,
     EdgeSelectionInstance,
@@ -86,87 +88,6 @@ class RelaxedSolution:
         }
 
 
-class _ChannelOps:
-    """Assembly and factorization of L(pi) for one weight channel.
-
-    L(pi) = L_base + sum_i pi_i w_i a_i a_i^T is built by scattering the
-    c selector terms onto a copy of the base matrix (O(c) per assembly),
-    and the gradient w_i * a_i^T L(pi)^{-1} a_i comes from one batched
-    triangular solve against the incidence columns.
-    """
-
-    def __init__(self, inst: EdgeSelectionInstance, channel: str | None, mult: float):
-        self.mult = mult
-        base = build_reduced_laplacian(inst.base_graph(channel))
-        self.anchor = base.anchor
-        self.w = np.array(inst.candidate_weights(channel))
-        pairs = np.array(inst.candidate_pairs, dtype=int).reshape(-1, 2)
-        self.A = base.incidence_matrix(pairs)
-        self._ru, self._rv = ru, rv = base.reduced_index(pairs).T
-        self._mu = ru >= 0
-        self._mv = rv >= 0
-        self._mb = self._mu & self._mv
-        # Fortran order like the workspace, so assembly is a same-layout
-        # copy; the C-order original is dropped before the workspace exists
-        self._base = np.asfortranarray(base.matrix)
-        del base
-        # workspaces that chol and logdet_and_grad overwrite
-        self._M = np.empty_like(self._base)
-        self._Y = np.empty_like(self.A, order="F")
-        # (pi, factor of L(pi)) of the last successful chol
-        self._last: tuple[np.ndarray, np.ndarray] | None = None
-
-    def matrix(self, pi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        t = pi * self.w
-        M = np.empty_like(self._base) if out is None else out
-        M[...] = self._base
-        mu, mv, mb = self._mu, self._mv, self._mb
-        ru, rv = self._ru, self._rv
-        np.add.at(M, (ru[mu], ru[mu]), t[mu])
-        np.add.at(M, (rv[mv], rv[mv]), t[mv])
-        np.add.at(M, (ru[mb], rv[mb]), -t[mb])
-        np.add.at(M, (rv[mb], ru[mb]), -t[mb])
-        return M
-
-    def chol(self, pi: np.ndarray) -> np.ndarray:
-        """Lower factor of L(pi), factored in place in the channel's workspace.
-
-        The solver factors thousands of order x order matrices; fresh
-        allocations of that size each cost page faults unless an earlier
-        large temporary happened to raise the allocator's mmap threshold.
-        The factor of the last point is reused: the ascent factors each
-        accepted point in its line search, then again for the gradient.
-        """
-        if self._last is not None and np.array_equal(pi, self._last[0]):
-            return self._last[1]
-        self._last = None
-        C, info = dpotrf(self.matrix(pi, self._M), lower=1, clean=0, overwrite_a=1)
-        if info != 0:
-            raise NumericalError("selector-weighted Laplacian lost positive definiteness")
-        self._last = (pi.copy(), C)
-        return C
-
-    def logdet(self, pi: np.ndarray) -> float:
-        C = self.chol(pi)
-        return float(2.0 * np.sum(np.log(np.diag(C))))
-
-    def logdet_and_grad(self, pi: np.ndarray) -> tuple[float, np.ndarray]:
-        C = self.chol(pi)
-        value = float(2.0 * np.sum(np.log(np.diag(C))))
-        if self.A.shape[1] == 0:
-            return value, np.zeros(0)
-        self._Y[...] = self.A
-        Y = solve_triangular(C, self._Y, lower=True, overwrite_b=True, check_finite=False)
-        delta = np.einsum("ij,ij->j", Y, Y)
-        return value, self.w * delta
-
-
-def _channel_ops(inst: EdgeSelectionInstance) -> list[_ChannelOps]:
-    if inst.direction != DIRECTION_ADD:
-        raise ArgumentError("the relaxation expects an addition instance; reduce removals first")
-    return [_ChannelOps(inst, ch, mult) for ch, mult in inst.channels]
-
-
 def _validate_pi(pi, c: int) -> np.ndarray:
     pi = np.asarray(pi, dtype=float).reshape(-1)
     if pi.shape != (c,):
@@ -183,8 +104,10 @@ def laplacian_of_pi(
 ) -> ReducedLaplacian:
     """Reduced Laplacian of base plus pi-scaled candidates, one channel."""
     pi = _validate_pi(pi, inst.num_candidates)
-    ops = _ChannelOps(inst, channel, 1.0)
-    return ReducedLaplacian._trusted(inst.n, ops.anchor, ops.matrix(pi))
+    base = build_reduced_laplacian(inst.base_graph(channel))
+    A = base.incidence_matrix(inst.candidate_pairs)
+    A *= np.sqrt(pi * inst.candidate_weights(channel))
+    return ReducedLaplacian._trusted(inst.n, base.anchor, base.matrix + A @ A.T)
 
 
 def relaxed_objective_and_gradient(
@@ -197,7 +120,9 @@ def relaxed_objective_and_gradient(
     nonnegative: the objective is monotone in every selector.
     """
     pi = _validate_pi(pi, inst.num_candidates)
-    return _Objective(_channel_ops(inst))(pi)
+    objective = _Objective(inst)
+    value, grad = objective(pi)
+    return objective.offset + value, grad
 
 
 def project_capped_simplex(v, k: float) -> np.ndarray:
@@ -271,14 +196,17 @@ def _projected_ascent(objective, project, fw_gap, start, tolerance, max_iters, m
     most tolerance * max(1, gap0), gap0 being the gap at the start
     ("gap"). The gap threshold is relative to gap0 and not to |f|:
     scaling every weight by s shifts log det by order * log s but leaves
-    the gradient, and with it the gap, unchanged.
+    the gradient, and with it the gap, unchanged. For the same reason the
+    Armijo test compares only the part of f that depends on pi; the
+    constant ``objective.offset`` is added when f is recorded, which
+    keeps the curve monotone.
     Non-convergence raises ConvergenceError carrying the best iterate
     via ``make_best``. Returns, as make_best takes them, (pi, f(pi),
     grad, iterations, residual, curve, gap, stop reason).
     """
     pi = project(np.asarray(start, dtype=float).reshape(-1))
     value, grad = objective(pi)
-    curve = [value]
+    curve = [objective.offset + value]
     iterations = 0
     threshold = tolerance * max(1.0, fw_gap(grad, pi))
     alpha = 1.0
@@ -286,14 +214,14 @@ def _projected_ascent(objective, project, fw_gap, start, tolerance, max_iters, m
         residual = float(np.max(np.abs(pi - project(pi + grad)))) if pi.size else 0.0
         gap = fw_gap(grad, pi)
         if residual <= tolerance:
-            return pi, value, grad, iterations, residual, tuple(curve), gap, "residual"
+            return pi, curve[-1], grad, iterations, residual, tuple(curve), gap, "residual"
         if gap <= threshold:
-            return pi, value, grad, iterations, residual, tuple(curve), gap, "gap"
+            return pi, curve[-1], grad, iterations, residual, tuple(curve), gap, "gap"
         if iterations >= max_iters:
             raise ConvergenceError(
                 f"projected gradient did not reach tolerance {tolerance} in "
                 f"{max_iters} iterations (residual {residual:.3e})",
-                best=make_best(pi, value, grad, iterations, residual, tuple(curve),
+                best=make_best(pi, curve[-1], grad, iterations, residual, tuple(curve),
                                gap, "iteration cap"),
             )
         t = 1.0
@@ -309,7 +237,7 @@ def _projected_ascent(objective, project, fw_gap, start, tolerance, max_iters, m
                 raise ConvergenceError(
                     "line search stalled before reaching tolerance "
                     f"(residual {residual:.3e})",
-                    best=make_best(pi, value, grad, iterations, residual, tuple(curve),
+                    best=make_best(pi, curve[-1], grad, iterations, residual, tuple(curve),
                                    gap, "line search stalled"),
                 )
         s = cand - pi
@@ -318,46 +246,55 @@ def _projected_ascent(objective, project, fw_gap, start, tolerance, max_iters, m
         value, grad = objective(pi)
         sy = float(s @ (old_grad - grad))
         alpha = min(max(float(s @ s) / sy, BB_STEP_MIN), BB_STEP_MAX) if sy > 0.0 else BB_STEP_MAX
-        curve.append(value)
+        curve.append(objective.offset + value)
         iterations += 1
 
 
 class _Objective:
     """Channel-combined log det L(pi) minus lam * sum(pi); lam = 0 is P2.
 
-    P3 keeps pi >= 0, so its L1 penalty is this linear term.
+    Calls return the part of f that depends on pi, evaluated on each
+    channel's candidate kernel (treeconn.SubsetLogDet); ``offset``, the
+    base graphs' sum mult * log_det0, completes f. Scaling every weight
+    by a power of two leaves the kernels' Z, and so every returned bit,
+    unchanged. P3 keeps pi >= 0, so its L1 penalty is this linear term.
     """
 
-    def __init__(self, ops: list[_ChannelOps], lam: float = 0.0):
-        self.ops = ops
+    def __init__(self, inst: EdgeSelectionInstance, lam: float = 0.0):
+        if inst.direction != DIRECTION_ADD:
+            raise ArgumentError("the relaxation expects an addition instance; reduce removals first")
+        self.kernels = subset_log_dets(inst)
         self.lam = lam
+        self.offset = sum(mult * kernel.log_det0 for mult, kernel in self.kernels)
 
     def __call__(self, pi):
         value = 0.0
         grad = np.zeros(pi.size)
-        for op in self.ops:
-            v, g = op.logdet_and_grad(pi)
-            value += op.mult * v
-            grad += op.mult * g
+        for mult, kernel in self.kernels:
+            v, g = kernel.log_det_and_grad(pi)
+            value += mult * v
+            grad += mult * g
         return value - self.lam * float(pi.sum()), grad - self.lam
 
     def value_only(self, pi):
-        value = sum(op.mult * op.logdet(pi) for op in self.ops)
+        value = sum(mult * kernel.log_det(pi) for mult, kernel in self.kernels)
         return value - self.lam * float(pi.sum())
 
 
-def _fp_allowance(order: int, value: float, grad: np.ndarray) -> float:
+def _fp_allowance(order: int, value: float, objective: _Objective) -> float:
     """Floating-point allowance added to f(pi) + gap in the certified bound.
 
-    Each channel's log det sums the logs of ``order`` Cholesky pivots,
-    and the gap sums c gradient terms twice, so
-    eps * (order * sum(mult * |log det|) + c * sum|grad|) covers the
-    rounding of those sums. Every log det is nonnegative (the base graph
-    is connected and weights are >= 1), so the first sum is |f|. The
-    backward error of the factorization itself, which grows with the
-    condition number of L(pi), is not covered.
+    Each channel's log det sums the logs of at most 2 * order Cholesky
+    pivots, log_det0 and the lemma's factor, and the gap sums c gradient
+    terms twice. Every log det is nonnegative (the base graph is
+    connected and weights are >= 1), so eps * order * |f| covers the
+    first sums. Gradient entry i is diag(G)_i - |x_i|^2 or |x_i|^2, both
+    terms at most diag(G)_i, so eps * c * sum(mult * diag(G)) covers the
+    second. The backward error of the factorizations themselves, which
+    grows with the condition number of L(pi), is not covered.
     """
-    return float(np.finfo(float).eps * (order * abs(value) + grad.size * np.abs(grad).sum()))
+    diag = sum(mult * kernel.gram_diag for mult, kernel in objective.kernels)
+    return float(np.finfo(float).eps * (order * abs(value) + diag.size * diag.sum()))
 
 
 def solve_p2(
@@ -381,19 +318,20 @@ def solve_p2(
     """
     c = inst.num_candidates
     k = inst.k
+    objective = _Objective(inst)
 
     def budget_gap(grad, p):
         top = np.partition(grad, c - k)[c - k:].sum() if k else 0.0
         return max(0.0, float(top - grad @ p))
 
     def as_solution(p, val, grad, it, res, cur, gap, reason):
-        tau = val + gap + _fp_allowance(inst.n - 1, val, grad)
+        tau = val + gap + _fp_allowance(inst.n - 1, val, objective)
         return RelaxedSolution(p, tau, it, res, cur, gap, reason)
 
     if start is None:
         start = np.full(c, k / c if c else 0.0)
     return as_solution(*_projected_ascent(
-        _Objective(_channel_ops(inst)),
+        objective,
         lambda v: project_capped_simplex(v, k),
         budget_gap,
         start,
@@ -423,19 +361,19 @@ def solve_p3(
     if lam < 0 or not math.isfinite(lam):
         raise ArgumentError(f"lambda must be finite and >= 0, got {lam!r}")
     c = inst.num_candidates
-    ops = _channel_ops(inst)
+    objective = _Objective(inst, lam)
 
     def box_gap(grad, p):
         return max(0.0, float(np.maximum(grad, 0.0).sum() - grad @ p))
 
     def as_solution(p, val, grad, it, res, cur, gap, reason):
-        tau = sum(op.mult * op.logdet(p) for op in ops)
+        tau = objective.offset + sum(mult * kern.log_det(p) for mult, kern in objective.kernels)
         return RelaxedSolution(p, tau, it, res, cur, gap, reason)
 
     if start is None:
         start = np.full(c, 0.5)
     return as_solution(*_projected_ascent(
-        _Objective(ops, lam),
+        objective,
         lambda v: np.clip(v, 0.0, 1.0),
         box_gap,
         start,

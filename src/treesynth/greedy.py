@@ -184,9 +184,10 @@ def _greedy_run(
     available = np.ones(c, dtype=bool)
     selected: list[int] = []
     trace: list[TraceStep] = []
+    gained = 0.0  # running sum of the trace's exact gains
 
     for t in range(budget):
-        if stop_threshold is not None and fn(selected) >= stop_threshold:
+        if stop_threshold is not None and gained >= stop_threshold:
             break
         gains = np.zeros(c)
         scores = []
@@ -211,6 +212,7 @@ def _greedy_run(
             step_score = (float(scores[0][idx]), float(scores[1][idx]))
         selected.append(idx)
         trace.append(TraceStep(idx, *pairs[idx], step_score, float(gains[idx])))
+        gained += float(gains[idx])
 
     return SelectionResult(
         selected=tuple(selected),
@@ -240,6 +242,8 @@ def greedy_select(inst: EdgeSelectionInstance) -> SelectionResult:
 def greedy_to_threshold(inst: EdgeSelectionInstance, tau_min: float) -> SelectionResult:
     """Greedy rounds until the gain reaches tau_min (budget ignored).
 
+    The stop test reads the running sum of the rounds' exact gains, so no
+    round rebuilds the graph; tau_achieved is still computed from scratch.
     Raises InfeasibleError when even the full candidate pool falls
     short, reporting the maximum achievable gain.
     """

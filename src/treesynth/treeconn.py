@@ -17,11 +17,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf
 
-from .errors import DataError, SizeGuardError
+from .errors import DataError, NumericalError, SizeGuardError
 from .graphs import (
     ReducedLaplacian,
     WeightedGraph,
@@ -134,7 +136,7 @@ def whitened_incidence(L: ReducedLaplacian, pairs) -> np.ndarray:
 
 
 class SubsetLogDet:
-    """log det L(S) for batches of candidate subsets S, by the determinant lemma.
+    """log det L(S) of candidate subsets S, or selectors pi, by the determinant lemma.
 
     det L(S) = det L0 * det(I + Z_S^T Z_S), where L(S) is the base L0
     plus the candidates in S and Z = C^{-1} A diag(sqrt(w)) is the
@@ -142,12 +144,19 @@ class SubsetLogDet:
     stacked slogdet on the smaller Sylvester form, s x s or
     order x order, and each subset's value does not depend on the rest
     of its batch. Memory is O(order * c) plus the batch.
+
+    A selector pi with support S and r = sqrt(pi_S) gives log det L(pi)
+    = log_det0 + log det(I + r G_SS r), G = Z^T Z the candidate Gram
+    matrix, or the order x order side if smaller: O(s^3 + s^2 c) per
+    evaluation. G is kept only when c <= order, so it is no larger than Z.
     """
 
     def __init__(self, L: ReducedLaplacian, pairs, weights):
         self.log_det0 = L.log_det()
         Z = whitened_incidence(L, pairs) * np.sqrt(weights)
         self.Zt = np.ascontiguousarray(Z.T)
+        # (pi, support, sqrt(pi) on it, Cholesky factor) of the last selector
+        self._last: tuple | None = None
 
     def batch_rows(self, width: int) -> int:
         """Subsets of ``width`` candidates per call within LEMMA_BATCH_BYTES."""
@@ -162,6 +171,55 @@ class SubsetLogDet:
             gram = Zs.transpose(0, 2, 1) @ Zs
         gram += np.eye(gram.shape[-1])
         return self.log_det0 + np.linalg.slogdet(gram)[1]
+
+    @cached_property
+    def gram(self) -> np.ndarray | None:
+        c, order = self.Zt.shape
+        return self.Zt @ self.Zt.T if c <= order else None
+
+    @cached_property
+    def gram_diag(self) -> np.ndarray:
+        """diag(G): the squared column norms of Z, w_i times i's base resistance."""
+        return np.einsum("ij,ij->i", self.Zt, self.Zt)
+
+    def factor(self, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(S, r, lower factor R of the smaller form) at pi, kept for the last pi."""
+        last = self._last
+        if last is not None and np.array_equal(pi, last[0]):
+            return last[1:]
+        S = np.flatnonzero(pi)
+        r = np.sqrt(pi[S])
+        if S.size <= self.Zt.shape[1] and self.gram is not None:
+            K = self.gram[S][:, S] * r
+            K *= r[:, None]
+        else:
+            U = self.Zt[S] * r[:, None]
+            K = U @ U.T if S.size <= self.Zt.shape[1] else U.T @ U
+        K.flat[:: K.shape[0] + 1] += 1.0
+        R, info = dpotrf(K, lower=1, clean=0)
+        if info:
+            raise NumericalError("selector-weighted Laplacian lost positive definiteness")
+        self._last = (pi.copy(), S, r, R)
+        return self._last[1:]
+
+    def log_det(self, pi: np.ndarray) -> float:
+        """log det L(pi) - log_det0, which power-of-2 weight scaling leaves exact."""
+        return float(2.0 * np.sum(np.log(np.diag(self.factor(pi)[2]))))
+
+    def log_det_and_grad(self, pi: np.ndarray) -> tuple[float, np.ndarray]:
+        """log_det(pi) and its gradient w_i a_i^T L(pi)^{-1} a_i.
+
+        Column-wise, that is diag(G) - |R^{-1} r G_S|^2 (Woodbury) on the
+        s x s form and |R^{-1} Z|^2 on the order x order one.
+        """
+        S, r, R = self.factor(pi)
+        value = float(2.0 * np.sum(np.log(np.diag(R))))
+        if S.size > self.Zt.shape[1]:
+            X = solve_triangular(R, self.Zt.T, lower=True, check_finite=False)
+            return value, np.einsum("ij,ij->j", X, X)
+        B = (self.Zt[S] @ self.Zt.T if self.gram is None else self.gram[S]) * r[:, None]
+        X = solve_triangular(R, B, lower=True, check_finite=False)
+        return value, self.gram_diag - np.einsum("ij,ij->j", X, X)
 
 
 @dataclass(frozen=True)

@@ -48,3 +48,17 @@ def intel_path():
     if path is None:
         pytest.skip("intel.g2o not present (set TREECONN_DATA_DIR to enable)")
     return path
+
+
+def direct_log_det_and_grad(inst, pi, channel=None):
+    """log det L(pi) and its gradient for one channel, from the assembled matrix.
+
+    slogdet and an explicit inverse of laplacian_of_pi: an evaluation that
+    shares nothing with the relaxation's determinant-lemma kernel.
+    """
+    from treesynth import build_reduced_laplacian, laplacian_of_pi
+
+    M = laplacian_of_pi(inst, pi, channel).matrix
+    A = build_reduced_laplacian(inst.base_graph(channel)).incidence_matrix(inst.candidate_pairs)
+    quad = np.einsum("ij,ij->j", A, np.linalg.inv(M) @ A)
+    return np.linalg.slogdet(M)[1], inst.candidate_weights(channel) * quad

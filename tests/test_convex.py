@@ -23,7 +23,7 @@ from treesynth import (
     tree_connectivity,
 )
 from treesynth import convex, treeconn
-from conftest import random_add_instance, slam_instance
+from conftest import direct_log_det_and_grad, random_add_instance, slam_instance
 
 
 def star_instance(k=2):
@@ -271,18 +271,18 @@ def test_solver_factors_each_accepted_point_once(monkeypatch):
     rng = np.random.default_rng(12)
     inst = slam_instance(random_add_instance(rng, 9, 12, 10, 4), rng)
     calls = []
-    dpotrf = convex.dpotrf
-    monkeypatch.setattr(convex, "dpotrf", lambda *a, **kw: calls.append(1) or dpotrf(*a, **kw))
+    dpotrf = treeconn.dpotrf
+    monkeypatch.setattr(treeconn, "dpotrf", lambda *a, **kw: calls.append(1) or dpotrf(*a, **kw))
     reused = solve_p2(inst)
     reused_calls = len(calls)
 
-    chol = convex._ChannelOps.chol
+    factor = treeconn.SubsetLogDet.factor
 
     def fresh(self, pi):
         self._last = None  # forget the cached factor: every call factors
-        return chol(self, pi)
+        return factor(self, pi)
 
-    monkeypatch.setattr(convex._ChannelOps, "chol", fresh)
+    monkeypatch.setattr(treeconn.SubsetLogDet, "factor", fresh)
     calls.clear()
     rebuilt = solve_p2(inst)
     assert np.array_equal(reused.pi, rebuilt.pi)
@@ -342,12 +342,18 @@ def test_certified_bound_is_above_exhaustive_optimum():
 def test_stop_rule_is_scale_free():
     # scaling every weight by a power of two scales L(pi) exactly and
     # leaves the gradient's bits alone, while log det shifts by
-    # order * log(s): a rule relative to |f| would stop elsewhere
+    # order * log(s): a rule relative to |f| would stop elsewhere, and an
+    # Armijo test on absolute log dets would accept other steps
     rng = np.random.default_rng(7)
     cases = [path_with_chords(k) for k in (3, 5, 8)]
     for i in range(6):
         inst = random_add_instance(rng, 9, 12, 10, 4)
         cases.append(slam_instance(inst, rng) if i % 2 else inst)
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        for i in range(20):
+            inst = random_add_instance(rng, 9, 12, 10, 4)
+            cases.append(slam_instance(inst, rng) if i % 2 else inst)
     reasons = set()
     for inst in cases:
         ref = solve_p2(inst)
@@ -358,6 +364,26 @@ def test_stop_rule_is_scale_free():
             assert sol.pi.tobytes() == ref.pi.tobytes()
             assert sol.fw_gap == ref.fw_gap
     assert reasons == {"gap", "residual"}
+
+
+def test_rounding_allowance_covers_the_kernel_against_direct_evaluation():
+    # f and the gap from the determinant-lemma kernel differ from those of
+    # the assembled L(pi) by less than the allowance in tau_cvx_star
+    rng = np.random.default_rng(47)
+    cases = [path_with_chords(3), path_with_chords(8, n=60)]
+    for i in range(8):
+        inst = random_add_instance(rng, 12, 16, 14, 5)
+        cases.append(slam_instance(inst, rng) if i % 2 else inst)
+    for inst in cases:
+        sol = solve_p2(inst)
+        k = inst.k
+        f, grad = 0.0, 0.0
+        for channel, mult in inst.channels:
+            value, g = direct_log_det_and_grad(inst, sol.pi, channel)
+            f, grad = f + mult * value, grad + mult * g
+        gap = np.sort(grad)[-k:].sum() - grad @ sol.pi
+        allowance = sol.tau_cvx_star - sol.objective_curve[-1] - sol.fw_gap
+        assert abs(f - sol.objective_curve[-1]) + abs(gap - sol.fw_gap) <= allowance
 
 
 def test_gap_stop_certifies_its_bound():
@@ -373,8 +399,10 @@ def test_gap_stop_certifies_its_bound():
     gap0 = np.sort(grad0)[-k:].sum() - grad0.sum() * k / c
     assert 0.0 < sol.fw_gap <= convex.DEFAULT_TOLERANCE * gap0
     assert sol.fw_gap == pytest.approx(np.sort(grad)[-k:].sum() - grad @ sol.pi, rel=1e-9)
-    # tau_cvx_star = f(pi) + gap + eps * (order * |log det| + c * sum|grad|)
-    eps_fp = np.finfo(float).eps * (order * abs(value) + c * np.abs(grad).sum())
+    # tau_cvx_star = f(pi) + gap + eps * (order * |log det| + c * sum diag(G)),
+    # diag(G) being the gradient at pi = 0 (the base graph's w_i * Delta_i)
+    _, diag = relaxed_objective_and_gradient(inst, np.zeros(c))
+    eps_fp = np.finfo(float).eps * (order * abs(value) + c * diag.sum())
     excess = sol.tau_cvx_star - value - sol.fw_gap
     assert abs(excess - eps_fp) <= 4 * np.spacing(value) < eps_fp / 10
     assert sol.to_dict().keys() == {"pi", "tau_cvx_star", "iterations", "kkt_residual"}

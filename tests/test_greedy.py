@@ -352,6 +352,33 @@ def test_threshold_stops_as_soon_as_reached():
     assert len(res.selected) == 1
 
 
+def test_threshold_stop_builds_no_graph_per_round(monkeypatch):
+    from treesynth import greedy
+
+    rng = np.random.default_rng(21)
+    for inst in (random_add_instance(rng, 10, 14, 12, 4),
+                 slam_instance(random_add_instance(rng, 10, 14, 12, 4), rng)):
+        full = greedy_select(EdgeSelectionInstance(
+            inst.n, inst.base_edges, inst.candidates, 12, objective=inst.objective))
+        gains = np.cumsum([s.gain for s in full.trace])
+        calls = []
+        scratch = greedy.tree_connectivity
+        monkeypatch.setattr(
+            greedy, "tree_connectivity", lambda g: calls.append(1) or scratch(g))
+        counts = []
+        for rounds in (1, 3, 8):
+            calls.clear()
+            # halfway between the gains after rounds - 1 and rounds rounds
+            tau_min = gains[rounds - 1] - 0.5 * full.trace[rounds - 1].gain
+            res = greedy_to_threshold(inst, tau_min)
+            assert res.selected == full.selected[:rounds]
+            assert res.gain >= tau_min
+            counts.append(len(calls))
+        monkeypatch.undo()
+        # the baselines, the full-pool check and the final design: per channel
+        assert counts == [4 * len(inst.channels)] * 3
+
+
 # ---------------------------------------------------------------------------
 # removal via reduction
 

@@ -13,10 +13,17 @@ from treesynth import (
     count_spanning_trees_bruteforce,
     effective_resistance,
     greedy_select,
+    random_instance,
     tree_connectivity,
     tree_connectivity_spectral,
 )
-from conftest import random_connected_graph
+from treesynth.greedy import subset_log_dets
+from conftest import (
+    direct_log_det_and_grad,
+    random_add_instance,
+    random_connected_graph,
+    slam_instance,
+)
 
 
 def test_weighted_triangle_tree_count():
@@ -126,3 +133,34 @@ def test_score_respects_candidate_weight():
     r = effective_resistance(L, 1, 3).value
     step = greedy_select(EdgeSelectionInstance(3, g.edges, ((1, 3, 2.5),), 1)).trace[0]
     assert step.score == pytest.approx(2.5 * r, rel=1e-12)
+
+
+def test_selector_kernel_matches_direct_evaluation():
+    rng = np.random.default_rng(14)
+    narrow = random_add_instance(rng, 14, 20, 8, 3)  # c = 8 <= order = 13: Gram kept
+    wide = random_instance(7, 6, "complement", (1.0, 3.0), seed=2, k=3)  # c = 15 > 6
+    # exact duplicates, one of them reversed, and candidates at the anchor (vertex n)
+    path = tuple((i, i + 1, 1.0) for i in range(1, 8))
+    dups = ((1, 8, 2.0), (8, 1, 2.0), (3, 8, 1.0), (2, 5, 1.5), (2, 5, 1.5))
+    dup = EdgeSelectionInstance(8, path, dups, 2)
+    dups = ((1, 4, 2.0), (4, 1, 2.0), (2, 4, 1.0), (1, 3, 1.5), (1, 3, 1.5))
+    dup_wide = EdgeSelectionInstance(4, path[:3], dups, 2)
+    cases = [narrow, wide, dup, dup_wide, slam_instance(narrow, rng), slam_instance(wide, rng)]
+    forms = set()
+    for inst in cases:
+        c, order = inst.num_candidates, inst.n - 1
+        mixed = rng.uniform(0.05, 1.0, size=c)
+        mixed[rng.permutation(c)[: c // 2]] = 0.0
+        few = np.zeros(c)
+        few[rng.permutation(c)[: min(c, order) - 1]] = 0.5
+        for pi in (np.zeros(c), np.ones(c), rng.uniform(0.05, 1.0, size=c), mixed, few):
+            for (channel, _), (_, kernel) in zip(inst.channels, subset_log_dets(inst)):
+                value, grad = kernel.log_det_and_grad(pi)
+                assert value == kernel.log_det(pi)
+                ref_value, ref_grad = direct_log_det_and_grad(inst, pi, channel)
+                assert kernel.log_det0 + value == pytest.approx(ref_value, rel=1e-10)
+                np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=0)
+                forms.add((c <= order, int(np.count_nonzero(pi)) <= order))
+    # the s x s form with G kept (c <= order) and with its rows formed from
+    # Z (c > order), and the order x order form (s > order)
+    assert forms == {(True, True), (False, True), (False, False)}
