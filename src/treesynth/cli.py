@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .certificates import build_bundle, certify, gap_for_design
-from .convex import round_deterministic, solve_p2, solve_p3
+from .convex import DEFAULT_MAX_ITERS, DEFAULT_TOLERANCE, round_deterministic, solve_p2, solve_p3
 from .errors import (
     ArgumentError,
     ConvergenceError,
@@ -474,13 +474,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON [i, j] pose-id pairs overriding the odometry convention",
     )
 
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="master random seed")
+
     solver = argparse.ArgumentParser(add_help=False)
-    solver.add_argument("--seed", type=int, default=0, help="master random seed")
     solver.add_argument(
-        "--tolerance", type=float, default=1e-7,
+        "--tolerance", type=float, default=DEFAULT_TOLERANCE,
         help="relaxation stop: KKT residual, or Frank-Wolfe gap relative to its start",
     )
-    solver.add_argument("--max-iters", type=int, default=5000, help="solver iteration cap")
+    solver.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS, help="solver iteration cap")
 
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--output", help="write the artifact here instead of stdout")
@@ -495,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("synthesize", parents=[source, solver, out], help="select edges")
+    p = sub.add_parser("synthesize", parents=[source, seeded, solver, out], help="select edges")
     p.add_argument(
         "--algorithm",
         choices=["greedy", "convex", "exhaustive", "all"],
@@ -513,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", parents=[source, out], help="inspect a graph or dataset")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("bench", parents=[source, solver, out], help="sweep tables")
+    p = sub.add_parser("bench", parents=[source, seeded, solver, out], help="sweep tables")
     p.add_argument("--n", type=int)
     p.add_argument("--m-init", type=int, dest="m_init")
     p.add_argument("--mode", choices=["complement", "sampled"], default="complement")

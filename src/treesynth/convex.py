@@ -39,7 +39,7 @@ from .graphs import (
     ReducedLaplacian,
     build_reduced_laplacian,
 )
-from .greedy import SelectionResult, gain_function, subset_log_dets
+from .greedy import SelectionResult, gain_function
 
 ARMIJO_SIGMA = 1e-4
 BACKTRACK_SHRINK = 0.5
@@ -254,7 +254,7 @@ class _Objective:
     """Channel-combined log det L(pi) minus lam * sum(pi); lam = 0 is P2.
 
     Calls return the part of f that depends on pi, evaluated on each
-    channel's candidate kernel (treeconn.SubsetLogDet); ``offset``, the
+    channel's kernel (EdgeSelectionInstance.kernels); ``offset``, the
     base graphs' sum mult * log_det0, completes f. Scaling every weight
     by a power of two leaves the kernels' Z, and so every returned bit,
     unchanged. P3 keeps pi >= 0, so its L1 penalty is this linear term.
@@ -263,7 +263,7 @@ class _Objective:
     def __init__(self, inst: EdgeSelectionInstance, lam: float = 0.0):
         if inst.direction != DIRECTION_ADD:
             raise ArgumentError("the relaxation expects an addition instance; reduce removals first")
-        self.kernels = subset_log_dets(inst)
+        self.kernels = inst.kernels
         self.lam = lam
         self.offset = sum(mult * kernel.log_det0 for mult, kernel in self.kernels)
 
@@ -465,10 +465,10 @@ def round_randomized(
 
     A trial that keeps the candidate set S has, by the matrix determinant
     lemma, det L(S) = det L0 * det(I + Z_S^T Z_S) per channel
-    (treeconn.SubsetLogDet). Trials that keep equally many candidates
-    share one stacked determinant call, so a trial's counts do not depend
-    on the other trials drawn with it. Memory is O(order * c) for Z plus
-    LEMMA_BATCH_BYTES per batch of trials.
+    (the instance's kernels, treeconn.SubsetLogDet). Trials that keep
+    equally many candidates share one stacked determinant call, so a
+    trial's counts do not depend on the other trials drawn with it.
+    Memory is the instance's Z plus LEMMA_BATCH_BYTES per batch of trials.
     """
     pi = _validate_pi(pi, inst.num_candidates)
     trials = int(trials)
@@ -477,7 +477,7 @@ def round_randomized(
     if inst.direction != DIRECTION_ADD:
         raise ArgumentError("randomized rounding expects an addition instance; reduce removals first")
     c = inst.num_candidates
-    lemmas = subset_log_dets(inst)
+    lemmas = inst.kernels
 
     num_selected = np.zeros(trials, dtype=int)
     log_counts = np.zeros((trials, len(lemmas)))

@@ -366,6 +366,8 @@ class EdgeSelectionInstance:
                 f"got {self.objective!r}"
             )
         n = _as_vertex(self.n)
+        if n < 2:
+            raise ArgumentError(f"instances need at least 2 vertices, got n={n}")
         arity = 3 if self.objective == OBJECTIVE_SINGLE else 4
 
         def check(e: tuple, what: str) -> tuple:
@@ -455,6 +457,22 @@ class EdgeSelectionInstance:
     @cached_property
     def candidate_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((e[0], e[1]) for e in self.candidates)
+
+    @cached_property
+    def kernels(self) -> tuple:
+        """(multiplier, treeconn.SubsetLogDet over all candidates) per channel.
+
+        The one candidate kernel that greedy, the relaxation, both roundings
+        and exhaustive search read, built on first use and held for the
+        instance's lifetime: order * c floats per channel (Z), plus c^2 (G)
+        once the relaxation has run with c <= order, plus the last
+        selector's factor, at most min(c, order)^2.
+        """
+        from .treeconn import SubsetLogDet  # treeconn imports this module
+
+        return tuple((mult, SubsetLogDet(build_reduced_laplacian(self.base_graph(ch)),
+                                         self.candidate_pairs, self.candidate_weights(ch)))
+                     for ch, mult in self.channels)
 
     def candidate_weights(self, channel: str | None = None) -> np.ndarray:
         w = np.array([_edge_weight(e, channel) for e in self.candidates])

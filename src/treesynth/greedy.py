@@ -4,15 +4,14 @@ The gain of adding a candidate subset, tree-connectivity of the base
 plus the subset minus that of the base alone, is normalized, monotone
 and submodular, so the classic greedy sweep earns the 1 - 1/e factor.
 Each greedy round reads every candidate's gain off effective resistances
-that a Sherman-Morrison (Woodbury) update keeps current: the candidates'
-incidence columns are whitened once by the base Cholesky factor, and a
-commit costs O(order * c + c * t) in round t, with no solve.
+that a Sherman-Morrison (Woodbury) update keeps current from each
+channel's whitened, weighted incidence Z = C^-1 A diag(sqrt(w)) in the
+instance's kernels: a commit costs O(order * c + c * t) in round t, no solve.
 
-Exhaustive search scores k-subsets on the same whitened columns, a
-stacked determinant-lemma batch at a time, so its memory is a fixed
-byte budget rather than C(c, k); the near-ties of the best are then
-re-scored from scratch, which keeps the lexicographic tie rule and a
-from-scratch tau.
+Exhaustive search scores k-subsets on the same kernels, a stacked
+determinant-lemma batch at a time, so its memory is a fixed byte budget
+rather than C(c, k); the near-ties of the best are then re-scored from
+scratch, which keeps the lexicographic tie rule and a from-scratch tau.
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ArgumentError, InfeasibleError, SizeGuardError
-from .graphs import DIRECTION_ADD, EdgeSelectionInstance, build_reduced_laplacian
-from .treeconn import SubsetLogDet, tree_connectivity, whitened_incidence
+from .graphs import DIRECTION_ADD, EdgeSelectionInstance
+from .treeconn import tree_connectivity
 
 # exhaustive_select refuses to walk more subsets than this
 EXHAUSTIVE_MAX_SUBSETS = 10**6
@@ -172,12 +171,9 @@ def _greedy_run(
     ).reshape(c, 2 + len(inst.channels))
     _, first, col = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     col = col.reshape(-1)
-    kernels = []
-    for ch, mult in inst.channels:
-        Y = whitened_incidence(
-            build_reduced_laplacian(inst.base_graph(ch)), [pairs[i] for i in first]
-        )
-        kernels.append((mult, inst.candidate_weights(ch), Y, np.einsum("ij,ij->j", Y, Y)))
+    # per channel: the kernel's Z rows of the distinct candidates and their
+    # current w * resistance, which the commits below keep up to date
+    kernels = [(mult, kern.Zt[first], kern.gram_diag[first]) for mult, kern in inst.kernels]
     # rows t of U[j] are the low-rank factor of channel j; grown by doubling
     U = np.empty((len(kernels), min(budget, 16), len(first)))
 
@@ -189,27 +185,21 @@ def _greedy_run(
     for t in range(budget):
         if stop_threshold is not None and gained >= stop_threshold:
             break
-        gains = np.zeros(c)
-        scores = []
-        for mult, w, _, resist in kernels:
-            s = w * resist[col]
-            scores.append(s)
-            gains += mult * np.log1p(s)
+        scores = [resist[col] for _, _, resist in kernels]
+        gains = sum(mult * np.log1p(s) for (mult, _, _), s in zip(kernels, scores))
         gains[~available] = -np.inf
         idx = int(np.argmax(gains))  # first max wins, lowest index on ties
         available[idx] = False
         e = col[idx]
         if t == U.shape[1]:
             U = np.concatenate((U, np.empty_like(U)), axis=1)
-        for (_, w, Y, resist), Uj in zip(kernels, U):
-            # column e of the current Gram matrix Y^T Y - U^T U (Sherman-Morrison)
-            g = Y.T @ Y[:, e] - Uj[:t].T @ Uj[:t, e]
-            Uj[t] = g * math.sqrt(w[idx] / (1.0 + w[idx] * g[e]))
+        for (_, Zt, resist), Uj in zip(kernels, U):
+            # column e of the current Gram matrix Z^T Z - U^T U (Sherman-Morrison)
+            g = Zt @ Zt[e] - Uj[:t].T @ Uj[:t, e]
+            Uj[t] = g / math.sqrt(1.0 + g[e])
             resist -= Uj[t] ** 2
-        if len(kernels) == 1:
-            step_score: float | tuple[float, float] = float(scores[0][idx])
-        else:
-            step_score = (float(scores[0][idx]), float(scores[1][idx]))
+        step_score = tuple(float(s[idx]) for s in scores)
+        step_score = step_score[0] if len(step_score) == 1 else step_score
         selected.append(idx)
         trace.append(TraceStep(idx, *pairs[idx], step_score, float(gains[idx])))
         gained += float(gains[idx])
@@ -228,11 +218,11 @@ def greedy_select(inst: EdgeSelectionInstance) -> SelectionResult:
     """k rounds of greedy candidate selection.
 
     Each round picks the remaining candidate with the largest exact gain
-    (ties to the lowest index) and commits it. The gains come from one
-    whitened incidence matrix Y per channel: committing an edge appends
-    a row to a low-rank factor whose squared column norms come off the
-    resistances, so no round solves or refactorizes anything. Memory is
-    O(order * c + c * k).
+    (ties to the lowest index) and commits it. The gains come from the
+    instance's whitened, weighted incidence Z per channel: committing an
+    edge appends a row to a low-rank factor whose squared column norms
+    come off the weighted resistances, so no round solves or refactorizes
+    anything. Memory is O(order * c + c * k).
     """
     if inst.direction != DIRECTION_ADD:
         raise ArgumentError("greedy_select expects an addition instance; reduce removals first")
@@ -262,15 +252,6 @@ def greedy_to_threshold(inst: EdgeSelectionInstance, tau_min: float) -> Selectio
     return _greedy_run(inst, budget=inst.num_candidates, stop_threshold=tau_min)
 
 
-def subset_log_dets(inst: EdgeSelectionInstance) -> list[tuple[float, SubsetLogDet]]:
-    """(channel multiplier, SubsetLogDet over all candidates) per channel."""
-    return [
-        (mult, SubsetLogDet(build_reduced_laplacian(inst.base_graph(ch)),
-                            inst.candidate_pairs, inst.candidate_weights(ch)))
-        for ch, mult in inst.channels
-    ]
-
-
 def exhaustive_fits(inst: EdgeSelectionInstance) -> bool:
     """Whether exhaustive search accepts the instance: C(c, k) <= 10^6."""
     return math.comb(inst.num_candidates, inst.k) <= EXHAUSTIVE_MAX_SUBSETS
@@ -279,9 +260,9 @@ def exhaustive_fits(inst: EdgeSelectionInstance) -> bool:
 def exhaustive_select(inst: EdgeSelectionInstance) -> SelectionResult:
     """Optimal selection by trying every k-subset. Small instances only.
 
-    Memory is LEMMA_BATCH_BYTES plus the shortlist of near-ties. Ties
-    keep the lexicographically smallest index subset, and tau_achieved
-    is the from-scratch objective. Guarded to at most 10^6 subsets.
+    Memory is the instance's kernels, LEMMA_BATCH_BYTES and the near-tie
+    shortlist. Ties keep the lexicographically smallest index subset, and
+    tau_achieved is the from-scratch objective. Guarded to 10^6 subsets.
     """
     if inst.direction != DIRECTION_ADD:
         raise ArgumentError("exhaustive_select expects an addition instance; reduce removals first")
@@ -293,8 +274,7 @@ def exhaustive_select(inst: EdgeSelectionInstance) -> SelectionResult:
         )
     start = time.perf_counter()
     fn = gain_function(inst)
-    # one subset needs no scoring (and n = 1 has no reduced Laplacian)
-    shortlist = _exhaustive_shortlist(inst) if math.comb(c, k) > 1 else [tuple(range(k))]
+    shortlist = _exhaustive_shortlist(inst)
     # max keeps the first of equal values, the lexicographically smallest
     best_val, best = max(((fn.absolute(s), s) for s in shortlist), key=lambda vs: vs[0])
     return SelectionResult(
@@ -313,7 +293,7 @@ def _exhaustive_shortlist(inst: EdgeSelectionInstance) -> list[tuple[int, ...]]:
     Ties are relative to the size of the summed terms, which bounds the
     rounding of both the batched and the from-scratch evaluation.
     """
-    lemmas, k = subset_log_dets(inst), inst.k
+    lemmas, k = inst.kernels, inst.k
     scale = 1.0 + sum(abs(mult * lemma.log_det0) for mult, lemma in lemmas)
 
     def floor(top: float) -> float:

@@ -16,6 +16,7 @@ from treesynth import (
     tree_connectivity,
 )
 from treesynth.cli import main
+from treesynth.convex import DEFAULT_MAX_ITERS, DEFAULT_TOLERANCE
 
 from conftest import random_add_instance, slam_instance
 
@@ -291,6 +292,25 @@ def test_exit_code_both_sources(tmp_path, inst_path, mini_g2o):
 
 def test_exit_code_budget_out_of_range(mini_g2o):
     assert run("synthesize", "--g2o", str(mini_g2o), "--k", "99") == 2
+
+
+def test_exit_code_one_vertex_instance(tmp_path):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"n": 1, "base_edges": [], "candidates": [], "k": 0,
+                                "direction": "add", "objective": "single-weight"}))
+    assert run("synthesize", "--instance", str(path)) == 3
+
+
+def test_exit_code_certify_takes_no_seed(inst_path):
+    # certify is deterministic; only synthesize and bench take a seed
+    assert run("certify", "--instance", str(inst_path), "--seed", "1") == 2
+
+
+def test_solver_option_defaults_are_the_library_defaults():
+    for command in ("synthesize", "certify", "bench"):
+        args = cli.build_parser().parse_args([command])
+        assert args.tolerance == DEFAULT_TOLERANCE
+        assert args.max_iters == DEFAULT_MAX_ITERS
 
 
 def test_exit_code_unknown_subcommand(capsys):

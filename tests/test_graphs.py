@@ -204,6 +204,16 @@ def test_instance_validation_basics():
         EdgeSelectionInstance(3, base, cands, 1, objective="triple")
 
 
+def test_instance_needs_two_vertices(tmp_path):
+    # every solver needs a reduced Laplacian, so n = 1 is refused up front
+    with pytest.raises(ArgumentError, match="at least 2 vertices"):
+        EdgeSelectionInstance(1, (), (), 0)
+    doc = {"n": 1, "base_edges": [], "candidates": [], "k": 0,
+           "direction": "add", "objective": "single-weight"}
+    with pytest.raises(DataError, match="at least 2 vertices"):
+        instance_from_json_dict(doc)
+
+
 def test_instance_requires_connected_base():
     with pytest.raises(DataError):
         EdgeSelectionInstance(4, ((1, 2, 1.0), (3, 4, 1.0)), ((2, 3, 1.0),), 1)

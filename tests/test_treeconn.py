@@ -17,7 +17,6 @@ from treesynth import (
     tree_connectivity,
     tree_connectivity_spectral,
 )
-from treesynth.greedy import subset_log_dets
 from conftest import (
     direct_log_det_and_grad,
     random_add_instance,
@@ -154,7 +153,7 @@ def test_selector_kernel_matches_direct_evaluation():
         few = np.zeros(c)
         few[rng.permutation(c)[: min(c, order) - 1]] = 0.5
         for pi in (np.zeros(c), np.ones(c), rng.uniform(0.05, 1.0, size=c), mixed, few):
-            for (channel, _), (_, kernel) in zip(inst.channels, subset_log_dets(inst)):
+            for (channel, _), (_, kernel) in zip(inst.channels, inst.kernels):
                 value, grad = kernel.log_det_and_grad(pi)
                 assert value == kernel.log_det(pi)
                 ref_value, ref_grad = direct_log_det_and_grad(inst, pi, channel)
