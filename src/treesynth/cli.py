@@ -433,7 +433,7 @@ def cmd_bench(args) -> int:
                 raise ArgumentError(
                     f"sweep point k={kk} exceeds the {base_inst.num_candidates} candidates"
                 )
-            inst = dataclasses.replace(base_inst, k=kk)
+            inst = base_inst.with_budget(kk)
             rows.append(_bench_row(inst, "k", kk, args))
     else:
         values = _parse_sweep(args.m_init_sweep, "--m-init-sweep")

@@ -7,8 +7,11 @@ log det L(pi) is concave and the budgeted relaxation
     maximize log det L(pi)  subject to  sum pi = k, 0 <= pi <= 1
 
 is solved by projected-gradient ascent with an Armijo backtracking
-line search whose first trial is the Barzilai-Borwein step fitted to
-the last move, clipped to [BB_STEP_MIN, BB_STEP_MAX]. The objective and
+line search. Once the support of pi has settled, its first trial is the
+projected Newton step on the free selectors, whose Hessian
+-(W_FF o W_FF) is read off the gradient's triangular solve; otherwise,
+or when that trial fails, it is the Barzilai-Borwein step fitted to the
+last move, clipped to [BB_STEP_MIN, BB_STEP_MAX]. The objective and
 gradient come from the matrix determinant lemma on each channel's
 candidate Gram matrix, restricted to the support of pi
 (treeconn.SubsetLogDet): O(s^3 + s^2 c) per iteration for s nonzero
@@ -31,6 +34,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ArgumentError, ConvergenceError
 from .graphs import (
@@ -64,6 +68,8 @@ class RelaxedSolution:
     never decreases; its last entry is f(pi). stop_reason is "residual"
     or "gap" (see _projected_ascent); the best iterate carried by a
     ConvergenceError says "iteration cap" or "line search stalled".
+    newton_steps counts the iterations that took the Newton trial; like
+    the fields after kkt_residual, it stays out of to_dict().
     """
 
     pi: np.ndarray
@@ -73,6 +79,7 @@ class RelaxedSolution:
     objective_curve: tuple[float, ...]
     fw_gap: float
     stop_reason: str
+    newton_steps: int
 
     def __post_init__(self) -> None:
         pi = np.array(self.pi, dtype=float)
@@ -176,17 +183,30 @@ def project_capped_simplex(v, k: float) -> np.ndarray:
     return x
 
 
-def _projected_ascent(objective, project, fw_gap, start, tolerance, max_iters, make_best):
+def _projected_ascent(objective, project, fw_gap, newton, start, tolerance, max_iters, make_best):
     """Shared ascent loop: Armijo backtracking along the projection arc.
 
-    The first trial of each iteration is P(pi + alpha * grad) with the
-    Barzilai-Borwein step alpha = s.s / s.y of the last accepted move,
-    s = pi_new - pi_old and y = grad_old - grad_new (Barzilai and
-    Borwein, IMA J. Numer. Anal. 1988; projected as SPG by Birgin,
-    Martinez and Raydan, SIAM J. Optim. 2000). f is concave, so s.y >= 0;
-    alpha is clipped to [BB_STEP_MIN, BB_STEP_MAX], and s.y <= 0, which
-    only rounding can cause, takes BB_STEP_MAX. Iteration 0 tries the
-    unit step. A rejected trial halves the step.
+    Once the support of pi is the one of the previous accepted iterate,
+    the first trial is the projected Newton point (Bertsekas, SIAM J.
+    Control Optim. 1982): pi with its free block pi_F, F = {0 < pi < 1},
+    replaced by ``newton(solve, grad_F, pi_F)``, where solve applies Q^-1
+    for Q = -Hessian_FF, which the objective builds from the gradient's
+    solve when it is asked for F's block. That is the Newton step on
+    F projected onto F's own face, so the selectors at 0 and 1 keep their
+    exact values: the projection of the whole vector would lift every
+    zero to about 1e-16 whenever the rounding of the step's sum makes its
+    shift negative, and the support would jump to all c. The Newton trial
+    is skipped when F has fewer than 2 entries or Q is singular
+    (_newton_point), and a rejected one falls through to the
+    Barzilai-Borwein trials.
+    Those start at P(pi + alpha * grad) with the Barzilai-Borwein step
+    alpha = s.s / s.y of the last accepted move, s = pi_new - pi_old and
+    y = grad_old - grad_new (Barzilai and Borwein, IMA J. Numer. Anal.
+    1988; projected as SPG by Birgin, Martinez and Raydan, SIAM J. Optim.
+    2000). f is concave, so s.y >= 0; alpha is clipped to [BB_STEP_MIN,
+    BB_STEP_MAX], and s.y <= 0, which only rounding can cause, takes
+    BB_STEP_MAX. Iteration 0 tries the unit step. A rejected trial halves
+    the step. Every trial, Newton or not, passes the same Armijo test.
 
     Accepted steps never decrease the objective (the projection
     inequality makes the directional derivative nonnegative), so the
@@ -196,58 +216,86 @@ def _projected_ascent(objective, project, fw_gap, start, tolerance, max_iters, m
     most tolerance * max(1, gap0), gap0 being the gap at the start
     ("gap"). The gap threshold is relative to gap0 and not to |f|:
     scaling every weight by s shifts log det by order * log s but leaves
-    the gradient, and with it the gap, unchanged. For the same reason the
-    Armijo test compares only the part of f that depends on pi; the
-    constant ``objective.offset`` is added when f is recorded, which
-    keeps the curve monotone.
+    the gradient, and with it the gap and Q, unchanged. For the same
+    reason the Armijo test compares only the part of f that depends on
+    pi; the constant ``objective.offset`` is added when f is recorded,
+    which keeps the curve monotone.
     Non-convergence raises ConvergenceError carrying the best iterate
     via ``make_best``. Returns, as make_best takes them, (pi, f(pi),
-    grad, iterations, residual, curve, gap, stop reason).
+    grad, iterations, residual, curve, gap, stop reason, accepted Newton
+    trials).
     """
     pi = project(np.asarray(start, dtype=float).reshape(-1))
     value, grad = objective(pi)
     curve = [objective.offset + value]
-    iterations = 0
+    iterations = newton_steps = 0
     threshold = tolerance * max(1.0, fw_gap(grad, pi))
     alpha = 1.0
+    Q = None  # the free block's -Hessian once the support has settled
+
+    def accepts(cand):
+        gd = float(grad @ (cand - pi))
+        # objective only here; the gradient is computed on acceptance
+        cand_value = objective.value_only(cand)
+        return gd > 0.0 and cand_value >= value + ARMIJO_SIGMA * gd
+
     while True:
         residual = float(np.max(np.abs(pi - project(pi + grad)))) if pi.size else 0.0
         gap = fw_gap(grad, pi)
+        state = (pi, curve[-1], grad, iterations, residual, tuple(curve), gap)
         if residual <= tolerance:
-            return pi, curve[-1], grad, iterations, residual, tuple(curve), gap, "residual"
+            return (*state, "residual", newton_steps)
         if gap <= threshold:
-            return pi, curve[-1], grad, iterations, residual, tuple(curve), gap, "gap"
+            return (*state, "gap", newton_steps)
         if iterations >= max_iters:
             raise ConvergenceError(
                 f"projected gradient did not reach tolerance {tolerance} in "
                 f"{max_iters} iterations (residual {residual:.3e})",
-                best=make_best(pi, curve[-1], grad, iterations, residual, tuple(curve),
-                               gap, "iteration cap"),
+                best=make_best(*state, "iteration cap", newton_steps),
             )
+        cand = None
+        if Q is not None:
+            trial = _newton_point(Q, free, newton, pi, grad)
+            if trial is not None and accepts(trial):
+                cand = trial
+                newton_steps += 1
         t = 1.0
-        while True:
-            cand = project(pi + (t * alpha) * grad)
-            gd = float(grad @ (cand - pi))
-            # objective only here; the gradient is computed on acceptance
-            cand_value = objective.value_only(cand)
-            if gd > 0.0 and cand_value >= value + ARMIJO_SIGMA * gd:
+        while cand is None:
+            trial = project(pi + (t * alpha) * grad)
+            if accepts(trial):
+                cand = trial
                 break
             t *= BACKTRACK_SHRINK
             if t < 1e-18:
                 raise ConvergenceError(
                     "line search stalled before reaching tolerance "
                     f"(residual {residual:.3e})",
-                    best=make_best(pi, curve[-1], grad, iterations, residual, tuple(curve),
-                                   gap, "line search stalled"),
+                    best=make_best(*state, "line search stalled", newton_steps),
                 )
         s = cand - pi
         old_grad = grad
+        free = np.flatnonzero((cand > 0.0) & (cand < 1.0))
+        settled = free.size >= 2 and np.array_equal(cand > 0.0, pi > 0.0)
         pi = cand
-        value, grad = objective(pi)
+        value, grad, Q = objective(pi, free) if settled else (*objective(pi), None)
         sy = float(s @ (old_grad - grad))
         alpha = min(max(float(s @ s) / sy, BB_STEP_MIN), BB_STEP_MAX) if sy > 0.0 else BB_STEP_MAX
         curve.append(objective.offset + value)
         iterations += 1
+
+
+def _newton_point(Q, free, newton, pi, grad):
+    """The Newton trial point on pi's free set ``free``, Q = -Hessian_FF, or None.
+
+    None when Q has no Cholesky factor, or one with a pivot at rounding
+    level: exact duplicate candidates in F make Q singular.
+    """
+    R, info = dpotrf(Q, lower=1, clean=0)
+    if info or np.diag(R).min() ** 2 <= free.size * np.finfo(float).eps * np.diag(Q).max():
+        return None
+    point = pi.copy()
+    point[free] = newton(lambda b: dpotrs(R, b, lower=1)[0], grad[free], pi[free])
+    return point
 
 
 class _Objective:
@@ -267,14 +315,23 @@ class _Objective:
         self.lam = lam
         self.offset = sum(mult * kernel.log_det0 for mult, kernel in self.kernels)
 
-    def __call__(self, pi):
+    def __call__(self, pi, free=None):
+        """(value, grad); with ``free``, also Q = -Hessian_FF = sum mult * W_FF o W_FF.
+
+        Q is positive semidefinite by the Schur product theorem, and the
+        penalty, linear, adds nothing to it.
+        """
         value = 0.0
         grad = np.zeros(pi.size)
+        Q = 0.0
         for mult, kernel in self.kernels:
-            v, g = kernel.log_det_and_grad(pi)
+            v, g, *W = kernel.log_det_and_grad(pi, free)
             value += mult * v
             grad += mult * g
-        return value - self.lam * float(pi.sum()), grad - self.lam
+            if W:
+                Q = Q + mult * W[0] ** 2
+        out = (value - self.lam * float(pi.sum()), grad - self.lam)
+        return out if free is None else (*out, Q)
 
     def value_only(self, pi):
         value = sum(mult * kernel.log_det(pi) for mult, kernel in self.kernels)
@@ -324,9 +381,15 @@ def solve_p2(
         top = np.partition(grad, c - k)[c - k:].sum() if k else 0.0
         return max(0.0, float(top - grad @ p))
 
-    def as_solution(p, val, grad, it, res, cur, gap, reason):
+    def budget_newton(solve, g, p):
+        # maximize g.d - d.Q.d / 2 subject to sum d = 0: d = a - (sum a / sum b) b;
+        # the face keeps the free block's sum
+        a, b = solve(np.column_stack((g, np.ones_like(g)))).T
+        return project_capped_simplex(p + a - (a.sum() / b.sum()) * b, p.sum())
+
+    def as_solution(p, val, grad, it, res, cur, gap, reason, newton_steps):
         tau = val + gap + _fp_allowance(inst.n - 1, val, objective)
-        return RelaxedSolution(p, tau, it, res, cur, gap, reason)
+        return RelaxedSolution(p, tau, it, res, cur, gap, reason, newton_steps)
 
     if start is None:
         start = np.full(c, k / c if c else 0.0)
@@ -334,6 +397,7 @@ def solve_p2(
         objective,
         lambda v: project_capped_simplex(v, k),
         budget_gap,
+        budget_newton,
         start,
         float(tolerance),
         int(max_iters),
@@ -366,9 +430,9 @@ def solve_p3(
     def box_gap(grad, p):
         return max(0.0, float(np.maximum(grad, 0.0).sum() - grad @ p))
 
-    def as_solution(p, val, grad, it, res, cur, gap, reason):
+    def as_solution(p, val, grad, it, res, cur, gap, reason, newton_steps):
         tau = objective.offset + sum(mult * kern.log_det(p) for mult, kern in objective.kernels)
-        return RelaxedSolution(p, tau, it, res, cur, gap, reason)
+        return RelaxedSolution(p, tau, it, res, cur, gap, reason, newton_steps)
 
     if start is None:
         start = np.full(c, 0.5)
@@ -376,6 +440,7 @@ def solve_p3(
         objective,
         lambda v: np.clip(v, 0.0, 1.0),
         box_gap,
+        lambda solve, g, p: np.clip(p + solve(g), 0.0, 1.0),
         start,
         float(tolerance),
         int(max_iters),

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -466,13 +466,26 @@ class EdgeSelectionInstance:
         and exhaustive search read, built on first use and held for the
         instance's lifetime: order * c floats per channel (Z), plus c^2 (G)
         once the relaxation has run with c <= order, plus the last
-        selector's factor, at most min(c, order)^2.
+        selector's factor, at most min(c, order)^2. While the relaxation
+        runs, each gradient also holds its solve X, s * c for s nonzero
+        selectors (order * c when s > order), until it returns, and the
+        Newton trial the free block's Hessian, |F|^2; the kernel keeps
+        neither.
         """
         from .treeconn import SubsetLogDet  # treeconn imports this module
 
         return tuple((mult, SubsetLogDet(build_reduced_laplacian(self.base_graph(ch)),
                                          self.candidate_pairs, self.candidate_weights(ch)))
                      for ch, mult in self.channels)
+
+    def with_budget(self, k: int) -> EdgeSelectionInstance:
+        """The instance with budget k, sharing this one's kernels (built here if new).
+
+        The kernels do not depend on k, so a budget sweep builds them once.
+        """
+        inst = replace(self, k=k)
+        inst.__dict__["kernels"] = self.kernels
+        return inst
 
     def candidate_weights(self, channel: str | None = None) -> np.ndarray:
         w = np.array([_edge_weight(e, channel) for e in self.candidates])

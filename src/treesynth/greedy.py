@@ -98,7 +98,8 @@ class GainFunction:
 
     Calling it with an index subset rebuilds the augmented graph from
     scratch, so it is the slow, trustworthy evaluation the fast greedy
-    path is checked against. Empty subsets return exactly 0.
+    path is checked against. Empty subsets return exactly 0. The
+    baselines, each channel's base tau, are read off the instance's kernels.
     """
 
     instance: EdgeSelectionInstance
@@ -148,10 +149,8 @@ def gain_function(inst: EdgeSelectionInstance) -> GainFunction:
             "gain functions are defined for addition instances; "
             "reduce removal instances first"
         )
-    baselines = tuple(
-        tree_connectivity(inst.base_graph(channel)).tau for channel, _ in inst.channels
-    )
-    return GainFunction(inst, baselines)
+    # each kernel's log_det0 is the base graph's tau, the from-scratch bits
+    return GainFunction(inst, tuple(kernel.log_det0 for _, kernel in inst.kernels))
 
 
 def _greedy_run(

@@ -149,6 +149,9 @@ class SubsetLogDet:
     = log_det0 + log det(I + r G_SS r), G = Z^T Z the candidate Gram
     matrix, or the order x order side if smaller: O(s^3 + s^2 c) per
     evaluation. G is kept only when c <= order, so it is no larger than Z.
+    The gradient's triangular solve X, s x c (order x c on the order
+    side), also gives the Hessian block of any free set F at |F|^2 s extra
+    flops; it is dropped when the call returns.
     """
 
     def __init__(self, L: ReducedLaplacian, pairs, weights):
@@ -206,20 +209,34 @@ class SubsetLogDet:
         """log det L(pi) - log_det0, which power-of-2 weight scaling leaves exact."""
         return float(2.0 * np.sum(np.log(np.diag(self.factor(pi)[2]))))
 
-    def log_det_and_grad(self, pi: np.ndarray) -> tuple[float, np.ndarray]:
-        """log_det(pi) and its gradient w_i a_i^T L(pi)^{-1} a_i.
+    def log_det_and_grad(self, pi: np.ndarray, free: np.ndarray | None = None) -> tuple:
+        """log_det(pi) and its gradient w_i a_i^T L(pi)^{-1} a_i; with ``free``, W_FF too.
 
-        Column-wise, that is diag(G) - |R^{-1} r G_S|^2 (Woodbury) on the
-        s x s form and |R^{-1} Z|^2 on the order x order one.
+        Column-wise, the gradient is diag(G) - |R^{-1} r G_S|^2 (Woodbury)
+        on the s x s form and |R^{-1} Z|^2 on the order x order one. W =
+        Z^T (I + Z diag(pi) Z^T)^{-1} Z, W_ij = sqrt(w_i w_j) a_i^T L(pi)^{-1}
+        a_j, is the whitened Hessian: d^2 log det L(pi) / dpi_i dpi_j =
+        -W_ij^2. With the same solve X, W_FF = G_FF - X_F^T X_F on the
+        s x s form and X_F^T X_F on the order side, returned third.
         """
         S, r, R = self.factor(pi)
         value = float(2.0 * np.sum(np.log(np.diag(R))))
-        if S.size > self.Zt.shape[1]:
+        order_side = S.size > self.Zt.shape[1]
+        if order_side:
             X = solve_triangular(R, self.Zt.T, lower=True, check_finite=False)
-            return value, np.einsum("ij,ij->j", X, X)
-        B = (self.Zt[S] @ self.Zt.T if self.gram is None else self.gram[S]) * r[:, None]
-        X = solve_triangular(R, B, lower=True, check_finite=False)
-        return value, self.gram_diag - np.einsum("ij,ij->j", X, X)
+            grad = np.einsum("ij,ij->j", X, X)
+        else:
+            B = (self.Zt[S] @ self.Zt.T if self.gram is None else self.gram[S]) * r[:, None]
+            X = solve_triangular(R, B, lower=True, check_finite=False)
+            grad = self.gram_diag - np.einsum("ij,ij->j", X, X)
+        if free is None:
+            return value, grad
+        XF = X[:, free]
+        W = XF.T @ XF
+        if not order_side:
+            ZF = self.Zt[free]
+            W = (ZF @ ZF.T if self.gram is None else self.gram[np.ix_(free, free)]) - W
+        return value, grad, W
 
 
 @dataclass(frozen=True)

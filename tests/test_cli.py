@@ -257,6 +257,25 @@ def test_bench_timings_fill_columns(tmp_path):
     assert all(not r.endswith(",,,") for r in rows)
 
 
+def test_bench_k_sweep_builds_one_kernel_per_channel(monkeypatch, mini_g2o, capsys):
+    from treesynth import treeconn
+
+    built = []
+    whitened = treeconn.whitened_incidence
+    monkeypatch.setattr(
+        treeconn, "whitened_incidence", lambda L, pairs: built.append(1) or whitened(L, pairs))
+    sweeps = (
+        (("--n", "12", "--m-init", "14", "--c", "10", "--mode", "sampled"), "1:5", 1),
+        (("--g2o", str(mini_g2o)), "1:3", 2),  # slam-double, 3 candidates
+    )
+    for source, sweep, channels in sweeps:
+        built.clear()
+        assert run("bench", *source, "--k-sweep", sweep) == 0
+        # the candidate kernel does not depend on k
+        assert len(built) == channels
+    assert len(capsys.readouterr().out.splitlines()) == 6 + 4
+
+
 def test_bench_m_init_sweep_json(tmp_path):
     out = tmp_path / "m.json"
     assert run(

@@ -318,7 +318,7 @@ def test_solver_projects_each_step_once(monkeypatch):
         backtracked = len(trials) - sol.iterations
         # the start, one residual check per iteration plus the final
         # one, and one per line-search trial: the first trial is the
-        # Barzilai-Borwein step, not the residual's unit step
+        # Newton or the Barzilai-Borwein step, not the residual's unit step
         assert len(projections) == 1 + (sol.iterations + 1) + len(trials)
         backtracks += backtracked
     assert backtracks > 0
@@ -387,7 +387,8 @@ def test_rounding_allowance_covers_the_kernel_against_direct_evaluation():
 
 
 def test_gap_stop_certifies_its_bound():
-    inst = path_with_chords(3)
+    # at k=3 the Newton trial reaches the residual tolerance first
+    inst = path_with_chords(5)
     c, k, order = inst.num_candidates, inst.k, inst.n - 1
     sol = solve_p2(inst)
     assert sol.stop_reason == "gap"
@@ -430,7 +431,8 @@ def test_convergence_error_carries_the_certified_bound(monkeypatch):
 
 def test_solver_converges_at_defaults_on_random_instances():
     # with the unit step as every first trial, some of these instances
-    # need hundreds of iterations; the Barzilai-Borwein trial needs tens
+    # need hundreds of iterations; the Barzilai-Borwein trial alone needs
+    # up to 14, and with the Newton trial on a settled support up to 8
     rng = np.random.default_rng(5)
     for i in range(100):
         n, c = int(rng.integers(8, 14)), int(rng.integers(4, 11))
@@ -439,8 +441,97 @@ def test_solver_converges_at_defaults_on_random_instances():
         if i % 2:
             inst = slam_instance(inst, rng)
         sol = solve_p2(inst)
-        assert sol.iterations <= 60
+        assert sol.iterations <= 12
         assert sol.tau_cvx_star >= exhaustive_select(inst).tau_achieved
+
+
+def test_newton_curvature_matches_central_differences():
+    # Q = -Hessian of f over the free selectors, against central
+    # differences of the gradient
+    rng = np.random.default_rng(14)
+    narrow = random_add_instance(rng, 14, 20, 8, 3)  # c = 8 <= order = 13: G kept
+    wide = random_instance(7, 6, "complement", (1.0, 3.0), seed=2, k=3)  # c = 15 > 6
+    forms = set()
+    for inst in (narrow, wide, slam_instance(narrow, rng), slam_instance(wide, rng)):
+        c, order = inst.num_candidates, inst.n - 1
+        for s in (min(c, order) - 1, c):
+            support = rng.permutation(c)[:s]
+            pi = np.zeros(c)
+            pi[support] = rng.uniform(0.2, 0.8, size=s)
+            pi[support[0]] = 1.0  # in the support, not free
+            free = np.flatnonzero((pi > 0.0) & (pi < 1.0))
+            objective = convex._Objective(inst)
+            value, grad, Q = objective(pi, free)
+            assert (value, grad.tolist()) == (objective(pi)[0], objective(pi)[1].tolist())
+            h = 1e-5
+            H = np.empty_like(Q)
+            for j, i in enumerate(free):
+                e = np.zeros(c)
+                e[i] = h
+                H[:, j] = (objective(pi + e)[1] - objective(pi - e)[1])[free] / (2 * h)
+            np.testing.assert_allclose(Q, -H, rtol=0, atol=1e-6 * np.abs(Q).max())
+            assert np.array_equal(Q, Q.T)
+            # the kernels last factored pi - e: pi's new factor gives the same bits
+            assert np.array_equal(objective(pi, free)[2], Q)
+            forms.add((c <= order, s > order))
+    # the s x s form with G kept and with its rows formed from Z, and the
+    # order x order form
+    assert forms == {(True, False), (False, False), (False, True)}
+
+
+def test_newton_falls_back_on_duplicate_free_candidates(monkeypatch):
+    # exact duplicates in the free set make Q singular: no Newton trial
+    points = []
+    newton_point = convex._newton_point
+
+    def record(Q, free, newton, pi, grad):
+        point = newton_point(Q, free, newton, pi, grad)
+        points.append((pi.copy(), point))
+        return point
+
+    monkeypatch.setattr(convex, "_newton_point", record)
+    rng = np.random.default_rng(3)
+    singular = 0
+    for i in range(8):
+        inst = random_add_instance(rng, 10, 13, 6, 3)
+        if i % 2:
+            inst = slam_instance(inst, rng)
+        # candidates 0 and 1 again, and candidate 2 reversed
+        dups = inst.candidates[:2] + tuple((v, u, *w) for u, v, *w in inst.candidates[2:3])
+        inst = EdgeSelectionInstance(inst.n, inst.base_edges, inst.candidates + dups, 4,
+                                     objective=inst.objective)
+        points.clear()
+        sol = solve_p2(inst)
+        assert sol.tau_cvx_star >= exhaustive_select(inst).tau_achieved
+        for pi, point in points:
+            free = (pi > 0.0) & (pi < 1.0)
+            if any(free[j] and free[6 + j] for j in range(3)):
+                assert point is None
+                singular += 1
+    assert singular > 0
+
+
+def test_newton_steps_keep_the_face_and_are_reported(monkeypatch):
+    trials = []
+    newton_point = convex._newton_point
+
+    def record(Q, free, newton, pi, grad):
+        trials.append((pi.copy(), newton_point(Q, free, newton, pi, grad)))
+        return trials[-1][1]
+
+    monkeypatch.setattr(convex, "_newton_point", record)
+    rng = np.random.default_rng(6)
+    cases = [(path_with_chords(8, n=60), None), (random_add_instance(rng, 60, 80, 60, 12), None),
+             (path_with_chords(n=60), 0.5)]
+    for inst, lam in cases:
+        trials.clear()
+        sol = solve_p2(inst) if lam is None else solve_p3(inst, lam)
+        assert 0 < sol.newton_steps <= sol.iterations
+        assert "newton_steps" not in sol.to_dict()
+        # the selectors at 0 and at 1 keep their exact values
+        for pi, trial in trials:
+            fixed = (pi == 0.0) | (pi == 1.0)
+            assert trial is not None and np.array_equal(trial[fixed], pi[fixed])
 
 
 def test_relaxation_upper_bounds_every_integral_point():
@@ -482,11 +573,12 @@ def test_penalty_rejects_negative_lambda():
 
 
 def test_penalized_solver_reports_the_box_gap():
-    inst = path_with_chords()
-    sol = solve_p3(inst, 1.0)
+    # at n=40 and lambda=1 the Newton trial reaches the residual tolerance first
+    inst, lam = path_with_chords(n=60), 0.5
+    sol = solve_p3(inst, lam)
     assert sol.stop_reason == "gap"
     _, grad = relaxed_objective_and_gradient(inst, sol.pi)
-    grad = grad - 1.0  # the penalized objective's gradient
+    grad = grad - lam  # the penalized objective's gradient
     gap = np.maximum(grad, 0.0).sum() - grad @ sol.pi
     assert 0.0 < sol.fw_gap == pytest.approx(gap, rel=1e-9)
 

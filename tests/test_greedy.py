@@ -33,6 +33,14 @@ def star_instance(k=2):
 # gain function
 
 
+def test_gain_baselines_are_the_base_graphs_tau_bit_for_bit():
+    rng = np.random.default_rng(17)
+    single = random_add_instance(rng, 10, 14, 8, 3)
+    for inst in (single, slam_instance(single, rng)):
+        assert gain_function(inst).baselines == tuple(
+            tree_connectivity(inst.base_graph(channel)).tau for channel, _ in inst.channels)
+
+
 def test_gain_of_empty_set_is_exactly_zero():
     fn = gain_function(star_instance())
     assert fn(()) == 0.0
@@ -375,8 +383,9 @@ def test_threshold_stop_builds_no_graph_per_round(monkeypatch):
             assert res.gain >= tau_min
             counts.append(len(calls))
         monkeypatch.undo()
-        # the baselines, the full-pool check and the final design: per channel
-        assert counts == [4 * len(inst.channels)] * 3
+        # the full-pool check and the final design, per channel; the
+        # baselines come from the instance's kernels
+        assert counts == [2 * len(inst.channels)] * 3
 
 
 # ---------------------------------------------------------------------------
