@@ -11,13 +11,19 @@ against the resulting sandwich without ever computing OPT.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
-from .convex import DEFAULT_MAX_ITERS, DEFAULT_TOLERANCE, round_deterministic, solve_p2
+from .convex import (
+    DEFAULT_MAX_ITERS,
+    DEFAULT_TOLERANCE,
+    RelaxedSolution,
+    round_deterministic,
+    solve_p2,
+)
 from .errors import ArgumentError
 from .graphs import EdgeSelectionInstance
-from .greedy import gain_function, greedy_select
+from .greedy import SelectionResult, gain_function, greedy_select
 
 # The classic greedy guarantee factor for monotone submodular gains.
 GREEDY_FACTOR = 1.0 - math.exp(-1.0)
@@ -31,7 +37,11 @@ class CertificateBundle:
 
     lower = max(tau_greedy, tau_cvx) <= OPT <= min(u_greedy, tau_cvx_star)
     = upper, where u_greedy rescales the greedy value by the inverse
-    1 - 1/e factor. All values are combined-objective taus.
+    1 - 1/e factor. All values are combined-objective taus. A bundle
+    from certify also carries the legs it was built from, the greedy
+    design, the relaxed solution and its rounding; they stay out of
+    to_dict() and of comparisons, and are None on a bundle assembled by
+    build_bundle.
     """
 
     tau_init: float
@@ -41,6 +51,9 @@ class CertificateBundle:
     u_greedy: float
     lower: float
     upper: float
+    greedy: SelectionResult | None = field(default=None, repr=False, compare=False)
+    relaxed: RelaxedSolution | None = field(default=None, repr=False, compare=False)
+    rounded: SelectionResult | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -76,16 +89,17 @@ def certify(
     tolerance: float = DEFAULT_TOLERANCE,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> CertificateBundle:
-    """Run both legs (greedy, relax + round) and bundle the bounds."""
+    """Run both legs (greedy, relax + round) and bundle the bounds with them."""
     greedy = greedy_select(inst)
     relaxed = solve_p2(inst, tolerance=tolerance, max_iters=max_iters)
     rounded = round_deterministic(inst, relaxed.pi)
-    return build_bundle(
+    bundle = build_bundle(
         tau_init=greedy.baseline,
         tau_greedy=greedy.tau_achieved,
         tau_cvx=rounded.tau_achieved,
         tau_cvx_star=relaxed.tau_cvx_star,
     )
+    return replace(bundle, greedy=greedy, relaxed=relaxed, rounded=rounded)
 
 
 @dataclass(frozen=True)

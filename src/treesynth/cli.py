@@ -20,13 +20,12 @@ import json
 import math
 import statistics
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .certificates import build_bundle, certify, gap_for_design
+from .certificates import certify, gap_for_design
 from .convex import DEFAULT_MAX_ITERS, DEFAULT_TOLERANCE, round_deterministic, solve_p2, solve_p3
 from .errors import (
     ArgumentError,
@@ -179,16 +178,13 @@ def _selection_doc(res, original, reduced) -> dict:
     return doc
 
 
-def _run_convex(work, args, lam: float | None = None):
-    t0 = time.perf_counter()
-    if lam is not None:
-        relaxed = solve_p3(work, lam, tolerance=args.tolerance, max_iters=args.max_iters)
+def _run_convex(work, args):
+    if args.lam is not None:
+        relaxed = solve_p3(work, args.lam, tolerance=args.tolerance, max_iters=args.max_iters)
         k_eff = min(len(relaxed.pi), max(0, int(round(float(relaxed.pi.sum())))))
-        rounded = round_deterministic(work, relaxed.pi, k_eff)
-    else:
-        relaxed = solve_p2(work, tolerance=args.tolerance, max_iters=args.max_iters)
-        rounded = round_deterministic(work, relaxed.pi)
-    return relaxed, rounded, time.perf_counter() - t0
+        return relaxed, round_deterministic(work, relaxed.pi, k_eff)
+    relaxed = solve_p2(work, tolerance=args.tolerance, max_iters=args.max_iters)
+    return relaxed, round_deterministic(work, relaxed.pi)
 
 
 def cmd_synthesize(args) -> int:
@@ -231,8 +227,8 @@ def cmd_synthesize(args) -> int:
                 timings[name].append(res.elapsed)
                 results[name] = _selection_doc(res, original, work)
             elif name == "convex":
-                relaxed, rounded, elapsed = _run_convex(work, args, args.lam)
-                timings[name].append(elapsed)
+                relaxed, rounded = _run_convex(work, args)
+                timings[name].append(relaxed.elapsed + rounded.elapsed)
                 doc = _selection_doc(rounded, original, work)
                 doc["relaxed"] = relaxed.to_dict()
                 results[name] = doc
@@ -357,21 +353,8 @@ def _parse_sweep(spec: str, what: str) -> list[int]:
 
 
 def _bench_row(inst: EdgeSelectionInstance, sweep: str, value: int, args) -> dict:
-    t0 = time.perf_counter()
-    greedy = greedy_select(inst)
-    t_greedy = time.perf_counter() - t0
-
-    relaxed, rounded, t_convex = _run_convex(inst, args)
-    bundle = build_bundle(
-        greedy.baseline, greedy.tau_achieved, rounded.tau_achieved, relaxed.tau_cvx_star
-    )
-
-    opt: float | None = None
-    t_oracle: float | None = None
-    if args.oracle and exhaustive_fits(inst):
-        t0 = time.perf_counter()
-        opt = exhaustive_select(inst).tau_achieved
-        t_oracle = time.perf_counter() - t0
+    bundle = certify(inst, tolerance=args.tolerance, max_iters=args.max_iters)
+    oracle = exhaustive_select(inst) if args.oracle and exhaustive_fits(inst) else None
 
     d = inst.describe()
     return {
@@ -381,17 +364,11 @@ def _bench_row(inst: EdgeSelectionInstance, sweep: str, value: int, args) -> dic
         "m_init": d["m_init"],
         "c": d["c"],
         "k": d["k"],
-        "tau_init": bundle.tau_init,
-        "tau_greedy": bundle.tau_greedy,
-        "tau_cvx": bundle.tau_cvx,
-        "tau_cvx_star": bundle.tau_cvx_star,
-        "u_greedy": bundle.u_greedy,
-        "lower": bundle.lower,
-        "upper": bundle.upper,
-        "opt": opt,
-        "t_greedy_s": t_greedy if args.timings else None,
-        "t_convex_s": t_convex if args.timings else None,
-        "t_oracle_s": t_oracle if args.timings else None,
+        **bundle.to_dict(),  # tau_init .. upper, in column order
+        "opt": oracle.tau_achieved if oracle else None,
+        "t_greedy_s": bundle.greedy.elapsed if args.timings else None,
+        "t_convex_s": bundle.relaxed.elapsed + bundle.rounded.elapsed if args.timings else None,
+        "t_oracle_s": oracle.elapsed if args.timings and oracle else None,
     }
 
 

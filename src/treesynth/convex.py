@@ -68,8 +68,10 @@ class RelaxedSolution:
     never decreases; its last entry is f(pi). stop_reason is "residual"
     or "gap" (see _projected_ascent); the best iterate carried by a
     ConvergenceError says "iteration cap" or "line search stalled".
-    newton_steps counts the iterations that took the Newton trial; like
-    the fields after kkt_residual, it stays out of to_dict().
+    newton_steps counts the iterations that took the Newton trial, and
+    elapsed is the solve's wall-clock seconds, as in
+    SelectionResult.elapsed; like the other fields after kkt_residual,
+    they stay out of to_dict().
     """
 
     pi: np.ndarray
@@ -80,6 +82,7 @@ class RelaxedSolution:
     fw_gap: float
     stop_reason: str
     newton_steps: int
+    elapsed: float
 
     def __post_init__(self) -> None:
         pi = np.array(self.pi, dtype=float)
@@ -373,6 +376,7 @@ def solve_p2(
     (_fp_allowance), and the best iterate of a ConvergenceError carries
     it too.
     """
+    t0 = time.perf_counter()
     c = inst.num_candidates
     k = inst.k
     objective = _Objective(inst)
@@ -389,7 +393,8 @@ def solve_p2(
 
     def as_solution(p, val, grad, it, res, cur, gap, reason, newton_steps):
         tau = val + gap + _fp_allowance(inst.n - 1, val, objective)
-        return RelaxedSolution(p, tau, it, res, cur, gap, reason, newton_steps)
+        return RelaxedSolution(p, tau, it, res, cur, gap, reason, newton_steps,
+                               time.perf_counter() - t0)
 
     if start is None:
         start = np.full(c, k / c if c else 0.0)
@@ -421,6 +426,7 @@ def solve_p3(
     at the final selector while the recorded curve tracks the penalized
     one the solver climbs; it is not a certificate.
     """
+    t0 = time.perf_counter()
     lam = float(lam)
     if lam < 0 or not math.isfinite(lam):
         raise ArgumentError(f"lambda must be finite and >= 0, got {lam!r}")
@@ -432,7 +438,8 @@ def solve_p3(
 
     def as_solution(p, val, grad, it, res, cur, gap, reason, newton_steps):
         tau = objective.offset + sum(mult * kern.log_det(p) for mult, kern in objective.kernels)
-        return RelaxedSolution(p, tau, it, res, cur, gap, reason, newton_steps)
+        return RelaxedSolution(p, tau, it, res, cur, gap, reason, newton_steps,
+                               time.perf_counter() - t0)
 
     if start is None:
         start = np.full(c, 0.5)

@@ -30,9 +30,12 @@ OBJECTIVE_SINGLE = "single-weight"
 OBJECTIVE_SLAM = "slam-double"
 
 # Cholesky pivots below this fraction of the largest diagonal entry are
-# reported as numerical disconnection instead of silently producing a
-# garbage factor.
+# refused with _UNRESOLVED instead of silently producing a garbage factor.
 PIVOT_RTOL = 1e-12
+_UNRESOLVED = (
+    "the graph is disconnected up to rounding, or its weights spread more "
+    "widely than float64 resolves"
+)
 
 
 def _canonical_pair(u: int, v: int) -> tuple[int, int]:
@@ -193,7 +196,9 @@ class ReducedLaplacian:
     which case its determinant is the weighted spanning-tree count. The
     lower Cholesky factor is computed on first use and cached. Pivots
     below PIVOT_RTOL times the largest diagonal entry raise
-    NumericalError (the graph is disconnected up to rounding).
+    NumericalError: the graph is disconnected up to rounding, or it is
+    connected but its weights spread more widely than float64 resolves
+    (a 1e15 edge in series with a 1 edge).
     """
 
     n: int
@@ -245,15 +250,12 @@ class ReducedLaplacian:
             factor = np.linalg.cholesky(self.matrix)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
-                "Cholesky factorization failed, matrix is not positive "
-                "definite (graph numerically disconnected)"
+                f"Cholesky factorization failed, matrix is not positive definite: {_UNRESOLVED}"
             ) from exc
         pivots = np.diag(factor) ** 2
         floor = PIVOT_RTOL * float(np.max(np.diag(self.matrix)))
         if np.any(pivots < floor):
-            raise NumericalError(
-                "Cholesky pivot underflow, graph is disconnected up to rounding"
-            )
+            raise NumericalError(f"Cholesky pivot underflow: {_UNRESOLVED}")
         factor.setflags(write=False)
         return factor
 
@@ -587,7 +589,8 @@ def random_instance(
     The base graph has exactly m_init edges drawn uniformly among vertex
     pairs and is resampled until connected. candidate_mode "complement"
     takes every non-base pair as a candidate; "sampled" draws
-    ``sample_size`` of them without replacement. Weights are uniform in
+    ``sample_size`` of them without replacement; a ``sample_size`` in
+    complement mode is refused, not ignored. Weights are uniform in
     ``weight_range`` (bounds must be >= 1). Deterministic per seed.
     """
     n = _as_vertex(n)
@@ -603,6 +606,11 @@ def random_instance(
         raise ArgumentError(f"weight_range must satisfy 1 <= lo <= hi, got {weight_range!r}")
     if candidate_mode not in ("complement", "sampled"):
         raise ArgumentError(f"candidate_mode must be complement or sampled, got {candidate_mode!r}")
+    if candidate_mode == "complement" and sample_size is not None:
+        raise ArgumentError(
+            "sample_size applies to candidate_mode='sampled' only; complement "
+            "mode takes every non-base pair"
+        )
 
     rng = np.random.default_rng(seed)
     all_pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,8 +13,12 @@ from treesynth import (
     exhaustive_select,
     gap_for_design,
     greedy_select,
+    parse_g2o,
+    round_deterministic,
+    solve_p2,
+    to_instance,
 )
-from conftest import random_add_instance
+from conftest import DATA, random_add_instance
 
 
 def test_greedy_factor_constant():
@@ -82,3 +87,43 @@ def test_gap_ratio_undefined_at_zero_tau():
     gap = gap_for_design(inst, (), bundle)
     assert gap.design_tau == 0.0
     assert gap.ratio_bound is None
+
+
+def _fields_but_elapsed(result) -> dict:
+    return {f.name: getattr(result, f.name) for f in dataclasses.fields(result)
+            if f.name != "elapsed"}
+
+
+def _assert_bit_identical(a, b) -> None:
+    fa, fb = _fields_but_elapsed(a), _fields_but_elapsed(b)
+    assert fa.keys() == fb.keys()
+    for name in fa:
+        if isinstance(fa[name], np.ndarray):
+            assert np.array_equal(fa[name], fb[name]), name
+        else:
+            assert fa[name] == fb[name], name
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_add_instance(np.random.default_rng(61), 10, 13, 12, 4),
+    lambda: to_instance(parse_g2o(DATA / "mini.g2o"), 2),  # slam-double
+], ids=["single-weight", "slam-double"])
+def test_certify_carries_the_legs_it_bounds(make):
+    bundle = certify(make())
+    # standalone calls on a fresh copy of the instance, with its own kernels
+    inst = make()
+    greedy = greedy_select(inst)
+    relaxed = solve_p2(inst)
+    rounded = round_deterministic(inst, relaxed.pi)
+    _assert_bit_identical(bundle.greedy, greedy)
+    _assert_bit_identical(bundle.relaxed, relaxed)
+    _assert_bit_identical(bundle.rounded, rounded)
+    assert bundle.greedy.elapsed > 0.0 and bundle.relaxed.elapsed > 0.0
+    # the legs ride along outside the artifact and outside equality
+    assert set(bundle.to_dict()) == {
+        "tau_init", "tau_greedy", "tau_cvx", "tau_cvx_star", "u_greedy", "lower", "upper",
+    }
+    assert bundle == build_bundle(
+        greedy.baseline, greedy.tau_achieved, rounded.tau_achieved, relaxed.tau_cvx_star
+    )
+    assert build_bundle(1.0, 2.0, 1.8, 2.5).greedy is None

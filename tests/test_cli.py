@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -255,6 +257,26 @@ def test_bench_timings_fill_columns(tmp_path):
     ) == 0
     rows = out.read_text().splitlines()[1:]
     assert all(not r.endswith(",,,") for r in rows)
+    # t_greedy_s is greedy's elapsed, t_convex_s the relaxation's plus its rounding's
+    for row in csv.DictReader(io.StringIO(out.read_text())):
+        assert float(row["t_greedy_s"]) > 0.0
+        assert float(row["t_convex_s"]) > 0.0
+        assert row["t_oracle_s"] == ""  # no --oracle
+
+
+def test_bench_k_sweep_with_oracle_brackets_opt(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert run(
+        "bench", "--n", "8", "--m-init", "9", "--mode", "sampled", "--c", "8",
+        "--weight-range", "1", "4", "--k-sweep", "1:2", "--oracle", "--output", str(out),
+    ) == 0
+    assert out.read_text().splitlines()[0].split(",") == cli.BENCH_COLUMNS
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    assert [row["k"] for row in rows] == ["1", "2"]
+    assert all(row["c"] == "8" for row in rows)
+    for row in rows:
+        lower, opt, upper = float(row["lower"]), float(row["opt"]), float(row["upper"])
+        assert lower <= opt <= upper
 
 
 def test_bench_k_sweep_builds_one_kernel_per_channel(monkeypatch, mini_g2o, capsys):
@@ -293,6 +315,13 @@ def test_bench_m_init_sweep_json(tmp_path):
 
 def test_exit_code_missing_instance_file():
     assert run("synthesize", "--instance", "/no/such/file.json", "--k", "1") == 3
+
+
+def test_exit_code_candidate_count_needs_sampled_mode(capsys):
+    # --c in the default complement mode was once ignored silently
+    assert run("gen", "--n", "8", "--m-init", "9", "--c", "4") == 2
+    assert run("bench", "--n", "8", "--m-init", "9", "--c", "4", "--k-sweep", "1:2") == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_exit_code_empty_sweep():

@@ -12,6 +12,7 @@ from treesynth import (
     DataError,
     EdgeSelectionInstance,
     InfeasibleError,
+    NumericalError,
     ReducedLaplacian,
     WeightedGraph,
     build_reduced_laplacian,
@@ -154,6 +155,17 @@ def test_reduced_laplacian_disconnected_graph_fails_factorization():
     L = build_reduced_laplacian(g)
     with pytest.raises(Exception):
         L.cholesky  # noqa: B018  (property access is the operation under test)
+
+
+def test_cholesky_refusal_names_both_causes():
+    # connected, but 1e15 in series with 1 leaves the second pivot at rounding level
+    inst = EdgeSelectionInstance(3, ((1, 2, 1e15), (2, 3, 1.0)), ((1, 3, 2.0),), 1)
+    assert is_connected(inst.base_graph())
+    with pytest.raises(NumericalError) as err:
+        inst.kernels  # noqa: B018
+    message = str(err.value)
+    assert "disconnected up to rounding" in message
+    assert "weights spread more widely than float64 resolves" in message
 
 
 def test_incidence_vector_anchor_handling():
@@ -299,6 +311,14 @@ def test_random_instance_complement_mode_disjoint_from_base():
     cand_pairs = {(u, v) for u, v, _ in inst.candidates}
     assert not base_pairs & cand_pairs
     assert len(cand_pairs) == 7 * 6 // 2 - len(base_pairs)
+
+
+def test_random_instance_sample_size_needs_sampled_mode():
+    with pytest.raises(ArgumentError, match="sample_size"):
+        random_instance(n=8, m_init=9, candidate_mode="complement", sample_size=4)
+    # sampled mode still needs it
+    with pytest.raises(ArgumentError, match="sample_size"):
+        random_instance(n=8, m_init=9, candidate_mode="sampled")
 
 
 def test_instance_json_round_trip(tmp_path):
