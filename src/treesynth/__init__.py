@@ -41,7 +41,6 @@ from .graphs import (
     ReducedLaplacian,
     WeightedGraph,
     build_reduced_laplacian,
-    component_count,
     instance_from_json_dict,
     instance_to_json_dict,
     is_connected,
@@ -102,7 +101,6 @@ __all__ = [
     "build_bundle",
     "build_reduced_laplacian",
     "certify",
-    "component_count",
     "count_spanning_trees_bruteforce",
     "dataset_proxy",
     "dopt_proxy",

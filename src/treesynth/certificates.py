@@ -21,8 +21,7 @@ from .convex import (
     round_deterministic,
     solve_p2,
 )
-from .errors import ArgumentError
-from .graphs import EdgeSelectionInstance
+from .graphs import EdgeSelectionInstance, _design_indices
 from .greedy import SelectionResult, gain_function, greedy_select
 
 # The classic greedy guarantee factor for monotone submodular gains.
@@ -128,13 +127,7 @@ def gap_for_design(
     inst: EdgeSelectionInstance, design: Iterable[int], bundle: CertificateBundle
 ) -> GapReport:
     """Judge a k-edge design against a certificate bundle."""
-    idx = [int(i) for i in design]
-    if len(set(idx)) != len(idx):
-        raise ArgumentError("design may not repeat candidate indices")
-    if len(idx) != inst.k:
-        raise ArgumentError(f"design has {len(idx)} edges, the budget is k={inst.k}")
-    fn = gain_function(inst)
-    design_tau = fn.absolute(idx)
+    design_tau = gain_function(inst).absolute(_design_indices(inst, design, size=inst.k))
     return GapReport(
         design_tau=design_tau,
         gap_lower=max(0.0, bundle.lower - design_tau),

@@ -38,7 +38,6 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ArgumentError, ConvergenceError
 from .graphs import (
-    DIRECTION_ADD,
     EdgeSelectionInstance,
     ReducedLaplacian,
     build_reduced_laplacian,
@@ -117,7 +116,7 @@ def laplacian_of_pi(
     base = build_reduced_laplacian(inst.base_graph(channel))
     A = base.incidence_matrix(inst.candidate_pairs)
     A *= np.sqrt(pi * inst.candidate_weights(channel))
-    return ReducedLaplacian._trusted(inst.n, base.anchor, base.matrix + A @ A.T)
+    return ReducedLaplacian._trusted(inst.n, base.matrix + A @ A.T)
 
 
 def relaxed_objective_and_gradient(
@@ -312,8 +311,6 @@ class _Objective:
     """
 
     def __init__(self, inst: EdgeSelectionInstance, lam: float = 0.0):
-        if inst.direction != DIRECTION_ADD:
-            raise ArgumentError("the relaxation expects an addition instance; reduce removals first")
         self.kernels = inst.kernels
         self.lam = lam
         self.offset = sum(mult * kernel.log_det0 for mult, kernel in self.kernels)
@@ -546,8 +543,6 @@ def round_randomized(
     trials = int(trials)
     if trials < 1:
         raise ArgumentError("trials must be >= 1")
-    if inst.direction != DIRECTION_ADD:
-        raise ArgumentError("randomized rounding expects an addition instance; reduce removals first")
     c = inst.num_candidates
     lemmas = inst.kernels
 

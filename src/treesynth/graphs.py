@@ -4,9 +4,10 @@ Conventions used throughout the package:
 
 * vertices are labeled 1..n externally; matrix code is 0-based,
 * edge weights are >= 1 so that every tree-connectivity value is
-  nonnegative (rescaling by a global factor is an explicit opt-in),
-* the reduced Laplacian drops the anchor vertex, vertex n by default;
-  its determinant is invariant to the anchor choice,
+  nonnegative; datasets with smaller weights are rescaled once, at g2o
+  ingestion (slam.parse_g2o, ``--normalize``),
+* the reduced Laplacian drops vertex n, the anchor; its determinant,
+  the weighted spanning-tree count, does not depend on that choice,
 * all tree-connectivity arithmetic happens in log space.
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -49,24 +50,36 @@ def _as_vertex(x) -> int:
         raise ArgumentError(f"vertex ids must be integers, got {x!r}") from None
 
 
+def _merge_parallel(edges: Iterable[tuple]) -> tuple[tuple, ...]:
+    """(u, v, *weights) edges with u < v, one per pair, sorted by pair.
+
+    Parallel edges sum each weight column in input order; a pair's first
+    weights are kept as they are, so a pair without repeats keeps its bits.
+    """
+    merged: dict[tuple[int, int], tuple] = {}
+    for e in edges:
+        pair = _canonical_pair(e[0], e[1])
+        if pair in merged:
+            merged[pair] = tuple(map(operator.add, merged[pair], e[2:]))
+        else:
+            merged[pair] = e[2:]
+    return tuple(pair + merged[pair] for pair in sorted(merged))
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Undirected graph on vertices 1..n with positive edge weights.
+    """Undirected graph on vertices 1..n with edge weights >= 1.
 
-    Edges are canonicalized at construction: endpoints ordered u < v,
-    parallel edges merged by summing their weights, and the edge list
-    sorted by endpoint pair. Weights below 1 are rejected unless
-    ``normalize=True``, which rescales every weight by the smallest
-    factor that lifts the minimum weight to 1; the factor applied so
-    far is kept in ``normalization``.
+    Edges are canonicalized at construction by _merge_parallel: endpoints
+    ordered u < v, parallel edges merged by summing their weights, and
+    the edge list sorted by endpoint pair. Weights below 1 are refused;
+    datasets with smaller weights are rescaled at g2o ingestion.
     """
 
     n: int
     edges: tuple[tuple[int, int, float], ...]
-    normalization: float = 1.0
-    normalize: InitVar[bool] = False
 
-    def __post_init__(self, normalize: bool) -> None:
+    def __post_init__(self) -> None:
         n = _as_vertex(self.n)
         if n < 1:
             raise ArgumentError(f"vertex count must be positive, got {n}")
@@ -83,31 +96,10 @@ class WeightedGraph:
                 raise ArgumentError(f"vertex id out of range 1..{n}: ({u}, {v})")
             if u == v:
                 raise ArgumentError(f"self-loop at vertex {u} is not allowed")
-            if not math.isfinite(w) or w <= 0:
-                raise ArgumentError(f"edge weight must be positive and finite, got {w!r}")
+            if not 1.0 <= w < math.inf:  # refuses nan too
+                raise ArgumentError(f"edge weight must be >= 1 and finite, got {w!r}")
             raw.append((u, v, w))
-
-        alpha = 1.0
-        if raw:
-            wmin = min(w for _, _, w in raw)
-            if wmin < 1.0:
-                if not normalize:
-                    raise ArgumentError(
-                        f"edge weights must be >= 1 (minimum is {wmin}); "
-                        "pass normalize=True to rescale"
-                    )
-                alpha = 1.0 / wmin
-                # One rounding bump if 1/wmin * wmin lands just under 1.
-                while wmin * alpha < 1.0:
-                    alpha = math.nextafter(alpha, math.inf)
-
-        merged: dict[tuple[int, int], float] = {}
-        for u, v, w in raw:
-            pair = _canonical_pair(u, v)
-            merged[pair] = merged.get(pair, 0.0) + w * alpha
-        canon = tuple((u, v, w) for (u, v), w in sorted(merged.items()))
-        object.__setattr__(self, "edges", canon)
-        object.__setattr__(self, "normalization", float(self.normalization) * alpha)
+        object.__setattr__(self, "edges", _merge_parallel(raw))
 
     @property
     def num_edges(self) -> int:
@@ -154,7 +146,7 @@ class WeightedGraph:
     def with_edges(self, extra: Iterable[Sequence]) -> WeightedGraph:
         """New graph with ``extra`` (u, v, w) edges merged in."""
         extra_t = tuple(tuple(e) for e in extra)
-        return WeightedGraph(self.n, self.edges + extra_t, normalization=self.normalization)
+        return WeightedGraph(self.n, self.edges + extra_t)
 
     def without_pairs(self, pairs: Iterable[Sequence]) -> WeightedGraph:
         """New graph with the given endpoint pairs deleted entirely."""
@@ -166,7 +158,7 @@ class WeightedGraph:
                 raise ArgumentError(f"no edge {pair} to remove")
             drop.add(pair)
         kept = tuple(e for e in self.edges if (e[0], e[1]) not in drop)
-        return WeightedGraph(self.n, kept, normalization=self.normalization)
+        return WeightedGraph(self.n, kept)
 
     def full_laplacian(self) -> np.ndarray:
         """Dense n x n weighted Laplacian."""
@@ -184,16 +176,13 @@ def is_connected(g: WeightedGraph) -> bool:
     return g.connected
 
 
-def component_count(g: WeightedGraph) -> int:
-    return g.component_count
-
-
 @dataclass(frozen=True)
 class ReducedLaplacian:
-    """Weighted Laplacian with the anchor vertex's row and column removed.
+    """Weighted Laplacian with vertex n's row and column removed.
 
-    Positive definite exactly when the generating graph is connected, in
-    which case its determinant is the weighted spanning-tree count. The
+    Vertex n is the anchor, so row i belongs to vertex i + 1. Positive
+    definite exactly when the generating graph is connected, in which
+    case its determinant is the weighted spanning-tree count. The
     lower Cholesky factor is computed on first use and cached. Pivots
     below PIVOT_RTOL times the largest diagonal entry raise
     NumericalError: the graph is disconnected up to rounding, or it is
@@ -202,16 +191,12 @@ class ReducedLaplacian:
     """
 
     n: int
-    anchor: int
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
         n = _as_vertex(self.n)
-        anchor = _as_vertex(self.anchor)
         if n < 2:
             raise ArgumentError("reduced Laplacian needs at least 2 vertices")
-        if not 1 <= anchor <= n:
-            raise ArgumentError(f"anchor {anchor} out of range 1..{n}")
         m = np.array(self.matrix, dtype=float)
         if m.shape != (n - 1, n - 1):
             raise ArgumentError(
@@ -221,11 +206,10 @@ class ReducedLaplacian:
             raise ArgumentError("reduced Laplacian must be symmetric")
         m.setflags(write=False)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "anchor", anchor)
         object.__setattr__(self, "matrix", m)
 
     @classmethod
-    def _trusted(cls, n: int, anchor: int, matrix: np.ndarray) -> ReducedLaplacian:
+    def _trusted(cls, n: int, matrix: np.ndarray) -> ReducedLaplacian:
         """Wrap a matrix the package assembled itself, without __post_init__.
 
         For float matrices of the right order that are symmetric by
@@ -235,7 +219,6 @@ class ReducedLaplacian:
         lap = object.__new__(cls)
         matrix.setflags(write=False)
         object.__setattr__(lap, "n", n)
-        object.__setattr__(lap, "anchor", anchor)
         object.__setattr__(lap, "matrix", matrix)
         return lap
 
@@ -264,7 +247,7 @@ class ReducedLaplacian:
         return float(2.0 * np.sum(np.log(np.diag(self.cholesky))))
 
     def reduced_index(self, vertex):
-        """Row index of an external vertex, -1 for the anchor.
+        """Row index of an external vertex, -1 for the anchor, vertex n.
 
         Accepts an integer or an integer array of any shape.
         """
@@ -276,7 +259,7 @@ class ReducedLaplacian:
         bad = x[(x < 1) | (x > self.n)]
         if bad.size:
             raise ArgumentError(f"vertex {bad.flat[0]} out of range 1..{self.n}")
-        return np.where(x == self.anchor, -1, np.where(x < self.anchor, x - 1, x - 2))
+        return np.where(x == self.n, -1, x - 1)
 
     def incidence_matrix(self, pairs) -> np.ndarray:
         """Signed incidence columns of edges {u, v}, anchor coordinate dropped.
@@ -305,26 +288,15 @@ class ReducedLaplacian:
         if not math.isfinite(w) or w <= 0:
             raise ArgumentError(f"edge weight must be positive and finite, got {w!r}")
         a = self.incidence_vector(u, v)
-        return ReducedLaplacian(self.n, self.anchor, self.matrix + w * np.outer(a, a))
+        return ReducedLaplacian(self.n, self.matrix + w * np.outer(a, a))
 
 
-def build_reduced_laplacian(g: WeightedGraph, anchor: int | None = None) -> ReducedLaplacian:
-    """Assemble the reduced Laplacian of g, dropping ``anchor`` (default n)."""
+def build_reduced_laplacian(g: WeightedGraph) -> ReducedLaplacian:
+    """Assemble the reduced Laplacian of g, dropping vertex n."""
     if g.n < 2:
         raise ArgumentError("reduced Laplacian needs at least 2 vertices")
-    anchor = g.n if anchor is None else _as_vertex(anchor)
-    if not 1 <= anchor <= g.n:
-        raise ArgumentError(f"anchor {anchor} out of range 1..{g.n}")
-    L = g.full_laplacian()
-    a = anchor - 1
-    # the default anchor's slice is copied so that the matrix owns
-    # contiguous memory; np.delete for the others (it costs more than the
-    # assembly at small n)
-    if anchor == g.n:
-        m = np.ascontiguousarray(L[:-1, :-1])
-    else:
-        m = np.delete(np.delete(L, a, axis=0), a, axis=1)
-    return ReducedLaplacian._trusted(g.n, anchor, m)
+    # copied so that the matrix owns contiguous memory
+    return ReducedLaplacian._trusted(g.n, np.ascontiguousarray(g.full_laplacian()[:-1, :-1]))
 
 
 def _edge_weight(edge: tuple, channel: str | None) -> float:
@@ -408,20 +380,16 @@ class EdgeSelectionInstance:
                 )
 
         if self.direction == DIRECTION_REMOVE:
+            merged = {e[:2]: e[2:] for e in self.merged_base_edges()}
             seen: set[tuple[int, int]] = set()
-            base_g = self.base_graph(self.channels[0][0])
             for e in cands:
                 pair = _canonical_pair(e[0], e[1])
                 if pair in seen:
                     raise ArgumentError(f"duplicate removal candidate {pair}")
                 seen.add(pair)
-                for channel, _ in self.channels:
-                    bw = self.base_graph(channel).weight(*pair)
-                    if bw is None:
-                        raise ArgumentError(
-                            f"removal candidate {pair} is not a base edge"
-                        )
-                    cw = _edge_weight(e, channel)
+                if pair not in merged:
+                    raise ArgumentError(f"removal candidate {pair} is not a base edge")
+                for cw, bw in zip(e[2:], merged[pair]):
                     if abs(cw - bw) > 1e-9 * max(1.0, abs(bw)):
                         raise ArgumentError(
                             f"removal candidate {pair} weight {cw} does not match "
@@ -465,7 +433,9 @@ class EdgeSelectionInstance:
         """(multiplier, treeconn.SubsetLogDet over all candidates) per channel.
 
         The one candidate kernel that greedy, the relaxation, both roundings
-        and exhaustive search read, built on first use and held for the
+        and exhaustive search read, so it is also their one guard: removal
+        instances raise ArgumentError here, to be reduced first
+        (reduce_removal_to_addition). Built on first use and held for the
         instance's lifetime: order * c floats per channel (Z), plus c^2 (G)
         once the relaxation has run with c <= order, plus the last
         selector's factor, at most min(c, order)^2. While the relaxation
@@ -476,6 +446,11 @@ class EdgeSelectionInstance:
         """
         from .treeconn import SubsetLogDet  # treeconn imports this module
 
+        if self.direction != DIRECTION_ADD:
+            raise ArgumentError(
+                "the solvers expect an addition instance; reduce removal "
+                "instances first (reduce_removal_to_addition)"
+            )
         return tuple((mult, SubsetLogDet(build_reduced_laplacian(self.base_graph(ch)),
                                          self.candidate_pairs, self.candidate_weights(ch)))
                      for ch, mult in self.channels)
@@ -504,12 +479,7 @@ class EdgeSelectionInstance:
 
     def merged_base_edges(self) -> tuple[tuple, ...]:
         """Base edges after parallel-edge merging, in instance arity."""
-        graphs = [self.base_graph(channel) for channel, _ in self.channels]
-        first = graphs[0].edges
-        if self.objective == OBJECTIVE_SINGLE:
-            return first
-        theta = graphs[1].pair_weights
-        return tuple((u, v, w, theta[(u, v)]) for u, v, w in first)
+        return _merge_parallel(self.base_edges)
 
     def describe(self) -> dict:
         return {
@@ -554,6 +524,24 @@ def reduce_removal_to_addition(inst: EdgeSelectionInstance) -> EdgeSelectionInst
     )
 
 
+def _design_indices(
+    inst: EdgeSelectionInstance, design: Iterable[int], size: int | None = None
+) -> list[int]:
+    """The design's candidate indices, checked: no repeats, each in 0..c-1,
+    and exactly ``size`` of them when given."""
+    idx = [int(i) for i in design]
+    bad = [i for i in idx if not 0 <= i < inst.num_candidates]
+    if bad:
+        raise ArgumentError(
+            f"candidate indices outside 0..{inst.num_candidates - 1}: {sorted(bad)}"
+        )
+    if len(set(idx)) != len(idx):
+        raise ArgumentError("a design may not repeat candidate indices")
+    if size is not None and len(idx) != size:
+        raise ArgumentError(f"design has {len(idx)} candidates, the budget is k={size}")
+    return idx
+
+
 def removal_set_from_addition(inst: EdgeSelectionInstance, design: Iterable[int]) -> tuple[int, ...]:
     """The candidates a design of exactly ``inst.k`` indices leaves out.
 
@@ -561,15 +549,7 @@ def removal_set_from_addition(inst: EdgeSelectionInstance, design: Iterable[int]
     original, and a removal design of the original (pass the original)
     to the kept set of its reduction.
     """
-    raw = [int(i) for i in design]
-    chosen = set(raw)
-    if len(chosen) != len(raw):
-        raise ArgumentError("design may not repeat candidate indices")
-    bad = [i for i in chosen if not 0 <= i < inst.num_candidates]
-    if bad:
-        raise ArgumentError(f"design indices out of range: {sorted(bad)}")
-    if len(chosen) != inst.k:
-        raise ArgumentError(f"design has {len(chosen)} candidates, the budget is k={inst.k}")
+    chosen = set(_design_indices(inst, design, size=inst.k))
     return tuple(i for i in range(inst.num_candidates) if i not in chosen)
 
 
@@ -687,60 +667,30 @@ def instance_from_json_dict(doc: dict) -> EdgeSelectionInstance:
     missing = {"n", "base_edges", "candidates", "k", "direction", "objective"} - set(doc)
     if missing:
         raise DataError(f"instance file is missing keys: {sorted(missing)}")
-    direction = doc["direction"]
     objective = doc["objective"]
     arity = 3 if objective == OBJECTIVE_SINGLE else 4
 
-    def edge_list(entries, what: str, allow_bare_pairs: bool) -> list[tuple]:
+    def edge_list(entries, what: str) -> tuple[tuple, ...]:
         if not isinstance(entries, list):
             raise DataError(f"{what} must be a JSON array")
         out = []
         for e in entries:
             if not isinstance(e, list) or not all(isinstance(x, (int, float)) for x in e):
                 raise DataError(f"{what} entries must be arrays of numbers, got {e!r}")
-            if len(e) == 2 and allow_bare_pairs:
-                out.append((_json_int(e[0], what), _json_int(e[1], what)))
-            elif len(e) == arity:
-                out.append((_json_int(e[0], what), _json_int(e[1], what), *map(float, e[2:])))
-            else:
+            if len(e) != arity:
                 raise DataError(
                     f"{what} entries must have {arity} numbers for {objective!r}, got {e!r}"
                 )
-        return out
-
-    base = edge_list(doc["base_edges"], "base_edges", allow_bare_pairs=False)
-    allow_bare = direction == DIRECTION_REMOVE
-    cands = edge_list(doc["candidates"], "candidates", allow_bare_pairs=allow_bare)
-
-    if allow_bare and any(len(e) == 2 for e in cands):
-        # Bare [u, v] removal candidates take their weights from the
-        # merged base edge they refer to.
-        merged: dict[tuple[int, int], tuple] = {}
-        for e in base:
-            pair = _canonical_pair(e[0], e[1])
-            prev = merged.get(pair)
-            if prev is None:
-                merged[pair] = e[2:]
-            else:
-                merged[pair] = tuple(a + b for a, b in zip(prev, e[2:]))
-        filled = []
-        for e in cands:
-            if len(e) == 2:
-                ws = merged.get(_canonical_pair(e[0], e[1]))
-                if ws is None:
-                    raise DataError(f"removal candidate {e!r} is not a base edge")
-                filled.append((e[0], e[1], *ws))
-            else:
-                filled.append(e)
-        cands = filled
+            out.append((_json_int(e[0], what), _json_int(e[1], what), *map(float, e[2:])))
+        return tuple(out)
 
     try:
         return EdgeSelectionInstance(
             n=_json_int(doc["n"], "n"),
-            base_edges=tuple(base),
-            candidates=tuple(cands),
+            base_edges=edge_list(doc["base_edges"], "base_edges"),
+            candidates=edge_list(doc["candidates"], "candidates"),
             k=_json_int(doc["k"], "k"),
-            direction=direction,
+            direction=doc["direction"],
             objective=objective,
         )
     except ArgumentError as exc:

@@ -24,8 +24,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ArgumentError, InfeasibleError, SizeGuardError
-from .graphs import DIRECTION_ADD, EdgeSelectionInstance
+from .errors import InfeasibleError, SizeGuardError
+from .graphs import EdgeSelectionInstance, _design_indices
 from .treeconn import tree_connectivity
 
 # exhaustive_select refuses to walk more subsets than this
@@ -70,8 +70,8 @@ class SelectionResult:
     def gain(self) -> float:
         return self.tau_achieved - self.baseline
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "selected": list(self.selected),
             "edges": [list(e) for e in self.edges],
             "baseline": self.baseline,
@@ -87,9 +87,6 @@ class SelectionResult:
                 for s in self.trace
             ],
         }
-        if include_timing:
-            doc["elapsed_s"] = self.elapsed
-        return doc
 
 
 @dataclass(frozen=True)
@@ -111,7 +108,7 @@ class GainFunction:
 
     def __call__(self, subset: Iterable[int]) -> float:
         inst = self.instance
-        idx = self._checked(subset)
+        idx = _design_indices(inst, subset)
         total = 0.0
         for (channel, mult), tau0 in zip(inst.channels, self.baselines):
             g = inst.base_graph(channel).with_edges(inst.candidate_edges(idx, channel))
@@ -125,30 +122,15 @@ class GainFunction:
         is bit-identical to evaluating the final graph from scratch.
         """
         inst = self.instance
-        idx = self._checked(subset)
+        idx = _design_indices(inst, subset)
         total = 0.0
         for channel, mult in inst.channels:
             g = inst.base_graph(channel).with_edges(inst.candidate_edges(idx, channel))
             total += mult * tree_connectivity(g).tau
         return total
 
-    def _checked(self, subset: Iterable[int]) -> list[int]:
-        inst = self.instance
-        idx = [int(i) for i in subset]
-        for i in idx:
-            if not 0 <= i < inst.num_candidates:
-                raise ArgumentError(f"candidate index {i} outside 0..{inst.num_candidates - 1}")
-        if len(set(idx)) != len(idx):
-            raise ArgumentError("candidate subsets may not repeat indices")
-        return idx
-
 
 def gain_function(inst: EdgeSelectionInstance) -> GainFunction:
-    if inst.direction != DIRECTION_ADD:
-        raise ArgumentError(
-            "gain functions are defined for addition instances; "
-            "reduce removal instances first"
-        )
     # each kernel's log_det0 is the base graph's tau, the from-scratch bits
     return GainFunction(inst, tuple(kernel.log_det0 for _, kernel in inst.kernels))
 
@@ -223,8 +205,6 @@ def greedy_select(inst: EdgeSelectionInstance) -> SelectionResult:
     come off the weighted resistances, so no round solves or refactorizes
     anything. Memory is O(order * c + c * k).
     """
-    if inst.direction != DIRECTION_ADD:
-        raise ArgumentError("greedy_select expects an addition instance; reduce removals first")
     return _greedy_run(inst, budget=inst.k)
 
 
@@ -236,8 +216,6 @@ def greedy_to_threshold(inst: EdgeSelectionInstance, tau_min: float) -> Selectio
     Raises InfeasibleError when even the full candidate pool falls
     short, reporting the maximum achievable gain.
     """
-    if inst.direction != DIRECTION_ADD:
-        raise ArgumentError("threshold selection expects an addition instance")
     tau_min = float(tau_min)
     fn = gain_function(inst)
     if tau_min <= 0.0:
@@ -263,8 +241,6 @@ def exhaustive_select(inst: EdgeSelectionInstance) -> SelectionResult:
     shortlist. Ties keep the lexicographically smallest index subset, and
     tau_achieved is the from-scratch objective. Guarded to 10^6 subsets.
     """
-    if inst.direction != DIRECTION_ADD:
-        raise ArgumentError("exhaustive_select expects an addition instance; reduce removals first")
     c, k = inst.num_candidates, inst.k
     if not exhaustive_fits(inst):
         raise SizeGuardError(

@@ -30,6 +30,7 @@ from .graphs import (
     EdgeSelectionInstance,
     WeightedGraph,
     _canonical_pair,
+    _merge_parallel,
 )
 from .treeconn import tree_connectivity
 
@@ -232,12 +233,7 @@ def to_instance(
         cands: tuple = ds.loop_closures
     elif direction == DIRECTION_REMOVE:
         base = ds.odometry + ds.loop_closures
-        merged: dict[tuple[int, int], tuple[float, float]] = {}
-        for u, v, wp, wt in ds.loop_closures:
-            pair = _canonical_pair(u, v)
-            prev = merged.get(pair, (0.0, 0.0))
-            merged[pair] = (prev[0] + wp, prev[1] + wt)
-        cands = tuple((u, v, wp, wt) for (u, v), (wp, wt) in sorted(merged.items()))
+        cands = _merge_parallel(ds.loop_closures)
     else:
         raise ArgumentError(f"direction must be add or remove, got {direction!r}")
     if not 0 <= k <= len(cands):

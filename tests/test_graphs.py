@@ -16,15 +16,16 @@ from treesynth import (
     ReducedLaplacian,
     WeightedGraph,
     build_reduced_laplacian,
-    component_count,
     instance_from_json_dict,
     instance_to_json_dict,
     is_connected,
     load_instance,
+    parse_g2o,
     random_instance,
     reduce_removal_to_addition,
     removal_set_from_addition,
     save_instance,
+    to_instance,
 )
 
 TRIANGLE = ((1, 2, 2.0), (2, 3, 3.0), (1, 3, 4.0))
@@ -45,6 +46,31 @@ def test_graph_parallel_edges_merge_by_weight_sum():
     assert len(g.edges) == 2
 
 
+def test_parallel_edges_merge_to_the_same_bits_everywhere():
+    # three closures on pose pair 0-2 (vertices 1-3), one of them reversed;
+    # the sum of 1.1, 2.2 and 3.3 depends on the order of the additions
+    wp, wt = (1.1, 2.2, 3.3), (1.1, 3.3, 2.2)
+    merged = ((wp[0] + wp[1]) + wp[2], (wt[0] + wt[1]) + wt[2])
+    assert merged[0] != (wp[0] + wp[2]) + wp[1]
+    assert merged[1] != (wt[0] + wt[2]) + wt[1]
+    odometry = [f"EDGE_SE2 {i} {i + 1} 0 0 0 1 0 0 1 0 1" for i in range(3)]
+    closures = [f"EDGE_SE2 {i} {j} 0 0 0 {p} 0 0 {p} 0 {t}"
+                for (i, j), p, t in zip(((0, 2), (2, 0), (0, 2)), wp, wt)]
+    ds = parse_g2o(odometry + closures)
+    edges = ds.odometry + ds.loop_closures
+
+    for channel in range(2):
+        g = WeightedGraph(4, tuple((u, v, e[channel]) for u, v, *e in edges))
+        assert g.weight(1, 3) == merged[channel]
+    inst = EdgeSelectionInstance(4, edges, (), 0, objective="slam-double")
+    assert (1, 3, *merged) in inst.merged_base_edges()
+    assert to_instance(ds, 1, "remove").candidates == ((1, 3, *merged),)
+    # a removal candidate carrying the merged weights is a base edge
+    removal = EdgeSelectionInstance(4, inst.base_edges, ((3, 1, *merged),), 1,
+                                    direction="remove", objective="slam-double")
+    assert removal.candidates == ((3, 1, *merged),)
+
+
 @pytest.mark.parametrize(
     "edges",
     [
@@ -54,19 +80,12 @@ def test_graph_parallel_edges_merge_by_weight_sum():
         ((1, 2, 0.0),),          # nonpositive weight
         ((1, 2, -3.0),),
         ((1, 2, float("nan")),),
-        ((1, 2, 0.5),),          # below unit without normalize
+        ((1, 2, 0.5),),          # below unit
     ],
 )
 def test_graph_rejects_bad_edges(edges):
     with pytest.raises(ArgumentError):
         WeightedGraph(3, edges)
-
-
-def test_graph_normalize_rescales_to_unit_minimum():
-    g = WeightedGraph(3, ((1, 2, 0.5), (2, 3, 2.0)), normalize=True)
-    assert min(w for _, _, w in g.edges) >= 1.0
-    assert g.normalization == pytest.approx(2.0)
-    assert g.weight(2, 3) == pytest.approx(4.0)
 
 
 def test_graph_weight_lookup_and_edit_methods():
@@ -86,8 +105,8 @@ def test_connectivity_queries():
     assert is_connected(path)
     split = WeightedGraph(4, ((1, 2, 1.0), (3, 4, 1.0)))
     assert not is_connected(split)
-    assert component_count(split) == 2
-    assert component_count(WeightedGraph(5, ())) == 5
+    assert split.component_count == 2
+    assert WeightedGraph(5, ()).component_count == 5
 
 
 def test_full_laplacian_structure():
@@ -110,8 +129,8 @@ def test_graph_edge_order_is_canonical_under_permutation(perm):
 def test_reduced_laplacian_default_anchor_is_last_vertex():
     g = WeightedGraph(3, TRIANGLE)
     L = build_reduced_laplacian(g)
-    assert L.anchor == 3
     assert L.matrix.shape == (2, 2)
+    assert list(L.reduced_index([1, 2, 3])) == [0, 1, -1]
     # det of the reduced Laplacian is the weighted tree count, here 26
     assert math.exp(L.log_det()) == pytest.approx(26.0, rel=1e-12)
 
@@ -119,35 +138,25 @@ def test_reduced_laplacian_default_anchor_is_last_vertex():
 def test_reduced_laplacian_checks_outside_input_only():
     g = WeightedGraph(4, ((1, 2, 1.5), (2, 3, 2.0), (3, 4, 1.0), (1, 4, 3.0), (1, 3, 1.0)))
     full = g.full_laplacian()
-    for anchor in range(1, 5):
-        # assembled matrices skip the check: exactly symmetric, read-only,
-        # and what the checked constructor makes of the same matrix
-        built = build_reduced_laplacian(g, anchor=anchor)
-        keep = [i for i in range(4) if i != anchor - 1]
-        assert np.array_equal(built.matrix, full[np.ix_(keep, keep)])
-        assert np.array_equal(built.matrix, built.matrix.T)
-        assert not built.matrix.flags.writeable
-        checked = ReducedLaplacian(4, anchor, full[np.ix_(keep, keep)])
-        assert (built.n, built.anchor) == (checked.n, checked.anchor)
-        assert built.log_det() == checked.log_det()
+    # assembled matrices skip the check: exactly symmetric, read-only,
+    # and what the checked constructor makes of the same matrix
+    built = build_reduced_laplacian(g)
+    assert np.array_equal(built.matrix, full[:-1, :-1])
+    assert np.array_equal(built.matrix, built.matrix.T)
+    assert not built.matrix.flags.writeable
     m = full[:-1, :-1].copy()
-    checked = ReducedLaplacian(4, 4, m)
+    checked = ReducedLaplacian(4, m)
+    assert built.n == checked.n
+    assert built.log_det() == checked.log_det()
     m[0, 0] = 99.0  # the checked constructor keeps its own copy
     assert checked.matrix[0, 0] == full[0, 0]
     m[0, 1] += 1e-9
     with pytest.raises(ArgumentError, match="symmetric"):
-        ReducedLaplacian(4, 4, m)
+        ReducedLaplacian(4, m)
     with pytest.raises(ArgumentError, match="shape"):
-        ReducedLaplacian(4, 4, full)
+        ReducedLaplacian(4, full)
     with pytest.raises(ArgumentError):
-        ReducedLaplacian(4, 5, full[:-1, :-1])
-
-
-def test_reduced_laplacian_anchor_invariance_of_logdet():
-    g = WeightedGraph(4, ((1, 2, 1.5), (2, 3, 2.0), (3, 4, 1.0), (1, 4, 3.0), (1, 3, 1.0)))
-    dets = {a: build_reduced_laplacian(g, anchor=a).log_det() for a in range(1, 5)}
-    ref = dets[4]
-    assert all(abs(v - ref) < 1e-12 for v in dets.values())
+        ReducedLaplacian(1, np.zeros((0, 0)))
 
 
 def test_reduced_laplacian_disconnected_graph_fails_factorization():
