@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
 from .errors import ArgumentError, DataError, InfeasibleError, NumericalError
 
@@ -183,11 +184,11 @@ class ReducedLaplacian:
     Vertex n is the anchor, so row i belongs to vertex i + 1. Positive
     definite exactly when the generating graph is connected, in which
     case its determinant is the weighted spanning-tree count. The
-    lower Cholesky factor is computed on first use and cached. Pivots
-    below PIVOT_RTOL times the largest diagonal entry raise
-    NumericalError: the graph is disconnected up to rounding, or it is
-    connected but its weights spread more widely than float64 resolves
-    (a 1e15 edge in series with a 1 edge).
+    lower Cholesky factor, LAPACK's dpotrf in Fortran order, is computed
+    on first use and cached. Pivots below PIVOT_RTOL times the largest
+    diagonal entry raise NumericalError: the graph is disconnected up to
+    rounding, or it is connected but its weights spread more widely than
+    float64 resolves (a 1e15 edge in series with a 1 edge).
     """
 
     n: int
@@ -228,13 +229,12 @@ class ReducedLaplacian:
 
     @cached_property
     def cholesky(self) -> np.ndarray:
-        """Lower-triangular factor C with C C^T = matrix."""
-        try:
-            factor = np.linalg.cholesky(self.matrix)
-        except np.linalg.LinAlgError as exc:
+        """Lower-triangular factor C with C C^T = matrix, Fortran-ordered, zero above."""
+        factor, info = dpotrf(self.matrix, lower=1, clean=1)
+        if info:
             raise NumericalError(
                 f"Cholesky factorization failed, matrix is not positive definite: {_UNRESOLVED}"
-            ) from exc
+            )
         pivots = np.diag(factor) ** 2
         floor = PIVOT_RTOL * float(np.max(np.diag(self.matrix)))
         if np.any(pivots < floor):
@@ -439,8 +439,9 @@ class EdgeSelectionInstance:
         instance's lifetime: order * c floats per channel (Z), plus c^2 (G)
         once the relaxation has run with c <= order, plus the last
         selector's factor, at most min(c, order)^2. While the relaxation
-        runs, each gradient also holds its solve X, s * c for s nonzero
-        selectors (order * c when s > order), until it returns, and the
+        runs, each gradient also holds one s * c array for s nonzero
+        selectors (order * c when s > order), its one right-side triangular
+        solve overwriting the gathered rows, until it returns, and the
         Newton trial the free block's Hessian, |F|^2; the kernel keeps
         neither.
         """

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dpotrf
 
 from .errors import DataError, NumericalError, SizeGuardError
@@ -127,12 +127,11 @@ def whitened_incidence(L: ReducedLaplacian, pairs) -> np.ndarray:
     Y_i . Y_j = a_i^T L^{-1} a_j, so the squared column norms are the
     effective resistances and Y^T Y is the pairs' Gram matrix, which
     greedy selection and randomized rounding update without forming it.
-    One triangular solve; order x len(pairs).
+    One right-side triangular solve, Y^T = A^T C^{-T}, written over the
+    fresh A; order x len(pairs).
     """
     A = L.incidence_matrix(pairs)
-    if A.shape[1] == 0:
-        return A
-    return solve_triangular(L.cholesky, A, lower=True, check_finite=False)
+    return dtrsm(1.0, L.cholesky, A.T, side=1, lower=1, trans_a=1, overwrite_b=1).T
 
 
 class SubsetLogDet:
@@ -149,9 +148,12 @@ class SubsetLogDet:
     = log_det0 + log det(I + r G_SS r), G = Z^T Z the candidate Gram
     matrix, or the order x order side if smaller: O(s^3 + s^2 c) per
     evaluation. G is kept only when c <= order, so it is no larger than Z.
-    The gradient's triangular solve X, s x c (order x c on the order
-    side), also gives the Hessian block of any free set F at |F|^2 s extra
-    flops; it is dropped when the call returns.
+    The gradient is one right-side triangular solve, X^T = B^T R^{-T}:
+    on the s x s form it is written over the gathered rows B, so the
+    call holds one s x c array (order x c on the order side, where Z is
+    copied and never written). X also gives the Hessian block of any
+    free set F at |F|^2 s extra flops; it is dropped when the call
+    returns.
     """
 
     def __init__(self, L: ReducedLaplacian, pairs, weights):
@@ -223,16 +225,20 @@ class SubsetLogDet:
         value = float(2.0 * np.sum(np.log(np.diag(R))))
         order_side = S.size > self.Zt.shape[1]
         if order_side:
-            X = solve_triangular(R, self.Zt.T, lower=True, check_finite=False)
-            grad = np.einsum("ij,ij->j", X, X)
+            # without overwrite_b dtrsm solves on a copy: Zt is never written
+            Xt = dtrsm(1.0, R, self.Zt, side=1, lower=1, trans_a=1)
+            grad = np.einsum("ij,ij->i", Xt, Xt)
         else:
-            B = (self.Zt[S] @ self.Zt.T if self.gram is None else self.gram[S]) * r[:, None]
-            X = solve_triangular(R, B, lower=True, check_finite=False)
-            grad = self.gram_diag - np.einsum("ij,ij->j", X, X)
+            # B is fresh (a gather or a product); B.T is its memory in
+            # Fortran order, which the solve overwrites with X^T
+            B = self.Zt[S] @ self.Zt.T if self.gram is None else self.gram[S]
+            B *= r[:, None]
+            Xt = dtrsm(1.0, R, B.T, side=1, lower=1, trans_a=1, overwrite_b=1)
+            grad = self.gram_diag - np.einsum("ij,ij->i", Xt, Xt)
         if free is None:
             return value, grad
-        XF = X[:, free]
-        W = XF.T @ XF
+        XF = Xt[free]
+        W = XF @ XF.T
         if not order_side:
             ZF = self.Zt[free]
             W = (ZF @ ZF.T if self.gram is None else self.gram[np.ix_(free, free)]) - W
@@ -248,8 +254,8 @@ class EffectiveResistance:
 def effective_resistance(L: ReducedLaplacian, u: int, v: int) -> EffectiveResistance:
     """Effective resistance between u and v: a_uv^T L^{-1} a_uv.
 
-    One triangular solve against the cached Cholesky factor; the
-    squared norm of the solution is the quadratic form.
+    One right-side triangular solve against the cached Cholesky factor;
+    the squared norm of the solution is the quadratic form.
     """
     y = whitened_incidence(L, [(u, v)])[:, 0]
     return EffectiveResistance(float(y @ y), (u, v))

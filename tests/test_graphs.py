@@ -162,7 +162,7 @@ def test_reduced_laplacian_checks_outside_input_only():
 def test_reduced_laplacian_disconnected_graph_fails_factorization():
     g = WeightedGraph(4, ((1, 2, 1.0), (3, 4, 1.0)))
     L = build_reduced_laplacian(g)
-    with pytest.raises(Exception):
+    with pytest.raises(NumericalError, match="not positive definite"):
         L.cholesky  # noqa: B018  (property access is the operation under test)
 
 
@@ -203,6 +203,12 @@ def test_with_edge_matches_full_rebuild():
         assert abs(updated.log_det() - rebuilt.log_det()) < 1e-9
         # the seeded factor must match a from-scratch factorization
         assert np.allclose(updated.cholesky, rebuilt.cholesky, atol=1e-9)
+        # a read-only lower factor, exactly zero above the diagonal
+        C = updated.cholesky
+        assert not C.flags.writeable
+        assert not np.triu(C, 1).any()
+        scale = np.abs(updated.matrix).max()
+        np.testing.assert_allclose(C @ C.T, updated.matrix, rtol=0, atol=1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------

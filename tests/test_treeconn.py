@@ -134,6 +134,12 @@ def test_score_respects_candidate_weight():
     assert step.score == pytest.approx(2.5 * r, rel=1e-12)
 
 
+def _kernel_memory(kernel):
+    gram = kernel.gram
+    return (kernel.log_det0, kernel.Zt.tobytes(), None if gram is None else gram.tobytes(),
+            kernel.gram_diag.tobytes())
+
+
 def test_selector_kernel_matches_direct_evaluation():
     rng = np.random.default_rng(14)
     narrow = random_add_instance(rng, 14, 20, 8, 3)  # c = 8 <= order = 13: Gram kept
@@ -144,7 +150,11 @@ def test_selector_kernel_matches_direct_evaluation():
     dup = EdgeSelectionInstance(8, path, dups, 2)
     dups = ((1, 4, 2.0), (4, 1, 2.0), (2, 4, 1.0), (1, 3, 1.5), (1, 3, 1.5))
     dup_wide = EdgeSelectionInstance(4, path[:3], dups, 2)
-    cases = [narrow, wide, dup, dup_wide, slam_instance(narrow, rng), slam_instance(wide, rng)]
+    # order 1: Z^T is c x 1, C- and Fortran-contiguous at once, so an
+    # in-place solve on the order side would land in the kernel's memory
+    single = EdgeSelectionInstance(2, ((1, 2, 1.0),), ((1, 2, 2.0), (2, 1, 1.5), (1, 2, 3.0)), 1)
+    cases = [narrow, wide, dup, dup_wide, single,
+             slam_instance(narrow, rng), slam_instance(wide, rng)]
     forms = set()
     for inst in cases:
         c, order = inst.num_candidates, inst.n - 1
@@ -152,13 +162,22 @@ def test_selector_kernel_matches_direct_evaluation():
         mixed[rng.permutation(c)[: c // 2]] = 0.0
         few = np.zeros(c)
         few[rng.permutation(c)[: min(c, order) - 1]] = 0.5
+        # the gradient's solve overwrites its own buffer in place, never
+        # the kernel's arrays (G is built here so that it is compared too)
+        memory = [_kernel_memory(kernel) for _, kernel in inst.kernels]
         for pi in (np.zeros(c), np.ones(c), rng.uniform(0.05, 1.0, size=c), mixed, few):
-            for (channel, _), (_, kernel) in zip(inst.channels, inst.kernels):
+            free = np.flatnonzero((pi > 0.0) & (pi < 1.0))
+            for (channel, _), (_, kernel), before in zip(inst.channels, inst.kernels, memory):
                 value, grad = kernel.log_det_and_grad(pi)
+                assert _kernel_memory(kernel) == before
                 assert value == kernel.log_det(pi)
                 ref_value, ref_grad = direct_log_det_and_grad(inst, pi, channel)
                 assert kernel.log_det0 + value == pytest.approx(ref_value, rel=1e-10)
                 np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=0)
+                value_f, grad_f, W = kernel.log_det_and_grad(pi, free)
+                assert _kernel_memory(kernel) == before
+                assert value_f == value and np.array_equal(grad_f, grad)
+                assert W.shape == (free.size, free.size)
                 forms.add((c <= order, int(np.count_nonzero(pi)) <= order))
     # the s x s form with G kept (c <= order) and with its rows formed from
     # Z (c > order), and the order x order form (s > order)
