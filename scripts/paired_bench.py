@@ -1,0 +1,154 @@
+"""Paired benchmark of the working tree against a base commit.
+
+Runs the unchanged ``perfbench/run.py`` alternately in a temporary git
+worktree of the base commit and in this working tree, ``--pairs`` times
+per workload and seed; within each pair the side that runs first
+alternates, so a drift in the machine's speed does not favour either.
+Each run's last line of standard output is its JSON result. The output
+file holds every run's metrics and, per workload, seed and metric, each
+side's median and quartiles and the number of pairs the change won.
+
+Usage:
+    python scripts/paired_bench.py --base HEAD~1 --workload posegraph-300 \\
+        --seed 1 --seed 3 --seconds 55 --pairs 10 --output BENCH_name.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SIDES = ("base", "change")
+
+
+def last_json(stdout: str) -> dict:
+    """The JSON object on the last non-empty line of a run's output."""
+    lines = [line for line in stdout.splitlines() if line.strip()]
+    if not lines:
+        raise ValueError("the run printed nothing")
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> dict:
+    """Median, first and third quartile, and their distance (inclusive method)."""
+    if len(values) == 1:
+        q1 = med = q3 = values[0]
+    else:
+        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1, "n": len(values)}
+
+
+def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+    """Per workload, seed and metric: each side's quartiles, and the change's wins.
+
+    ``runs`` holds one record per run: workload, seed, pair, side and the
+    run's parsed JSON (``result``). ``better`` maps a metric to "lower" or
+    "higher"; metrics it does not name are lower-is-better. A pair is a
+    win when the change's value is strictly better than the base's;
+    ``clear`` says whether the medians differ, in the better direction, by
+    more than the base's interquartile range.
+    """
+    values: dict = {}
+    for r in runs:
+        for metric, rec in r["result"].get("metrics", {}).items():
+            slot = values.setdefault(r["workload"], {}).setdefault(str(r["seed"]), {})
+            slot.setdefault(metric, {}).setdefault(r["pair"], {})[r["side"]] = rec["value"]
+    out: dict = {}
+    for workload, seeds in values.items():
+        for seed, metrics in seeds.items():
+            for metric, pairs in metrics.items():
+                sign = -1.0 if better.get(metric, "lower") == "higher" else 1.0
+                both = [p for p in pairs.values() if all(s in p for s in SIDES)]
+                if not both:
+                    continue
+                side = {s: quartiles([p[s] for p in both]) for s in SIDES}
+                gain = sign * (side["base"]["median"] - side["change"]["median"])
+                base_median = side["base"]["median"]
+                out.setdefault(workload, {}).setdefault(seed, {})[metric] = {
+                    "better": "higher" if sign < 0 else "lower",
+                    **side,
+                    "change_rel": (side["change"]["median"] - base_median) / base_median
+                    if base_median else None,
+                    "wins": sum(sign * (p["base"] - p["change"]) > 0 for p in both),
+                    "pairs": len(both),
+                    "clear": gain > side["base"]["iqr"],
+                }
+    return out
+
+
+def _better_directions() -> dict[str, str]:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+
+
+def _git(*args: str, cwd: Path = ROOT) -> str:
+    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
+                          timeout=20 * seconds + 600)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"{' '.join(cmd)} in {tree} exited with {proc.returncode}")
+    return last_json(proc.stdout)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--base", default="HEAD", help="commit to compare against (default HEAD)")
+    ap.add_argument("--workload", action="append", required=True)
+    ap.add_argument("--seed", type=int, action="append", required=True)
+    ap.add_argument("--seconds", type=float, default=55.0)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--output", type=Path, required=True)
+    args = ap.parse_args(argv)
+
+    base_sha = _git("rev-parse", args.base)
+    runs: list[dict] = []
+    with tempfile.TemporaryDirectory(prefix="paired-bench-") as tmp:
+        tree = {"base": Path(tmp) / "base", "change": ROOT}
+        _git("worktree", "add", "--detach", str(tree["base"]), base_sha)
+        try:
+            for workload in args.workload:
+                for seed in args.seed:
+                    for pair in range(args.pairs):
+                        for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+                            result = _run(tree[side], workload, seed, args.seconds)
+                            runs.append({"workload": workload, "seed": seed, "pair": pair,
+                                         "side": side, "result": result})
+                            got = result["metrics"]
+                            print(f"{workload} seed {seed} pair {pair} {side}: "
+                                  + " ".join(f"{k}={v['value']:.6g}" for k, v in got.items()),
+                                  flush=True)
+        finally:
+            _git("worktree", "remove", "--force", str(tree["base"]))
+
+    doc = {
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g}",
+        "base": base_sha,
+        "change": f"working tree on {_git('rev-parse', 'HEAD')}"
+                  + (" with uncommitted changes" if _git("status", "--porcelain") else ""),
+        "machine": {"platform": platform.platform(), "python": platform.python_version(),
+                    "nproc": os.cpu_count()},
+        "summary": summarize(runs, _better_directions()),
+        "runs": runs,
+    }
+    args.output.write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"wrote {args.output}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -34,6 +34,8 @@ OBJECTIVE_SLAM = "slam-double"
 # Cholesky pivots below this fraction of the largest diagonal entry are
 # refused with _UNRESOLVED instead of silently producing a garbage factor.
 PIVOT_RTOL = 1e-12
+# The largest n whose pair keys u * (n + 1) + v fit in int64 (_merge_columns).
+MAX_VERTICES = 3_037_000_498
 _UNRESOLVED = (
     "the graph is disconnected up to rounding, or its weights spread more "
     "widely than float64 resolves"
@@ -51,30 +53,96 @@ def _as_vertex(x) -> int:
         raise ArgumentError(f"vertex ids must be integers, got {x!r}") from None
 
 
+def _check_edge(e, n: int) -> tuple[int, int, float]:
+    """One (u, v, weight) edge on vertices 1..n, checked and normalized.
+
+    Raises ArgumentError naming the edge; the messages of every graph check.
+    """
+    e = tuple(e)
+    if len(e) != 3:
+        raise ArgumentError(f"edge must be (u, v, weight), got {e!r}")
+    u, v = _as_vertex(e[0]), _as_vertex(e[1])
+    w = float(e[2])
+    if not (1 <= u <= n and 1 <= v <= n):
+        raise ArgumentError(f"vertex id out of range 1..{n}: ({u}, {v})")
+    if u == v:
+        raise ArgumentError(f"self-loop at vertex {u} is not allowed")
+    if not 1.0 <= w < math.inf:  # refuses nan too
+        raise ArgumentError(f"edge weight must be >= 1 and finite, got {w!r}")
+    return (u, v, w)
+
+
+def _edge_columns(edges: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Integer u and v and float w columns of (u, v, w) edges.
+
+    None when an entry has another arity, or a column does not type as
+    integers (vertices) or real numbers (weights), e.g. bools or strings:
+    _check_edge then decides, one edge at a time, what they mean.
+    """
+    if not edges:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0)
+    try:
+        cols = tuple(map(np.array, zip(*edges, strict=True)))
+    except (TypeError, ValueError):
+        return None
+    if len(cols) != 3 or any(c.ndim != 1 for c in cols):
+        return None
+    u, v, w = cols
+    if u.dtype.kind not in "iu" or v.dtype.kind not in "iu" or w.dtype.kind not in "iuf":
+        return None
+    return u, v, w.astype(float, copy=False)
+
+
+def _merge_columns(
+    lo: np.ndarray, hi: np.ndarray, w: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge columns with lo < hi in 1..n, one row per pair, sorted by pair.
+
+    w holds one weight column, shape (m,), or several, (m, j). One stable
+    sort on the pair key lo * (n + 1) + hi finds each pair's first edge,
+    and bincount sums each pair's weights from 0.0 in input order, so a
+    pair's first weights keep their bits and later copies add on in the
+    order they came, as a dict merge over the edges would.
+    """
+    key = lo * (n + 1) + hi
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    first = np.empty(len(key), dtype=bool)
+    first[:1] = True
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=first[1:])
+    pairs = order[first]
+    group = np.searchsorted(sorted_key[first], key)
+    if w.ndim == 1:
+        sums = np.bincount(group, weights=w, minlength=len(pairs))
+    else:
+        sums = np.stack([np.bincount(group, weights=c, minlength=len(pairs)) for c in w.T], axis=1)
+    return lo[pairs], hi[pairs], sums
+
+
 def _merge_parallel(edges: Iterable[tuple]) -> tuple[tuple, ...]:
     """(u, v, *weights) edges with u < v, one per pair, sorted by pair.
 
-    Parallel edges sum each weight column in input order; a pair's first
-    weights are kept as they are, so a pair without repeats keeps its bits.
+    Parallel edges sum each weight column in input order (_merge_columns).
     """
-    merged: dict[tuple[int, int], tuple] = {}
-    for e in edges:
-        pair = _canonical_pair(e[0], e[1])
-        if pair in merged:
-            merged[pair] = tuple(map(operator.add, merged[pair], e[2:]))
-        else:
-            merged[pair] = e[2:]
-    return tuple(pair + merged[pair] for pair in sorted(merged))
+    edges = tuple(edges)
+    if not edges:
+        return ()
+    u, v, *ws = (np.array(c) for c in zip(*edges))
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    lo, hi, sums = _merge_columns(lo, hi, np.stack(ws, axis=1).astype(float), int(hi.max()))
+    return tuple(zip(lo.tolist(), hi.tolist(), *sums.T.tolist()))
 
 
 @dataclass(frozen=True)
 class WeightedGraph:
     """Undirected graph on vertices 1..n with edge weights >= 1.
 
-    Edges are canonicalized at construction by _merge_parallel: endpoints
-    ordered u < v, parallel edges merged by summing their weights, and
-    the edge list sorted by endpoint pair. Weights below 1 are refused;
-    datasets with smaller weights are rescaled at g2o ingestion.
+    Edges are canonicalized at construction, on arrays: endpoints ordered
+    u < v, one stable sort on the endpoint pair, and parallel edges merged
+    by summing their weights in input order (_merge_columns). ``edges`` is
+    the resulting tuple of (u, v, w); the same columns are kept as arrays
+    for Laplacian assembly. Weights below 1 are refused; datasets with
+    smaller weights are rescaled at g2o ingestion.
     """
 
     n: int
@@ -82,25 +150,25 @@ class WeightedGraph:
 
     def __post_init__(self) -> None:
         n = _as_vertex(self.n)
-        if n < 1:
-            raise ArgumentError(f"vertex count must be positive, got {n}")
+        if not 1 <= n <= MAX_VERTICES:
+            raise ArgumentError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
         object.__setattr__(self, "n", n)
 
-        raw = []
-        for e in self.edges:
-            e = tuple(e)
-            if len(e) != 3:
-                raise ArgumentError(f"edge must be (u, v, weight), got {e!r}")
-            u, v = _as_vertex(e[0]), _as_vertex(e[1])
-            w = float(e[2])
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ArgumentError(f"vertex id out of range 1..{n}: ({u}, {v})")
-            if u == v:
-                raise ArgumentError(f"self-loop at vertex {u} is not allowed")
-            if not 1.0 <= w < math.inf:  # refuses nan too
-                raise ArgumentError(f"edge weight must be >= 1 and finite, got {w!r}")
-            raw.append((u, v, w))
-        object.__setattr__(self, "edges", _merge_parallel(raw))
+        edges = tuple(self.edges)
+        cols = _edge_columns(edges)
+        if cols is None:
+            cols = _edge_columns(tuple(_check_edge(e, n) for e in edges))
+        u, v, w = cols
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        bad = (lo < 1) | (hi > n) | (lo == hi) | ~(w >= 1.0) | (w == math.inf)
+        if bad.any():
+            i = int(bad.argmax())
+            _check_edge((int(u[i]), int(v[i]), float(w[i])), n)  # raises, naming the edge
+        u, v, w = _merge_columns(lo.astype(np.int64, copy=False), hi.astype(np.int64, copy=False), w, n)
+        for a in (u, v, w):
+            a.setflags(write=False)
+        object.__setattr__(self, "_columns", (u, v, w))
+        object.__setattr__(self, "edges", tuple(zip(u.tolist(), v.tolist(), w.tolist())))
 
     @property
     def num_edges(self) -> int:
@@ -162,15 +230,31 @@ class WeightedGraph:
         return WeightedGraph(self.n, kept)
 
     def full_laplacian(self) -> np.ndarray:
-        """Dense n x n weighted Laplacian."""
-        L = np.zeros((self.n, self.n))
-        for u, v, w in self.edges:
-            i, j = u - 1, v - 1
-            L[i, i] += w
-            L[j, j] += w
-            L[i, j] -= w
-            L[j, i] -= w
-        return L
+        """Dense n x n weighted Laplacian, assembled from the edge arrays.
+
+        The diagonal is one bincount in a per-edge loop's summation order,
+        so the bits are that loop's (_laplacian).
+        """
+        return _laplacian(self, self.n)
+
+
+def _laplacian(g: WeightedGraph, order: int) -> np.ndarray:
+    """The leading order x order block of g's Laplacian, assembled from arrays.
+
+    The diagonal is one bincount over the interleaved ends u0, v0, u1,
+    v1, ...: each vertex adds its edges' weights from 0.0 in edge order,
+    the order of a per-edge loop, so the bits are that loop's. Each
+    off-diagonal pair occurs once, so it is set to -w.
+    """
+    u, v, w = g._columns
+    L = np.zeros((order, order))
+    ends = np.stack((u, v), axis=1).ravel()
+    L.flat[:: order + 1] = np.bincount(ends, weights=np.repeat(w, 2), minlength=g.n + 1)[1 : order + 1]
+    inside = v <= order  # u < v, so v is the end past the block
+    i, j, w = u[inside] - 1, v[inside] - 1, w[inside]
+    L[i, j] = -w
+    L[j, i] = -w
+    return L
 
 
 def is_connected(g: WeightedGraph) -> bool:
@@ -292,21 +376,27 @@ class ReducedLaplacian:
 
 
 def build_reduced_laplacian(g: WeightedGraph) -> ReducedLaplacian:
-    """Assemble the reduced Laplacian of g, dropping vertex n."""
+    """Assemble the reduced Laplacian of g, dropping vertex n.
+
+    The (n-1) x (n-1) matrix is assembled directly (_laplacian): one
+    bincount for the diagonal, in a per-edge loop's summation order.
+    """
     if g.n < 2:
         raise ArgumentError("reduced Laplacian needs at least 2 vertices")
-    # copied so that the matrix owns contiguous memory
-    return ReducedLaplacian._trusted(g.n, np.ascontiguousarray(g.full_laplacian()[:-1, :-1]))
+    return ReducedLaplacian._trusted(g.n, _laplacian(g, g.n - 1))
+
+
+def _weight_column(channel: str | None) -> int:
+    """Position of a weight channel's entry in an instance edge."""
+    if channel is None or channel == "p":
+        return 2
+    if channel == "theta":
+        return 3
+    raise ArgumentError(f"unknown weight channel {channel!r}")
 
 
 def _edge_weight(edge: tuple, channel: str | None) -> float:
-    if channel is None:
-        return float(edge[2])
-    if channel == "p":
-        return float(edge[2])
-    if channel == "theta":
-        return float(edge[3])
-    raise ArgumentError(f"unknown weight channel {channel!r}")
+    return float(edge[_weight_column(channel)])
 
 
 @dataclass(frozen=True)
@@ -322,6 +412,11 @@ class EdgeSelectionInstance:
 
     Candidate order is significant: greedy ties break toward the lowest
     index and selections are reported as indices into ``candidates``.
+
+    Construction is the one connectivity check: the base graph must be
+    connected. The channels share one topology, so only the first
+    channel's graph is walked. Every design adds edges to a connected
+    base, so scoring one (greedy.GainFunction) walks nothing.
     """
 
     n: int
@@ -372,12 +467,9 @@ class EdgeSelectionInstance:
             raise ArgumentError(f"budget k={k} outside 0..{len(cands)}")
         object.__setattr__(self, "k", k)
 
-        for channel, _ in self.channels:
-            g = self.base_graph(channel)
-            if not g.connected:
-                raise DataError(
-                    f"base graph is disconnected ({g.component_count} components)"
-                )
+        g = self.base_graph(self.channels[0][0])
+        if not g.connected:
+            raise DataError(f"base graph is disconnected ({g.component_count} components)")
 
         if self.direction == DIRECTION_REMOVE:
             merged = {e[:2]: e[2:] for e in self.merged_base_edges()}
@@ -409,11 +501,11 @@ class EdgeSelectionInstance:
 
     @cached_property
     def _base_graphs(self) -> dict[str | None, WeightedGraph]:
-        out: dict[str | None, WeightedGraph] = {}
-        for channel, _ in self.channels:
-            edges = [(u_v[0], u_v[1], _edge_weight(u_v, channel)) for u_v in self.base_edges]
-            out[channel] = WeightedGraph(self.n, tuple(edges))
-        return out
+        cols = tuple(zip(*self.base_edges)) or ((),) * (2 + len(self.channels))
+        return {
+            channel: WeightedGraph(self.n, tuple(zip(cols[0], cols[1], cols[_weight_column(channel)])))
+            for channel, _ in self.channels
+        }
 
     def base_graph(self, channel: str | None = None) -> WeightedGraph:
         if channel not in self._base_graphs:
@@ -427,6 +519,13 @@ class EdgeSelectionInstance:
     @cached_property
     def candidate_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((e[0], e[1]) for e in self.candidates)
+
+    @cached_property
+    def candidate_array(self) -> np.ndarray:
+        """The candidates as a read-only c x (2 + channels) float array."""
+        a = np.array(self.candidates, dtype=float).reshape(self.num_candidates, 2 + len(self.channels))
+        a.setflags(write=False)
+        return a
 
     @cached_property
     def kernels(self) -> tuple:
@@ -466,7 +565,7 @@ class EdgeSelectionInstance:
         return inst
 
     def candidate_weights(self, channel: str | None = None) -> np.ndarray:
-        w = np.array([_edge_weight(e, channel) for e in self.candidates])
+        w = np.ascontiguousarray(self.candidate_array[:, _weight_column(channel)])
         w.setflags(write=False)
         return w
 

@@ -25,8 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InfeasibleError, SizeGuardError
-from .graphs import EdgeSelectionInstance, _design_indices
-from .treeconn import tree_connectivity
+from .graphs import EdgeSelectionInstance, _design_indices, build_reduced_laplacian
 
 # exhaustive_select refuses to walk more subsets than this
 EXHAUSTIVE_MAX_SUBSETS = 10**6
@@ -94,9 +93,13 @@ class GainFunction:
     """Tree-connectivity gain of candidate subsets over the base graph.
 
     Calling it with an index subset rebuilds the augmented graph from
-    scratch, so it is the slow, trustworthy evaluation the fast greedy
-    path is checked against. Empty subsets return exactly 0. The
-    baselines, each channel's base tau, are read off the instance's kernels.
+    scratch, a new graph, reduced Laplacian and Cholesky factor per
+    channel, so it is the slow, trustworthy evaluation the fast greedy
+    path is checked against. It walks no connectivity: the instance guard
+    proved the base graph connected, adding candidates keeps it so, and
+    the factor's pivot floor still refuses what float64 cannot resolve.
+    Empty subsets return exactly 0. The baselines, each channel's base
+    tau, are read off the instance's kernels.
     """
 
     instance: EdgeSelectionInstance
@@ -112,7 +115,7 @@ class GainFunction:
         total = 0.0
         for (channel, mult), tau0 in zip(inst.channels, self.baselines):
             g = inst.base_graph(channel).with_edges(inst.candidate_edges(idx, channel))
-            total += mult * (tree_connectivity(g).tau - tau0)
+            total += mult * (build_reduced_laplacian(g).log_det() - tau0)
         return total
 
     def absolute(self, subset: Iterable[int]) -> float:
@@ -126,7 +129,7 @@ class GainFunction:
         total = 0.0
         for channel, mult in inst.channels:
             g = inst.base_graph(channel).with_edges(inst.candidate_edges(idx, channel))
-            total += mult * tree_connectivity(g).tau
+            total += mult * build_reduced_laplacian(g).log_det()
         return total
 
 
@@ -147,9 +150,8 @@ def _greedy_run(
     # Exact duplicate candidates share one kernel column, so their gains
     # tie exactly and the lowest index wins, as it does from scratch; BLAS
     # matrix-vector products can round two identical columns differently.
-    keys = np.array(
-        [(min(e[:2]), max(e[:2]), *e[2:]) for e in inst.candidates], dtype=float
-    ).reshape(c, 2 + len(inst.channels))
+    keys = inst.candidate_array.copy()
+    keys[:, :2].sort(axis=1)
     _, first, col = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     col = col.reshape(-1)
     # per channel: the kernel's Z rows of the distinct candidates and their

@@ -1,12 +1,14 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treesynth.graphs import _merge_parallel
 from treesynth import (
     ArgumentError,
     DataError,
@@ -88,6 +90,40 @@ def test_graph_rejects_bad_edges(edges):
         WeightedGraph(3, edges)
 
 
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        # the first offending edge is named, whatever its fault
+        (((1, 2, 1.0), (2, 3, 0.5), (1, 9, 1.0)), "got 0.5"),
+        (((1, 2, 1.0), (3, 3, 1.0), (2, 3, 0.5)), "self-loop at vertex 3"),
+        (((1, 2, 1.0), (2, 1.0, 1.0), (1, 9, 1.0)), "vertex ids must be integers, got 1.0"),
+        (((1, 2, 1.0), (2, 3), (1, 9, 1.0)), "edge must be (u, v, weight), got (2, 3)"),
+        (((1, 9, 1.0), (2, 3, math.inf)), "out of range 1..3: (1, 9)"),
+    ],
+)
+def test_graph_names_the_first_bad_edge(edges, message):
+    with pytest.raises(ArgumentError, match=re.escape(message)):
+        WeightedGraph(3, edges)
+
+
+def test_graph_refuses_vertex_counts_whose_pair_keys_overflow():
+    from treesynth.graphs import MAX_VERTICES
+
+    n = MAX_VERTICES
+    assert (n + 1) ** 2 <= 2**63 < (n + 2) ** 2
+    assert WeightedGraph(n, ((n, n - 1, 1.0), (1, n, 2.0))).edges == ((1, n, 2.0), (n - 1, n, 1.0))
+    with pytest.raises(ArgumentError, match="vertex count"):
+        WeightedGraph(n + 1, ((1, 2, 1.0),))
+
+
+def test_graph_accepts_what_int_and_float_accept():
+    g = WeightedGraph(3, ((True, np.int64(2), "2.5"), (np.uint8(3), 2, np.float32(1.5))))
+    assert g.edges == ((1, 2, 2.5), (2, 3, 1.5))
+    assert all(type(x) is int for e in g.edges for x in e[:2])
+    with pytest.raises(TypeError):
+        WeightedGraph(3, ((1, 2, None),))
+
+
 def test_graph_weight_lookup_and_edit_methods():
     g = WeightedGraph(3, TRIANGLE)
     assert g.weight(2, 1) == 2.0
@@ -115,6 +151,67 @@ def test_full_laplacian_structure():
     assert np.allclose(L, L.T)
     assert np.allclose(L.sum(axis=0), 0.0)
     assert L[0, 0] == 6.0  # vertex 1 touches weights 2 and 4
+
+
+# ---------------------------------------------------------------------------
+# array assembly against the per-edge loops it replaced
+
+
+def reference_edges(edges):
+    """The dict merge: u < v, weights of a pair summed in input order, sorted by pair."""
+    merged = {}
+    for u, v, *ws in edges:
+        pair = (min(u, v), max(u, v))
+        merged[pair] = tuple(a + b for a, b in zip(merged[pair], ws)) if pair in merged else tuple(ws)
+    return tuple(pair + merged[pair] for pair in sorted(merged))
+
+
+def reference_laplacian(n, canonical_edges):
+    """The per-edge loop over canonical edges."""
+    L = np.zeros((n, n))
+    for u, v, w in canonical_edges:
+        i, j = u - 1, v - 1
+        L[i, i] += w
+        L[j, j] += w
+        L[i, j] -= w
+        L[j, i] -= w
+    return L
+
+
+def random_multigraph(rng, n, pairs, columns=1):
+    """Random edges on distinct pairs, some pairs 3-5 times, in random order
+    and orientation, weights spread over 1..1e16 so that the order of a
+    sum shows in its bits. Starts with a pair whose order matters."""
+    edges = [(1, 2, *[1e16] * columns), (1, 2, *[1.0] * columns), (2, 1, *[1.0] * columns)]
+    for _ in range(pairs):
+        u, v = (int(x) for x in rng.choice(np.arange(1, n + 1), size=2, replace=False))
+        for _ in range(int(rng.choice([1, 1, 3, 5]))):
+            ws = (float(10.0 ** rng.uniform(0, 16)) for _ in range(columns))
+            edges.append((u, v, *ws) if rng.random() < 0.5 else (v, u, *ws))
+    order = rng.permutation(len(edges) - 3) + 3
+    return edges[:3] + [edges[i] for i in order]
+
+
+def test_parallel_weights_sum_in_input_order():
+    g = WeightedGraph(3, ((1, 2, 1e16), (1, 2, 1.0), (2, 1, 1.0), (2, 3, 1.0)))
+    assert g.weight(1, 2) == (1e16 + 1.0) + 1.0 != 1e16 + (1.0 + 1.0)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_array_assembly_matches_the_per_edge_loops(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 16))
+    edges = random_multigraph(rng, n, int(rng.integers(n, 4 * n)))
+    g = WeightedGraph(n, tuple(edges))
+    assert g.edges == reference_edges(edges)
+    L = reference_laplacian(n, g.edges)
+    assert np.array_equal(g.full_laplacian(), L)
+    reduced = build_reduced_laplacian(g).matrix
+    assert reduced.flags.c_contiguous
+    assert np.array_equal(reduced, L[:-1, :-1])
+    # the merge of instance edges, two weight columns at once
+    two = random_multigraph(rng, n, int(rng.integers(n, 4 * n)), columns=2)
+    assert _merge_parallel(two) == reference_edges(two)
 
 
 @given(st.permutations(list(TRIANGLE)))

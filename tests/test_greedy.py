@@ -388,9 +388,9 @@ def test_threshold_stop_builds_no_graph_per_round(monkeypatch):
             inst.n, inst.base_edges, inst.candidates, 12, objective=inst.objective))
         gains = np.cumsum([s.gain for s in full.trace])
         calls = []
-        scratch = greedy.tree_connectivity
+        scratch = greedy.build_reduced_laplacian
         monkeypatch.setattr(
-            greedy, "tree_connectivity", lambda g: calls.append(1) or scratch(g))
+            greedy, "build_reduced_laplacian", lambda g: calls.append(1) or scratch(g))
         counts = []
         for rounds in (1, 3, 8):
             calls.clear()
