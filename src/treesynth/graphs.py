@@ -543,6 +543,11 @@ class EdgeSelectionInstance:
         solve overwriting the gathered rows, until it returns, and the
         Newton trial the free block's Hessian, |F|^2; the kernel keeps
         neither.
+
+        A channel whose merged base edges are {a, a + 1} for a = 1..n-1,
+        the odometry path of every g2o instance (slam.to_instance, and
+        reduce_removal_to_addition's base), gets Z in closed form with no
+        solve; every other base is whitened by a triangular solve.
         """
         from .treeconn import SubsetLogDet  # treeconn imports this module
 
@@ -551,9 +556,14 @@ class EdgeSelectionInstance:
                 "the solvers expect an addition instance; reduce removal "
                 "instances first (reduce_removal_to_addition)"
             )
-        return tuple((mult, SubsetLogDet(build_reduced_laplacian(self.base_graph(ch)),
-                                         self.candidate_pairs, self.candidate_weights(ch)))
-                     for ch, mult in self.channels)
+        kernels = []
+        for ch, mult in self.channels:
+            g = self.base_graph(ch)
+            u, v, w = g._columns
+            path = w if u.size == self.n - 1 and np.all(v - u == 1) else None
+            kernels.append((mult, SubsetLogDet(build_reduced_laplacian(g), self.candidate_pairs,
+                                               self.candidate_weights(ch), path)))
+        return tuple(kernels)
 
     def with_budget(self, k: int) -> EdgeSelectionInstance:
         """The instance with budget k, sharing this one's kernels (built here if new).

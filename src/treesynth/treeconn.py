@@ -128,10 +128,41 @@ def whitened_incidence(L: ReducedLaplacian, pairs) -> np.ndarray:
     effective resistances and Y^T Y is the pairs' Gram matrix, which
     greedy selection and randomized rounding update without forming it.
     One right-side triangular solve, Y^T = A^T C^{-T}, written over the
-    fresh A; order x len(pairs).
+    fresh A; order x len(pairs). Its error grows with the condition
+    number of L; on a path base the kernel uses the closed form
+    (path_whitened_incidence) instead.
     """
     A = L.incidence_matrix(pairs)
     return dtrsm(1.0, L.cholesky, A.T, side=1, lower=1, trans_a=1, overwrite_b=1).T
+
+
+def path_whitened_incidence(path_weights: np.ndarray, pairs, weights) -> np.ndarray:
+    """Z^T = (C^{-1} A diag(sqrt(w)))^T in closed form when the base is the path 1-2-...-n.
+
+    ``path_weights[j]`` is the weight p_j of the base edge {j + 1, j + 2},
+    the graph's merged edges in order. The path's reduced Laplacian is
+    B P B^T, B its bidiagonal incidence (1 on the diagonal, -1 below), so
+    its Cholesky factor is C = B P^{1/2} and B^{-1} is the lower triangle
+    of ones: C^{-1} a_uv is +-1 / sqrt(p_j) on the path edges j between u
+    and v, + when u < v. Row i of Z^T is sign_i sqrt(w_i) / sqrt(p_j) on
+    the columns j in [min(u, v) - 1, max(u, v) - 1): a difference array of
+    +-sqrt(w_i), one in-place cumulative sum along rows (exact: the two
+    entries of a row cancel to zero) and one division. No solve, so each
+    entry is exact to a few ulps whatever the base's condition number;
+    c x order, C-ordered.
+    """
+    order = len(path_weights)
+    uv = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    lo, hi = uv.min(axis=1) - 1, uv.max(axis=1) - 1
+    d = np.where(uv[:, 0] < uv[:, 1], 1.0, -1.0) * np.sqrt(weights)
+    Zt = np.zeros((len(uv), order))
+    rows = np.arange(len(uv))
+    Zt[rows, lo] = d
+    inside = hi < order  # column hi is the anchor's, dropped
+    Zt[rows[inside], hi[inside]] = -d[inside]
+    np.cumsum(Zt, axis=1, out=Zt)
+    Zt /= np.sqrt(path_weights)
+    return Zt
 
 
 class SubsetLogDet:
@@ -139,7 +170,12 @@ class SubsetLogDet:
 
     det L(S) = det L0 * det(I + Z_S^T Z_S), where L(S) is the base L0
     plus the candidates in S and Z = C^{-1} A diag(sqrt(w)) is the
-    whitened, weighted incidence of all candidates. A batch shares one
+    whitened, weighted incidence of all candidates, kept as Z^T (c x
+    order). Given ``path_weights``, the base is the path 1-2-...-n and Z
+    comes in closed form (path_whitened_incidence), exact to a few ulps
+    per entry; otherwise from one triangular solve against L's factor
+    (whitened_incidence), whose error grows with L's condition number.
+    log_det0 comes from L's dense factor either way. A batch shares one
     stacked slogdet on the smaller Sylvester form, s x s or
     order x order, and each subset's value does not depend on the rest
     of its batch. Memory is O(order * c) plus the batch.
@@ -156,10 +192,13 @@ class SubsetLogDet:
     returns.
     """
 
-    def __init__(self, L: ReducedLaplacian, pairs, weights):
+    def __init__(self, L: ReducedLaplacian, pairs, weights, path_weights: np.ndarray | None = None):
         self.log_det0 = L.log_det()
-        Z = whitened_incidence(L, pairs) * np.sqrt(weights)
-        self.Zt = np.ascontiguousarray(Z.T)
+        if path_weights is None:
+            Z = whitened_incidence(L, pairs) * np.sqrt(weights)
+            self.Zt = np.ascontiguousarray(Z.T)
+        else:
+            self.Zt = path_whitened_incidence(path_weights, pairs, weights)
         # (pi, support, sqrt(pi) on it, Cholesky factor) of the last selector
         self._last: tuple | None = None
 

@@ -283,9 +283,9 @@ def test_bench_k_sweep_builds_one_kernel_per_channel(monkeypatch, mini_g2o, caps
     from treesynth import treeconn
 
     built = []
-    whitened = treeconn.whitened_incidence
+    init = treeconn.SubsetLogDet.__init__
     monkeypatch.setattr(
-        treeconn, "whitened_incidence", lambda L, pairs: built.append(1) or whitened(L, pairs))
+        treeconn.SubsetLogDet, "__init__", lambda self, *a: built.append(1) or init(self, *a))
     sweeps = (
         (("--n", "12", "--m-init", "14", "--c", "10", "--mode", "sampled"), "1:5", 1),
         (("--g2o", str(mini_g2o)), "1:3", 2),  # slam-double, 3 candidates
