@@ -13,9 +13,13 @@ from treesynth import (
     count_spanning_trees_bruteforce,
     effective_resistance,
     greedy_select,
+    parse_g2o,
     random_instance,
+    reduce_removal_to_addition,
+    to_instance,
     tree_connectivity,
     tree_connectivity_spectral,
+    treeconn,
 )
 from conftest import (
     direct_log_det_and_grad,
@@ -153,7 +157,12 @@ def test_selector_kernel_matches_direct_evaluation():
     # order 1: Z^T is c x 1, C- and Fortran-contiguous at once, so an
     # in-place solve on the order side would land in the kernel's memory
     single = EdgeSelectionInstance(2, ((1, 2, 1.0),), ((1, 2, 2.0), (2, 1, 1.5), (1, 2, 3.0)), 1)
-    cases = [narrow, wide, dup, dup_wide, single,
+    # dup's base is the path 1-2-...-8, so its Z comes in closed form; its
+    # twin relabels the path 1-3-2-4-...-8, which is whitened by the solve
+    twisted = ((1, 3, 1.0), (3, 2, 1.0), *path[2:])
+    dup_twin = EdgeSelectionInstance(8, twisted, dup.candidates, 2)
+    assert _solved_channels(dup) == 0 and _solved_channels(dup_twin) == 1
+    cases = [narrow, wide, dup, dup_twin, dup_wide, single,
              slam_instance(narrow, rng), slam_instance(wide, rng)]
     forms = set()
     for inst in cases:
@@ -182,3 +191,84 @@ def test_selector_kernel_matches_direct_evaluation():
     # the s x s form with G kept (c <= order) and with its rows formed from
     # Z (c > order), and the order x order form (s > order)
     assert forms == {(True, True), (False, True), (False, False)}
+
+
+# ---------------------------------------------------------------------------
+# the odometry path: whitened incidence in closed form
+
+
+def _solved_channels(inst):
+    """Channels of a fresh copy of inst whose kernel whitens by a triangular solve."""
+    calls = []
+    solve = treeconn.whitened_incidence
+    fresh = EdgeSelectionInstance(inst.n, inst.base_edges, inst.candidates, inst.k,
+                                  inst.direction, inst.objective)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(treeconn, "whitened_incidence",
+                   lambda L, pairs: calls.append(1) or solve(L, pairs))
+        fresh.kernels
+    return len(calls)
+
+
+def _assert_kernels_match_the_solve(inst):
+    for (channel, _), (_, kernel) in zip(inst.channels, inst.kernels):
+        L = build_reduced_laplacian(inst.base_graph(channel))
+        Z = treeconn.whitened_incidence(L, inst.candidate_pairs)
+        Z *= np.sqrt(inst.candidate_weights(channel))
+        assert kernel.Zt.shape == Z.T.shape and kernel.Zt.flags.c_contiguous
+        np.testing.assert_allclose(kernel.Zt, Z.T, rtol=0, atol=1e-12 * np.abs(Z).max())
+        assert kernel.log_det0 == L.log_det()
+
+
+def test_path_base_whitens_in_closed_form():
+    rng = np.random.default_rng(23)
+    path = tuple((a, a + 1, float(rng.uniform(1.0, 50.0))) for a in range(1, 9))
+    # reversed candidates, candidates at the anchor (vertex 9), exact duplicates
+    cands = ((1, 9, 2.0), (9, 1, 2.0), (3, 9, 1.0), (9, 4, 7.5), (2, 5, 1.5), (2, 5, 1.5),
+             (6, 3, 4.0), (8, 9, 3.0), (1, 2, 2.5))
+    anchored = EdgeSelectionInstance(9, path, cands, 3)
+    # parallel base edges, one of them reversed, merge into the path 1-2-3-4
+    merged = EdgeSelectionInstance(
+        4, ((1, 2, 1.0), (2, 1, 2.0), (2, 3, 1.5), (3, 4, 1.0), (3, 4, 3.0)),
+        ((1, 4, 2.0), (4, 2, 1.0), (3, 1, 1.5)), 1)
+    single = EdgeSelectionInstance(2, ((1, 2, 3.0),), ((1, 2, 2.0), (2, 1, 1.5)), 1)  # order 1
+    n = 40
+    long = tuple((a, a + 1, float(10 ** rng.uniform(0.0, 3.0))) for a in range(1, n))
+    pairs = [rng.choice(np.arange(1, n + 1), 2, replace=False) for _ in range(60)]
+    randomized = EdgeSelectionInstance(
+        n, long, tuple((int(u), int(v), float(rng.uniform(1.0, 5.0))) for u, v in pairs), 5)
+    for inst in (anchored, merged, single, randomized,
+                 slam_instance(anchored, rng), slam_instance(randomized, rng)):
+        assert _solved_channels(inst) == 0
+        _assert_kernels_match_the_solve(inst)
+    # exact on the path: sign(v - u) sqrt(w / w_a) on each path edge a between u and v
+    (_, kernel), = anchored.kernels
+    row = np.zeros(8)
+    row[3:8] = -np.sqrt(7.5 / np.array([w for _, _, w in path[3:8]]))
+    np.testing.assert_allclose(kernel.Zt[3], row, rtol=4 * np.finfo(float).eps, atol=0)
+    assert np.count_nonzero(kernel.Zt[2]) == 6 and not np.any(kernel.Zt[1] + kernel.Zt[0])
+
+
+def test_bases_that_are_not_the_path_keep_the_solve():
+    path = tuple((a, a + 1, 1.0 + a) for a in range(1, 7))
+    cands = ((1, 7, 2.0), (7, 2, 1.0), (3, 5, 1.5))
+    chord = EdgeSelectionInstance(7, (*path, (2, 6, 4.0)), cands, 1)
+    # the path 1-2-3-4-5-7-6: a tree, but not the consecutive-id path
+    relabelled = EdgeSelectionInstance(7, (*path[:4], (5, 7, 6.0), (7, 6, 7.0)), cands, 1)
+    for inst in (chord, relabelled, slam_instance(chord, np.random.default_rng(4))):
+        assert _solved_channels(inst) == len(inst.channels)
+        _assert_kernels_match_the_solve(inst)
+
+
+def test_g2o_instances_take_the_closed_form(mini_g2o):
+    # a regression guard: the odometry chain is the base the paper's
+    # pose graphs use, so the closed form is what SLAM instances run
+    ds = parse_g2o(mini_g2o)
+    added = to_instance(ds, 2)
+    removed = reduce_removal_to_addition(to_instance(ds, 2, direction="remove"))
+    for inst in (added, removed):
+        assert len(inst.channels) == 2
+        assert _solved_channels(inst) == 0
+        _assert_kernels_match_the_solve(inst)
+    generic = random_add_instance(np.random.default_rng(8), 10, 13, 6, 2)
+    assert _solved_channels(generic) == 1
