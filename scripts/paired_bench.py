@@ -1,12 +1,15 @@
 """Paired benchmark of the working tree against a base commit.
 
-Runs the unchanged ``perfbench/run.py`` alternately in a temporary git
-worktree of the base commit and in this working tree, ``--pairs`` times
-per workload and seed; within each pair the side that runs first
-alternates, so a drift in the machine's speed does not favour either.
-Each run's last line of standard output is its JSON result. The output
-file holds every run's metrics and, per workload, seed and metric, each
-side's median and quartiles and the number of pairs the change won.
+Runs the unchanged ``perfbench/run.py`` alternately in a temporary
+export of the base commit (``git archive``) and in this working tree,
+``--pairs`` times per workload and seed; within each pair the side that
+runs first alternates, so a drift in the machine's speed does not favour
+either. Each run's last line of standard output is its JSON result. The
+output file holds every run's metrics and, per workload, seed and metric,
+each side's median and quartiles and the number of pairs the change won,
+and per workload and seed each side's quartiles of the runs' attempted
+instance counts, by which a per-process figure such as peak_rss_mb can be
+read per call.
 
 Usage:
     python scripts/paired_bench.py --base HEAD~1 --workload posegraph-300 \\
@@ -54,14 +57,23 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     "higher"; metrics it does not name are lower-is-better. A pair is a
     win when the change's value is strictly better than the base's;
     ``clear`` says whether the medians differ, in the better direction, by
-    more than the base's interquartile range.
+    more than the base's interquartile range. Beside the metrics, the
+    entry ``attempted`` holds each side's quartiles of the runs'
+    attempted counts.
     """
     values: dict = {}
+    attempted: dict = {}
     for r in runs:
+        slot = values.setdefault(r["workload"], {}).setdefault(str(r["seed"]), {})
         for metric, rec in r["result"].get("metrics", {}).items():
-            slot = values.setdefault(r["workload"], {}).setdefault(str(r["seed"]), {})
             slot.setdefault(metric, {}).setdefault(r["pair"], {})[r["side"]] = rec["value"]
+        if "attempted" in r["result"]:
+            counts = attempted.setdefault((r["workload"], str(r["seed"])), {})
+            counts.setdefault(r["side"], []).append(r["result"]["attempted"])
     out: dict = {}
+    for (workload, seed), counts in attempted.items():
+        out.setdefault(workload, {}).setdefault(seed, {})["attempted"] = {
+            side: quartiles(counts[side]) for side in SIDES if side in counts}
     for workload, seeds in values.items():
         for seed, metrics in seeds.items():
             for metric, pairs in metrics.items():
@@ -119,21 +131,21 @@ def main(argv=None) -> int:
     runs: list[dict] = []
     with tempfile.TemporaryDirectory(prefix="paired-bench-") as tmp:
         tree = {"base": Path(tmp) / "base", "change": ROOT}
-        _git("worktree", "add", "--detach", str(tree["base"]), base_sha)
-        try:
-            for workload in args.workload:
-                for seed in args.seed:
-                    for pair in range(args.pairs):
-                        for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                            result = _run(tree[side], workload, seed, args.seconds)
-                            runs.append({"workload": workload, "seed": seed, "pair": pair,
-                                         "side": side, "result": result})
-                            got = result["metrics"]
-                            print(f"{workload} seed {seed} pair {pair} {side}: "
-                                  + " ".join(f"{k}={v['value']:.6g}" for k, v in got.items()),
-                                  flush=True)
-        finally:
-            _git("worktree", "remove", "--force", str(tree["base"]))
+        tree["base"].mkdir()
+        archive = subprocess.run(["git", "archive", base_sha], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(tree["base"])], input=archive, check=True)
+        for workload in args.workload:
+            for seed in args.seed:
+                for pair in range(args.pairs):
+                    for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+                        result = _run(tree[side], workload, seed, args.seconds)
+                        runs.append({"workload": workload, "seed": seed, "pair": pair,
+                                     "side": side, "result": result})
+                        got = result["metrics"]
+                        print(f"{workload} seed {seed} pair {pair} {side}: "
+                              + " ".join(f"{k}={v['value']:.6g}" for k, v in got.items())
+                              + f" attempted={result.get('attempted')}", flush=True)
 
     doc = {
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g}",

@@ -536,13 +536,13 @@ class EdgeSelectionInstance:
         instances raise ArgumentError here, to be reduced first
         (reduce_removal_to_addition). Built on first use and held for the
         instance's lifetime: order * c floats per channel (Z), plus c^2 (G)
-        once the relaxation has run with c <= order, plus the last
-        selector's factor, at most min(c, order)^2. While the relaxation
-        runs, each gradient also holds one s * c array for s nonzero
-        selectors (order * c when s > order), its one right-side triangular
-        solve overwriting the gathered rows, until it returns, and the
-        Newton trial the free block's Hessian, |F|^2; the kernel keeps
-        neither.
+        once the relaxation, or exhaustive search with k >= 2, has run
+        with c <= order, plus the last selector's factor, at most
+        min(c, order)^2. While the relaxation runs, each gradient also
+        holds one s * c array for s nonzero selectors (order * c when s >
+        order), its one right-side triangular solve overwriting the
+        gathered rows, until it returns, and the Newton trial the free
+        block's Hessian, |F|^2; the kernel keeps neither.
 
         A channel whose merged base edges are {a, a + 1} for a = 1..n-1,
         the odometry path of every g2o instance (slam.to_instance, and

@@ -8,15 +8,16 @@ that a Sherman-Morrison (Woodbury) update keeps current from each
 channel's whitened, weighted incidence Z = C^-1 A diag(sqrt(w)) in the
 instance's kernels: a commit costs O(order * c + c * t) in round t, no solve.
 
-Exhaustive search scores k-subsets on the same kernels, a stacked
-determinant-lemma batch at a time, so its memory is a fixed byte budget
-rather than C(c, k); the near-ties of the best are then re-scored from
-scratch, which keeps the lexicographic tie rule and a from-scratch tau.
+Exhaustive search walks the lexicographic tree of candidate prefixes on
+the same kernels, depth first: a child's objective is its parent's plus
+the log of one Cholesky pivot, which greedy's commit keeps current, and
+one frontier chunk of a fixed byte budget is live per depth, so memory
+does not grow with C(c, k). The near-ties of the best are then re-scored
+from scratch, which keeps the lexicographic tie rule and a from-scratch tau.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -24,13 +25,17 @@ from typing import Iterable
 
 import numpy as np
 
+from . import treeconn
 from .errors import InfeasibleError, SizeGuardError
 from .graphs import EdgeSelectionInstance, _design_indices, build_reduced_laplacian
 
 # exhaustive_select refuses to walk more subsets than this
 EXHAUSTIVE_MAX_SUBSETS = 10**6
-# batched exhaustive scores this close (relative) to the best are
-# re-scored from scratch; the two agree to about 1e-14 relative
+# chained exhaustive scores this close (relative) to the best are
+# re-scored from scratch; they agree with the determinant lemma to about
+# 3e-16 relative while G's diagonal is moderate, and both drift to about
+# 3e-11 from scratch with duplicate candidates of weight 1e6 on a light
+# base, still well inside this margin
 EXHAUSTIVE_TIE_MARGIN = 1e-9
 
 
@@ -239,9 +244,11 @@ def exhaustive_fits(inst: EdgeSelectionInstance) -> bool:
 def exhaustive_select(inst: EdgeSelectionInstance) -> SelectionResult:
     """Optimal selection by trying every k-subset. Small instances only.
 
-    Memory is the instance's kernels, LEMMA_BATCH_BYTES and the near-tie
-    shortlist. Ties keep the lexicographically smallest index subset, and
-    tau_achieved is the from-scratch objective. Guarded to 10^6 subsets.
+    Memory is the instance's kernels, G (c x c per channel) when k >= 2,
+    one frontier chunk per depth of about LEMMA_BATCH_BYTES each (one
+    node when a node is larger), and the near-tie shortlist. Ties keep
+    the lexicographically smallest index subset, and tau_achieved is the
+    from-scratch objective. Guarded to 10^6 subsets.
     """
     c, k = inst.num_candidates, inst.k
     if not exhaustive_fits(inst):
@@ -265,25 +272,129 @@ def exhaustive_select(inst: EdgeSelectionInstance) -> SelectionResult:
 
 
 def _exhaustive_shortlist(inst: EdgeSelectionInstance) -> list[tuple[int, ...]]:
-    """k-subsets, in lexicographic order, whose batched objective ties the best.
+    """k-subsets, in lexicographic order, whose chained objective ties the best.
 
     Ties are relative to the size of the summed terms, which bounds the
-    rounding of both the batched and the from-scratch evaluation.
+    rounding of both the chained and the from-scratch evaluation.
     """
-    lemmas, k = inst.kernels, inst.k
-    scale = 1.0 + sum(abs(mult * lemma.log_det0) for mult, lemma in lemmas)
+    scale = 1.0 + sum(abs(mult * kern.log_det0) for mult, kern in inst.kernels)
 
     def floor(top: float) -> float:
         return top - EXHAUSTIVE_TIE_MARGIN * (scale + abs(top))
 
-    combos = itertools.combinations(range(inst.num_candidates), k)
     best = -math.inf
     kept: list[tuple[np.ndarray, np.ndarray]] = []
-    while chunk := list(itertools.islice(combos, lemmas[0][1].batch_rows(k))):
-        cols = np.array(chunk, dtype=np.intp).reshape(len(chunk), k)
-        vals = sum(mult * lemma(cols) for mult, lemma in lemmas)
+    for vals, rows in _subset_values(inst):
         best = max(best, float(vals.max()))
         near = vals >= floor(best)
         if near.any():
-            kept.append((cols[near], vals[near]))
+            kept.append((rows(near), vals[near]))
     return [tuple(row) for s, v in kept for row in s[v >= floor(best)].tolist()]
+
+
+class _Level:
+    """One frontier chunk of exhaustive search: N prefixes of t picks each.
+
+    Per node: the index of its parent in the chunk one depth up, its last
+    pick, its chained objective and, per channel, the residual diagonal d
+    and the node's own row u of its prefix's low-rank factor, both on the
+    columns lo..c-1 that its descendants can pick and stored nch x w x N,
+    so that updates run along the nodes. Node n's children pick
+    last[n] + 1..hi, the p-th child of the chunk picking p + shift[its parent].
+    """
+
+    __slots__ = ("parent", "last", "val", "lo", "d", "u", "cum", "shift", "pos")
+
+    def __init__(self, parent, last, val, lo, d, u, hi):
+        self.parent, self.last, self.val, self.lo, self.d, self.u = parent, last, val, lo, d, u
+        counts = hi - last
+        self.cum = np.cumsum(counts)
+        self.shift = last + 1 - self.cum + counts
+        self.pos = 0  # children drawn so far
+
+
+def _subset_values(inst: EdgeSelectionInstance):
+    """The objective of every k-subset, chained down the lexicographic prefix tree.
+
+    Yields (values, rows) per chunk of leaves, in lexicographic order of
+    the subsets; rows(mask) is the index array of the masked leaves,
+    valid until the next chunk is drawn.
+
+    A child that appends candidate j to its parent adds mult * log1p(d_j)
+    per channel, d being the parent's residual diagonal of G = Z^T Z. Its
+    row of the low-rank factor U is u = (G[j, >j] - U[:, j]^T U[:, >j]) /
+    sqrt(1 + d_j), and d -= u^2: greedy's Sherman-Morrison commit. The
+    pivots 1 + d are the Cholesky pivots of I + G_SS, so each leaf is log
+    det L(S) with Cholesky's backward stability, whether s or order is
+    the larger. The walk is depth first: one chunk per depth is live, its
+    d and u within LEMMA_BATCH_BYTES (or one node), and a node's U is its
+    ancestors' rows. G is read only when k >= 2; it is the kernel's own
+    when it keeps one (c <= order), else formed here, and dropped when the
+    walk ends.
+    """
+    c, k = inst.num_candidates, inst.k
+    kernels = inst.kernels
+    mult = np.array([m for m, _ in kernels])
+    nch = len(kernels)
+    root_val = np.array([sum(m * kern.log_det0 for m, kern in kernels)])
+    if k == 0:
+        yield root_val, lambda mask: np.empty((int(mask.sum()), 0), dtype=np.intp)
+        return
+    grams = ()
+    if k >= 2:
+        grams = [kern.gram if kern.gram is not None else kern.Zt @ kern.Zt.T
+                 for _, kern in kernels]
+    d0 = np.stack([kern.gram_diag for _, kern in kernels])[:, :, None]
+    root = np.zeros(1, dtype=np.intp)
+    levels = [_Level(root, root - 1, root_val, 0, d0, None, c - k)]
+    while levels:
+        lv = levels[-1]
+        t = len(levels) - 1  # picks made by the nodes of lv
+        if lv.pos == lv.cum[-1]:
+            levels.pop()
+            continue
+        leaf = t + 1 == k
+        # bytes per child: its pick, parent, value and pivots, and its d and u
+        per_child = 8 * (4 + nch * (2 if leaf else 2 * (c - lv.lo)))
+        end = min(int(lv.cum[-1]), lv.pos + max(1, treeconn.LEMMA_BATCH_BYTES // per_child))
+        p = np.arange(lv.pos, end)
+        lv.pos = end
+        par = np.searchsorted(lv.cum, p, side="right")
+        j = p + lv.shift[par]
+        dj = lv.d[:, j - lv.lo, par]
+        val = lv.val[par] + mult @ np.log1p(dj)
+        if leaf:
+            yield val, _leaf_rows(levels, par, j)
+            continue
+        lo = int(j.min()) + 1
+        # G is symmetric, so its rows j are its columns j
+        g = np.stack([np.take(gram[lo:], j, axis=1) for gram in grams])
+        p -= p[0]
+        anc = par
+        for up in levels[t:0:-1]:
+            row = np.take(up.u, anc, axis=2)
+            a = row[:, j - up.lo, p]
+            row = row[:, lo - up.lo:]
+            row *= a[:, None]
+            g -= row
+            anc = up.parent[anc]
+        g /= np.sqrt(1.0 + dj)[:, None]
+        d = np.take(lv.d[:, lo - lv.lo:], par, axis=2)
+        d -= g * g
+        # the last depth before the leaves needs d alone
+        u = g if t + 2 < k else None
+        levels.append(_Level(par, j, val, lo, d, u, c - k + t + 1))
+
+
+def _leaf_rows(levels: list[_Level], par: np.ndarray, j: np.ndarray):
+    """rows(mask): the subsets of the masked leaves, read up the parent links."""
+
+    def rows(mask: np.ndarray) -> np.ndarray:
+        idx = par[mask]
+        picks = [j[mask]]
+        for up in levels[:0:-1]:
+            picks.append(up.last[idx])
+            idx = up.parent[idx]
+        return np.stack(picks[::-1], axis=1)
+
+    return rows

@@ -35,8 +35,10 @@ from .graphs import (
 # anything that is big on both axes.
 ORACLE_MAX_EDGES = 12
 ORACLE_MAX_VERTICES = 8
-# bytes of gathered columns per SubsetLogDet call; larger batches bought
-# no speed and raised peak memory
+# bytes of one batch of subset work: the gathered columns of one
+# SubsetLogDet call (randomized rounding) and the d and u of one frontier
+# chunk of exhaustive search; larger batches bought little speed and
+# raised peak memory
 LEMMA_BATCH_BYTES = 1 << 17
 
 
@@ -207,7 +209,11 @@ class SubsetLogDet:
         return max(1, LEMMA_BATCH_BYTES // (8 * max(1, width * self.Zt.shape[1])))
 
     def __call__(self, cols: np.ndarray) -> np.ndarray:
-        """log det L(S) for every row S of the b x s index array ``cols``."""
+        """log det L(S) for every row S of the b x s index array ``cols``.
+
+        Randomized rounding scores its trials here; exhaustive search
+        chains Cholesky pivots down its subset tree instead.
+        """
         Zs = self.Zt[cols]  # b x s x order
         if cols.shape[1] <= self.Zt.shape[1]:
             gram = Zs @ Zs.transpose(0, 2, 1)

@@ -62,13 +62,15 @@ def test_paired_bench_summarizes_canned_runs():
     pb = _paired_bench()
     # greedy_s per pair (base, change); the change wins pairs 0-3 and loses pair 4
     times = [(0.020, 0.015), (0.022, 0.016), (0.021, 0.017), (0.023, 0.015), (0.016, 0.018)]
+    # instances attempted per run: the faster change fits more into a run
+    counts = [(40, 60), (42, 57), (41, 62), (39, 61), (44, 55)]
     runs = []
-    for pair, values in enumerate(times):
-        for side, value in zip(("base", "change"), values):
+    for pair, (values, attempted) in enumerate(zip(times, counts)):
+        for side, value, n in zip(("base", "change"), values, attempted):
             stdout = "\n".join([
                 "workload posegraph-300 seed 1 trace 0",
                 'metric greedy_s s {"median": 0.0}',
-                json.dumps({"correct": True, "metrics": {
+                json.dumps({"correct": True, "attempted": n, "metrics": {
                     "greedy_s": {"value": value, "unit": "s"},
                     "cert_width": {"value": 16.25, "unit": "nats"},
                 }}),
@@ -90,6 +92,14 @@ def test_paired_bench_summarizes_canned_runs():
     # a higher-is-better metric counts wins the other way
     flipped = pb.summarize(runs, {"greedy_s": "higher"})["posegraph-300"]["1"]["greedy_s"]
     assert flipped["wins"] == 1 and not flipped["clear"]
+    # each side's attempted counts, in quartiles, sit beside the metrics
+    attempted = summary["attempted"]
+    assert set(attempted) == {"base", "change"}
+    assert (attempted["base"]["q1"], attempted["base"]["median"], attempted["base"]["q3"]) == (
+        40, 41, 42)
+    assert (attempted["change"]["q1"], attempted["change"]["median"],
+            attempted["change"]["q3"]) == (57, 60, 61)
+    assert attempted["change"]["n"] == 5
 
 
 def test_paired_bench_help():
