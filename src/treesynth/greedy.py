@@ -8,12 +8,14 @@ that a Sherman-Morrison (Woodbury) update keeps current from each
 channel's whitened, weighted incidence Z = C^-1 A diag(sqrt(w)) in the
 instance's kernels: a commit costs O(order * c + c * t) in round t, no solve.
 
-Exhaustive search walks the lexicographic tree of candidate prefixes on
-the same kernels, depth first: a child's objective is its parent's plus
-the log of one Cholesky pivot, which greedy's commit keeps current, and
-one frontier chunk of a fixed byte budget is live per depth, so memory
-does not grow with C(c, k). The near-ties of the best are then re-scored
-from scratch, which keeps the lexicographic tie rule and a from-scratch tau.
+Exhaustive search walks a tree of candidate prefixes on the same
+kernels, depth first: a child's objective is its parent's plus the log
+of one Cholesky pivot, which greedy's commit keeps current. It walks the
+k-subsets or, for k > c / 2, their complements, so the tree is at most
+11 deep, and one frontier chunk of a fixed byte budget is live per
+depth, so memory does not grow with C(c, k). The near-ties of the best
+are then re-scored from scratch, which keeps the lexicographic tie rule
+and a from-scratch tau.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from . import treeconn
 from .errors import InfeasibleError, SizeGuardError
@@ -244,11 +247,12 @@ def exhaustive_fits(inst: EdgeSelectionInstance) -> bool:
 def exhaustive_select(inst: EdgeSelectionInstance) -> SelectionResult:
     """Optimal selection by trying every k-subset. Small instances only.
 
-    Memory is the instance's kernels, G (c x c per channel) when k >= 2,
-    one frontier chunk per depth of about LEMMA_BATCH_BYTES each (one
-    node when a node is larger), and the near-tie shortlist. Ties keep
-    the lexicographically smallest index subset, and tau_achieved is the
-    from-scratch objective. Guarded to 10^6 subsets.
+    Memory is the instance's kernels, one c x c matrix per channel when
+    k >= 2 or k > c / 2, one frontier chunk of about LEMMA_BATCH_BYTES
+    (or one node) per depth, min(k, c - k) depths, and the near-tie
+    shortlist. Ties keep the lexicographically smallest index subset,
+    and tau_achieved is the from-scratch objective. Guarded to 10^6
+    subsets.
     """
     c, k = inst.num_candidates, inst.k
     if not exhaustive_fits(inst):
@@ -289,7 +293,8 @@ def _exhaustive_shortlist(inst: EdgeSelectionInstance) -> list[tuple[int, ...]]:
         near = vals >= floor(best)
         if near.any():
             kept.append((rows(near), vals[near]))
-    return [tuple(row) for s, v in kept for row in s[v >= floor(best)].tolist()]
+    # a walk over complements meets the subsets out of lexicographic order
+    return sorted(tuple(row) for s, v in kept for row in s[v >= floor(best)].tolist())
 
 
 class _Level:
@@ -314,61 +319,88 @@ class _Level:
 
 
 def _subset_values(inst: EdgeSelectionInstance):
-    """The objective of every k-subset, chained down the lexicographic prefix tree.
+    """The objective of every k-subset, chained down a tree of candidate prefixes.
 
-    Yields (values, rows) per chunk of leaves, in lexicographic order of
-    the subsets; rows(mask) is the index array of the masked leaves,
-    valid until the next chunk is drawn.
+    Yields (values, rows) per chunk of leaves; rows(mask) is the index
+    array, each row ascending, of the masked leaves' subsets and is valid
+    until the next chunk is drawn.
 
-    A child that appends candidate j to its parent adds mult * log1p(d_j)
-    per channel, d being the parent's residual diagonal of G = Z^T Z. Its
-    row of the low-rank factor U is u = (G[j, >j] - U[:, j]^T U[:, >j]) /
-    sqrt(1 + d_j), and d -= u^2: greedy's Sherman-Morrison commit. The
-    pivots 1 + d are the Cholesky pivots of I + G_SS, so each leaf is log
-    det L(S) with Cholesky's backward stability, whether s or order is
-    the larger. The walk is depth first: one chunk per depth is live, its
-    d and u within LEMMA_BATCH_BYTES (or one node), and a node's U is its
-    ancestors' rows. G is read only when k >= 2; it is the kernel's own
-    when it keeps one (c <= order), else formed here, and dropped when the
-    walk ends.
+    The walk picks the smaller side: the k-subsets S themselves, or,
+    when k > c / 2, their complements T, so the tree is never deeper than
+    min(k, c - k), at most 11 below the 10^6-subset guard. Its leaves
+    come in lexicographic order of the picked side. On S it chains the
+    pivots of I + G_SS, G = Z^T Z; on T those of K_TT, K = (I + G)^-1,
+    since log det(I + G_SS) = log det(I + G) + log det K_TT.
+
+    A child that appends candidate j to its parent adds mult * log p_j
+    per channel, p being the parent's pivots (1 + d for G, d for K, d the
+    residual diagonal). Its row of the low-rank factor U of its prefix is
+    u = (M[j, >j] - U[:, j]^T U[:, >j]) / sqrt(p_j), and d -= u^2:
+    greedy's Sherman-Morrison commit. A leaf's value is thus log det L(S)
+    with Cholesky's backward stability, whether s or order is the larger.
+    The walk is depth first: one chunk per depth is live, its d and u
+    within LEMMA_BATCH_BYTES (or one node), and a node's U is its
+    ancestors' rows. The one c x c matrix per channel is G when 2 <= k <=
+    c / 2 (the kernel's own when it keeps one, c <= order), or K when k >
+    c / 2; it is dropped when the walk ends.
     """
     c, k = inst.num_candidates, inst.k
     kernels = inst.kernels
+    complement = 2 * k > c
+    r = c - k if complement else k  # depth of the tree
     mult = np.array([m for m, _ in kernels])
-    nch = len(kernels)
-    root_val = np.array([sum(m * kern.log_det0 for m, kern in kernels)])
-    if k == 0:
-        yield root_val, lambda mask: np.empty((int(mask.sum()), 0), dtype=np.intp)
+    base = sum(m * kern.log_det0 for m, kern in kernels)
+    mats, diags = [], []
+    for m, kern in kernels:
+        if not complement:
+            diags.append(kern.gram_diag)
+            if r >= 2:
+                mats.append(kern.Zt @ kern.Zt.T if kern.gram is None else kern.gram)
+            continue
+        A = kern.Zt @ kern.Zt.T if kern.gram is None else kern.gram.copy()
+        A.flat[:: c + 1] += 1.0
+        R, _ = dpotrf(A, lower=1, overwrite_a=1)  # I + G = R R^T has no pivot below 1
+        base += m * 2.0 * float(np.sum(np.log(np.diag(R))))
+        Rinv, _ = dtrtri(R, lower=1, overwrite_c=1)
+        mats.append(Rinv.T @ Rinv)
+        diags.append(np.diag(mats[-1]))
+    offset = 0.0 if complement else 1.0  # pivots are offset + d
+
+    def subsets(picks: np.ndarray) -> np.ndarray:
+        if not complement:
+            return picks
+        keep = np.ones((picks.shape[0], c), dtype=bool)
+        keep[np.arange(picks.shape[0])[:, None], picks] = False
+        return np.nonzero(keep)[1].reshape(-1, k)
+
+    if r == 0:
+        yield np.array([base]), lambda mask: subsets(np.empty((int(mask.sum()), 0), np.intp))
         return
-    grams = ()
-    if k >= 2:
-        grams = [kern.gram if kern.gram is not None else kern.Zt @ kern.Zt.T
-                 for _, kern in kernels]
-    d0 = np.stack([kern.gram_diag for _, kern in kernels])[:, :, None]
     root = np.zeros(1, dtype=np.intp)
-    levels = [_Level(root, root - 1, root_val, 0, d0, None, c - k)]
+    levels = [_Level(root, root - 1, np.array([base]), 0, np.stack(diags)[:, :, None], None,
+                     c - r)]
     while levels:
         lv = levels[-1]
         t = len(levels) - 1  # picks made by the nodes of lv
         if lv.pos == lv.cum[-1]:
             levels.pop()
             continue
-        leaf = t + 1 == k
+        leaf = t + 1 == r
         # bytes per child: its pick, parent, value and pivots, and its d and u
-        per_child = 8 * (4 + nch * (2 if leaf else 2 * (c - lv.lo)))
+        per_child = 8 * (4 + len(mult) * (2 if leaf else 2 * (c - lv.lo)))
         end = min(int(lv.cum[-1]), lv.pos + max(1, treeconn.LEMMA_BATCH_BYTES // per_child))
         p = np.arange(lv.pos, end)
         lv.pos = end
         par = np.searchsorted(lv.cum, p, side="right")
         j = p + lv.shift[par]
-        dj = lv.d[:, j - lv.lo, par]
-        val = lv.val[par] + mult @ np.log1p(dj)
+        pivot = offset + lv.d[:, j - lv.lo, par]
+        val = lv.val[par] + mult @ np.log(pivot)
         if leaf:
-            yield val, _leaf_rows(levels, par, j)
+            yield val, _leaf_rows(levels, par, j, subsets)
             continue
         lo = int(j.min()) + 1
-        # G is symmetric, so its rows j are its columns j
-        g = np.stack([np.take(gram[lo:], j, axis=1) for gram in grams])
+        # M is symmetric: its columns j are its rows j
+        g = np.stack([np.take(M[lo:], j, axis=1) for M in mats])
         p -= p[0]
         anc = par
         for up in levels[t:0:-1]:
@@ -378,15 +410,15 @@ def _subset_values(inst: EdgeSelectionInstance):
             row *= a[:, None]
             g -= row
             anc = up.parent[anc]
-        g /= np.sqrt(1.0 + dj)[:, None]
+        g /= np.sqrt(pivot)[:, None]
         d = np.take(lv.d[:, lo - lv.lo:], par, axis=2)
         d -= g * g
         # the last depth before the leaves needs d alone
-        u = g if t + 2 < k else None
-        levels.append(_Level(par, j, val, lo, d, u, c - k + t + 1))
+        u = g if t + 2 < r else None
+        levels.append(_Level(par, j, val, lo, d, u, c - r + t + 1))
 
 
-def _leaf_rows(levels: list[_Level], par: np.ndarray, j: np.ndarray):
+def _leaf_rows(levels: list[_Level], par: np.ndarray, j: np.ndarray, subsets):
     """rows(mask): the subsets of the masked leaves, read up the parent links."""
 
     def rows(mask: np.ndarray) -> np.ndarray:
@@ -395,6 +427,6 @@ def _leaf_rows(levels: list[_Level], par: np.ndarray, j: np.ndarray):
         for up in levels[:0:-1]:
             picks.append(up.last[idx])
             idx = up.parent[idx]
-        return np.stack(picks[::-1], axis=1)
+        return subsets(np.stack(picks[::-1], axis=1))
 
     return rows

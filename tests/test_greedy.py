@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from treesynth import (
     solve_p3,
     tree_connectivity,
 )
-from treesynth import treeconn
+from treesynth import greedy, treeconn
+from treesynth.greedy import EXHAUSTIVE_TIE_MARGIN
 from conftest import random_add_instance, slam_instance
 
 
@@ -238,6 +240,9 @@ def test_exhaustive_prefers_lexicographically_smallest_tie():
     cands = ((1, 3, 1.0), (1, 3, 1.0))
     inst = EdgeSelectionInstance(4, base, cands, 1)
     assert exhaustive_select(inst).selected == (0,)
+    # k = 2 of 3 walks the complements, which meet (0, 2) before (0, 1)
+    both = EdgeSelectionInstance(4, base, ((2, 4, 1.0),) + cands, 2)
+    assert exhaustive_select(both).selected == (0, 1)
 
 
 def reference_exhaustive(inst):
@@ -289,19 +294,20 @@ def test_exhaustive_matches_from_scratch_reference():
 def test_exhaustive_does_not_depend_on_batch(monkeypatch):
     rng = np.random.default_rng(43)
     single = random_add_instance(rng, 8, 10, 10, 4)
-    # a heavy chord copied 6 times: the optimum ties across batches
+    # a heavy chord copied 6 times: the optimum ties across chunks
     path = tuple((i, i + 1, 100.0) for i in range(1, 9))
     copies = EdgeSelectionInstance(9, path, ((1, 5, 1.0), (2, 7, 2.0)) + ((1, 9, 50.0),) * 6, 3)
     cases = [single, slam_instance(single, rng), copies]
     whole = [check_exhaustive(inst) for inst in cases]
     assert whole[2].selected == (2, 3, 4)
 
-    batches = []
-    lemma_call = treeconn.SubsetLogDet.__call__
+    chunks = []
+    walk = greedy._subset_values
 
-    def record(self, cols):
-        batches.append((cols.shape[0], self.batch_rows(cols.shape[1])))
-        return lemma_call(self, cols)
+    def record(inst):
+        for vals, rows in walk(inst):
+            chunks.append(vals.size)
+            yield vals, rows
 
     rescored = []
     absolute = GainFunction.absolute
@@ -310,19 +316,125 @@ def test_exhaustive_does_not_depend_on_batch(monkeypatch):
         rescored.append(subset)
         return absolute(self, subset)
 
-    monkeypatch.setattr(treeconn.SubsetLogDet, "__call__", record)
+    monkeypatch.setattr(greedy, "_subset_values", record)
     monkeypatch.setattr(GainFunction, "absolute", count)
-    for budget in (8, 8 * 4 * 7 * 5):  # 1 and 5 subsets per batch
+    # the frontier budget down to one node per chunk at every depth, then
+    # a few nodes per chunk
+    for budget in (8, 8 * 80):
         monkeypatch.setattr(treeconn, "LEMMA_BATCH_BYTES", budget)
-        batches.clear()
         for inst, res, ties in zip(cases, whole, (1, 1, math.comb(6, 3))):
+            chunks.clear()
             rescored.clear()
             split = exhaustive_select(inst)
             assert split.selected == res.selected
             assert split.tau_achieved == res.tau_achieved
             # only the near-ties of the best are scored from scratch
             assert len(rescored) == ties
-        assert all(b <= rows <= 5 for b, rows in batches)
+            assert sum(chunks) == math.comb(inst.num_candidates, inst.k)
+            if budget == 8:
+                assert set(chunks) == {1}
+            else:
+                assert 1 < max(chunks) < sum(chunks)
+
+
+def chained_values(inst):
+    """Every k-subset, in the walk's order, and its chained objective."""
+    subsets, values = [], []
+    for vals, rows in greedy._subset_values(inst):
+        subsets.append(rows(np.ones(vals.shape, dtype=bool)))
+        values.append(vals)
+    return np.concatenate(subsets), np.concatenate(values)
+
+
+def scale_of(inst):
+    """1 + sum |mult * log det L0|, the size EXHAUSTIVE_TIE_MARGIN is relative to."""
+    return 1.0 + sum(abs(mult * kern.log_det0) for mult, kern in inst.kernels)
+
+
+def test_chained_values_match_the_lemma_on_every_subset():
+    rng = np.random.default_rng(47)
+    cases = []
+    for k in (0, 1, 3, 8):  # k = 8 = c
+        single = random_add_instance(rng, 7, 9, 8, k)
+        cases += [single, slam_instance(single, rng)]
+    for seed in range(2):
+        # complement candidates: c = 9 > order = 5, and s = 7 > order
+        wide = random_instance(6, 6, "complement", (1.0, 4.0), seed=seed, k=7)
+        cases += [wide, slam_instance(wide, rng)]
+    heavy = random_add_instance(rng, 8, 10, 9, 4, weight_range=(1.0, 1e6))
+    dup = EdgeSelectionInstance(heavy.n, heavy.base_edges,
+                                heavy.candidates + heavy.candidates[:3], 4)
+    cases += [heavy, dup, slam_instance(dup, rng)]
+    walked_complements = 0
+    for inst in cases:
+        c, k = inst.num_candidates, inst.k
+        subsets, values = chained_values(inst)
+        # the walk takes the smaller side, S or its complement, in
+        # lexicographic order
+        side = [tuple(s) if 2 * k <= c else tuple(sorted(set(range(c)) - set(s)))
+                for s in subsets.tolist()]
+        assert side == sorted(side)
+        walked_complements += 2 * k > c
+        assert sorted(tuple(s) for s in subsets.tolist()) == list(
+            itertools.combinations(range(c), k))
+        lemma = sum(mult * kern(subsets) for mult, kern in inst.kernels)
+        assert np.all(np.abs(values - lemma) <= 1e-12 * (scale_of(inst) + np.abs(lemma)))
+    assert walked_complements == 6
+
+
+def test_chained_values_of_heavy_duplicates_stay_inside_the_tie_margin():
+    # duplicate candidates of weight up to 1e6 across a light path: G's
+    # diagonal reaches about 1e6, so a duplicate's pivot cancels about six
+    # digits, and the chain, like the lemma, drifts about 3e-11 (relative)
+    # from the from-scratch objective, still well inside the tie margin
+    rng = np.random.default_rng(53)
+    path = tuple((i, i + 1, float(rng.uniform(1.0, 2.0))) for i in range(1, 9))
+    cands = tuple((int(u), int(v), float(w)) for u, v, w in zip(
+        rng.integers(1, 5, 6), rng.integers(5, 10, 6), rng.uniform(1.0, 1e6, 6)))
+    inst = EdgeSelectionInstance(9, path, cands + cands[:3], 4)
+    assert max(kern.gram_diag.max() for _, kern in inst.kernels) > 1e5
+    subsets, values = chained_values(inst)
+    fn = gain_function(inst)
+    scratch = np.array([fn.absolute(s) for s in subsets.tolist()])
+    drift = np.abs(values - scratch) / (scale_of(inst) + np.abs(scratch))
+    assert drift.max() < EXHAUSTIVE_TIE_MARGIN / 10
+    check_exhaustive(inst)
+
+
+def test_exhaustive_memory_stays_within_its_formula():
+    """Peak: a c x c matrix, a frontier chunk per depth, the shortlist."""
+    rng = np.random.default_rng(59)
+    # the two oracle-small shapes: 5 of 18 candidates, and pruning 4 of 16
+    # edges from a complete graph on 9 vertices, which keeps 12 > order = 8
+    oracle_add = random_add_instance(rng, 12, 16, 18, 5)
+    n = 9
+    full = tuple((u, v, float(rng.uniform(1.0, 3.0)))
+                 for u in range(1, n + 1) for v in range(u + 1, n + 1))
+    pruned = tuple(full[i] for i in rng.choice(len(full), size=16, replace=False))
+    removal = reduce_removal_to_addition(
+        EdgeSelectionInstance(n, full, pruned, 4, direction="remove"))
+    assert removal.k > removal.kernels[0][1].Zt.shape[1]
+    mid = random_add_instance(rng, 30, 40, 40, 3)
+    # k = 1 over 1690 candidates: a c x c matrix would be 22 MiB
+    wide = random_instance(60, 80, "complement", (1.0, 4.0), seed=1, k=1)
+    budget = treeconn.LEMMA_BATCH_BYTES
+    for inst in (oracle_add, removal, mid, wide):
+        c, k, order = inst.num_candidates, inst.k, inst.kernels[0][1].Zt.shape[1]
+        assert c > order  # so no kernel keeps a G of its own
+        depth = min(k, c - k)
+        matrix = 8 * len(inst.kernels) * c * c if k >= 2 or 2 * k > c else 0
+        tracemalloc.start()
+        try:
+            exhaustive_select(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a chunk per depth and one in the making; a shortlist of one
+        # subset and its from-scratch rescoring fit in the last
+        assert peak <= matrix + (depth + 2) * budget
+        if inst in (oracle_add, removal):
+            assert peak <= 1 << 20
+    assert peak < 8 * wide.num_candidates ** 2 / 16
 
 
 def test_exhaustive_size_guard():

@@ -78,3 +78,9 @@ def test_shared_kernel_state_does_not_leak():
         assert np.array_equal(shared.log_tree_counts, fresh.log_tree_counts)
         # and greedy's rounds leave nothing behind for the relaxation
         _same_relaxed(solve_p2(inst), first)
+        # exhaustive search reads the G the relaxation left (c <= order
+        # here), or builds it first on a fresh instance: same bits
+        other = _fresh(inst)
+        best, again = exhaustive_select(inst), exhaustive_select(other)
+        assert (best.selected, best.tau_achieved) == (again.selected, again.tau_achieved)
+        _same_relaxed(solve_p2(other), first)
