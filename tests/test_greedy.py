@@ -294,12 +294,16 @@ def test_exhaustive_matches_from_scratch_reference():
 def test_exhaustive_does_not_depend_on_batch(monkeypatch):
     rng = np.random.default_rng(43)
     single = random_add_instance(rng, 8, 10, 10, 4)
-    # a heavy chord copied 6 times: the optimum ties across chunks
+    # a heavy chord copied 6 times: the optimum ties across chunks; with
+    # k = 5 of 8 the walk runs over the complements
     path = tuple((i, i + 1, 100.0) for i in range(1, 9))
-    copies = EdgeSelectionInstance(9, path, ((1, 5, 1.0), (2, 7, 2.0)) + ((1, 9, 50.0),) * 6, 3)
-    cases = [single, slam_instance(single, rng), copies]
+    chords = ((1, 5, 1.0), (2, 7, 2.0)) + ((1, 9, 50.0),) * 6
+    copies = EdgeSelectionInstance(9, path, chords, 3)
+    most = EdgeSelectionInstance(9, path, chords, 5)
+    cases = [single, slam_instance(single, rng), copies, most]
     whole = [check_exhaustive(inst) for inst in cases]
     assert whole[2].selected == (2, 3, 4)
+    assert whole[3].selected == (2, 3, 4, 5, 6)
 
     chunks = []
     walk = greedy._subset_values
@@ -322,7 +326,7 @@ def test_exhaustive_does_not_depend_on_batch(monkeypatch):
     # a few nodes per chunk
     for budget in (8, 8 * 80):
         monkeypatch.setattr(treeconn, "LEMMA_BATCH_BYTES", budget)
-        for inst, res, ties in zip(cases, whole, (1, 1, math.comb(6, 3))):
+        for inst, res, ties in zip(cases, whole, (1, 1, math.comb(6, 3), math.comb(6, 5))):
             chunks.clear()
             rescored.clear()
             split = exhaustive_select(inst)
@@ -391,14 +395,15 @@ def test_chained_values_of_heavy_duplicates_stay_inside_the_tie_margin():
     path = tuple((i, i + 1, float(rng.uniform(1.0, 2.0))) for i in range(1, 9))
     cands = tuple((int(u), int(v), float(w)) for u, v, w in zip(
         rng.integers(1, 5, 6), rng.integers(5, 10, 6), rng.uniform(1.0, 1e6, 6)))
-    inst = EdgeSelectionInstance(9, path, cands + cands[:3], 4)
-    assert max(kern.gram_diag.max() for _, kern in inst.kernels) > 1e5
-    subsets, values = chained_values(inst)
-    fn = gain_function(inst)
-    scratch = np.array([fn.absolute(s) for s in subsets.tolist()])
-    drift = np.abs(values - scratch) / (scale_of(inst) + np.abs(scratch))
-    assert drift.max() < EXHAUSTIVE_TIE_MARGIN / 10
-    check_exhaustive(inst)
+    for k in (4, 6):  # 6 of 9 walks the complements
+        inst = EdgeSelectionInstance(9, path, cands + cands[:3], k)
+        assert max(kern.gram_diag.max() for _, kern in inst.kernels) > 1e5
+        subsets, values = chained_values(inst)
+        fn = gain_function(inst)
+        scratch = np.array([fn.absolute(s) for s in subsets.tolist()])
+        drift = np.abs(values - scratch) / (scale_of(inst) + np.abs(scratch))
+        assert drift.max() < EXHAUSTIVE_TIE_MARGIN / 10
+        check_exhaustive(inst)
 
 
 def test_exhaustive_memory_stays_within_its_formula():
