@@ -357,13 +357,10 @@ def _subset_values(inst: EdgeSelectionInstance):
             if r >= 2:
                 mats.append(kern.Zt @ kern.Zt.T if kern.gram is None else kern.gram)
             continue
-        A = kern.Zt @ kern.Zt.T if kern.gram is None else kern.gram.copy()
-        A.flat[:: c + 1] += 1.0
-        R, _ = dpotrf(A, lower=1, overwrite_a=1)  # I + G = R R^T has no pivot below 1
-        base += m * 2.0 * float(np.sum(np.log(np.diag(R))))
-        Rinv, _ = dtrtri(R, lower=1, overwrite_c=1)
-        mats.append(Rinv.T @ Rinv)
-        diags.append(np.diag(mats[-1]))
+        K, log_det = _complement_kernel(kern)
+        base += m * log_det
+        mats.append(K)
+        diags.append(np.diag(K))
     offset = 0.0 if complement else 1.0  # pivots are offset + d
 
     def subsets(picks: np.ndarray) -> np.ndarray:
@@ -416,6 +413,16 @@ def _subset_values(inst: EdgeSelectionInstance):
         # the last depth before the leaves needs d alone
         u = g if t + 2 < r else None
         levels.append(_Level(par, j, val, lo, d, u, c - r + t + 1))
+
+
+def _complement_kernel(kern: treeconn.SubsetLogDet) -> tuple[np.ndarray, float]:
+    """K = (I + G)^-1 and log det(I + G), from one Cholesky factor of I + G."""
+    A = kern.Zt @ kern.Zt.T if kern.gram is None else kern.gram.copy()
+    A.flat[:: A.shape[0] + 1] += 1.0
+    R, _ = dpotrf(A, lower=1, overwrite_a=1)  # I + G = R R^T has no pivot below 1
+    log_det = 2.0 * float(np.sum(np.log(np.diag(R))))
+    Rinv, _ = dtrtri(R, lower=1, overwrite_c=1)  # R's buffer, freed on return
+    return Rinv.T @ Rinv, log_det
 
 
 def _leaf_rows(levels: list[_Level], par: np.ndarray, j: np.ndarray, subsets):
