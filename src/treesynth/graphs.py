@@ -53,44 +53,75 @@ def _as_vertex(x) -> int:
         raise ArgumentError(f"vertex ids must be integers, got {x!r}") from None
 
 
-def _check_edge(e, n: int) -> tuple[int, int, float]:
-    """One (u, v, weight) edge on vertices 1..n, checked and normalized.
+def _check_edge(e, n: int, weights: int = 1, what: str = "edge") -> tuple:
+    """One (u, v, *weights) edge on vertices 1..n, checked and normalized.
 
-    Raises ArgumentError naming the edge; the messages of every graph check.
+    The only code that words an edge error: integer vertices in 1..n,
+    u != v, weights >= 1 and finite. ArgumentError names the edge and its
+    list ``what`` ("edge", "base edge", "candidate").
     """
     e = tuple(e)
-    if len(e) != 3:
-        raise ArgumentError(f"edge must be (u, v, weight), got {e!r}")
-    u, v = _as_vertex(e[0]), _as_vertex(e[1])
-    w = float(e[2])
+    if len(e) != 2 + weights:
+        shape = "(u, v, weight)" if weights == 1 else "(u, v, wp, wt)"
+        raise ArgumentError(f"{what} must be {shape}, got {e!r}")
+    at = f"{what} {e!r}"
+    try:
+        u, v = _as_vertex(e[0]), _as_vertex(e[1])
+    except ArgumentError as exc:
+        raise ArgumentError(f"{at}: {exc}") from None
+    ws = tuple(float(x) for x in e[2:])
     if not (1 <= u <= n and 1 <= v <= n):
-        raise ArgumentError(f"vertex id out of range 1..{n}: ({u}, {v})")
+        raise ArgumentError(f"{at}: vertex id out of range 1..{n}: ({u}, {v})")
     if u == v:
-        raise ArgumentError(f"self-loop at vertex {u} is not allowed")
-    if not 1.0 <= w < math.inf:  # refuses nan too
-        raise ArgumentError(f"edge weight must be >= 1 and finite, got {w!r}")
-    return (u, v, w)
+        raise ArgumentError(f"{at}: self-loop at vertex {u} is not allowed")
+    for w in ws:
+        if not 1.0 <= w < math.inf:  # refuses nan too
+            raise ArgumentError(f"{at}: weight must be >= 1 and finite, got {w!r}")
+    return (u, v, *ws)
 
 
-def _edge_columns(edges: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Integer u and v and float w columns of (u, v, w) edges.
+def _edge_columns(edges: tuple, weights: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Integer u and v columns and the (m, weights) float weights of edges.
 
     None when an entry has another arity, or a column does not type as
     integers (vertices) or real numbers (weights), e.g. bools or strings:
     _check_edge then decides, one edge at a time, what they mean.
     """
     if not edges:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0)
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty((0, weights))
     try:
         cols = tuple(map(np.array, zip(*edges, strict=True)))
     except (TypeError, ValueError):
         return None
-    if len(cols) != 3 or any(c.ndim != 1 for c in cols):
+    if len(cols) != 2 + weights or any(c.ndim != 1 for c in cols):
         return None
+    u, v, *ws = cols
+    if any(c.dtype.kind not in "iu" for c in (u, v)) or any(w.dtype.kind not in "iuf" for w in ws):
+        return None
+    return u, v, np.stack(ws, axis=1).astype(float, copy=False)
+
+
+def _check_edges(
+    edges: Iterable[Sequence], n: int, weights: int = 1, what: str = "edge"
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one edge check of graphs and instances: u, v and w columns.
+
+    The list is checked on arrays; its first bad edge goes to _check_edge,
+    which raises naming it and ``what``. Lists that do not type as arrays
+    are normalized edge by edge first. u and v keep each edge's
+    orientation; w is (m, weights).
+    """
+    edges = tuple(edges)
+    cols = _edge_columns(edges, weights)
+    if cols is None:
+        cols = _edge_columns(tuple(_check_edge(e, n, weights, what) for e in edges), weights)
     u, v, w = cols
-    if u.dtype.kind not in "iu" or v.dtype.kind not in "iu" or w.dtype.kind not in "iuf":
-        return None
-    return u, v, w.astype(float, copy=False)
+    bad = (np.minimum(u, v) < 1) | (np.maximum(u, v) > n) | (u == v)
+    bad |= ~((w >= 1.0) & (w < math.inf)).all(axis=1)  # refuses nan too
+    if bad.any():  # _check_edge raises, naming the first bad edge
+        i = int(bad.argmax())
+        _check_edge((int(u[i]), int(v[i]), *w[i].tolist()), n, weights, what)
+    return u, v, w
 
 
 def _merge_columns(
@@ -154,17 +185,9 @@ class WeightedGraph:
             raise ArgumentError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
         object.__setattr__(self, "n", n)
 
-        edges = tuple(self.edges)
-        cols = _edge_columns(edges)
-        if cols is None:
-            cols = _edge_columns(tuple(_check_edge(e, n) for e in edges))
-        u, v, w = cols
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        bad = (lo < 1) | (hi > n) | (lo == hi) | ~(w >= 1.0) | (w == math.inf)
-        if bad.any():
-            i = int(bad.argmax())
-            _check_edge((int(u[i]), int(v[i]), float(w[i])), n)  # raises, naming the edge
-        u, v, w = _merge_columns(lo.astype(np.int64, copy=False), hi.astype(np.int64, copy=False), w, n)
+        u, v, w = _check_edges(self.edges, n)
+        lo, hi = (a.astype(np.int64, copy=False) for a in (np.minimum(u, v), np.maximum(u, v)))
+        u, v, w = _merge_columns(lo, hi, w[:, 0], n)
         for a in (u, v, w):
             a.setflags(write=False)
         object.__setattr__(self, "_columns", (u, v, w))
@@ -395,10 +418,6 @@ def _weight_column(channel: str | None) -> int:
     raise ArgumentError(f"unknown weight channel {channel!r}")
 
 
-def _edge_weight(edge: tuple, channel: str | None) -> float:
-    return float(edge[_weight_column(channel)])
-
-
 @dataclass(frozen=True)
 class EdgeSelectionInstance:
     """A budgeted edge-selection problem over a connected base graph.
@@ -413,10 +432,13 @@ class EdgeSelectionInstance:
     Candidate order is significant: greedy ties break toward the lowest
     index and selections are reported as indices into ``candidates``.
 
-    Construction is the one connectivity check: the base graph must be
-    connected. The channels share one topology, so only the first
-    channel's graph is walked. Every design adds edges to a connected
-    base, so scoring one (greedy.GainFunction) walks nothing.
+    Construction is the one edge check and the one connectivity walk:
+    base edges and candidates go through _check_edges, with one weight
+    column per channel, and come out as (int, int, float, ...) tuples in
+    their given orientation; the base graph must be connected. The
+    channels share one topology, so only the first channel's graph is
+    walked. Every design adds edges to a connected base, so scoring one
+    (greedy.GainFunction) walks nothing.
     """
 
     n: int
@@ -437,27 +459,13 @@ class EdgeSelectionInstance:
         n = _as_vertex(self.n)
         if n < 2:
             raise ArgumentError(f"instances need at least 2 vertices, got n={n}")
-        arity = 3 if self.objective == OBJECTIVE_SINGLE else 4
 
-        def check(e: tuple, what: str) -> tuple:
-            e = tuple(e)
-            if len(e) != arity:
-                raise ArgumentError(
-                    f"{what} must have {arity} entries for {self.objective}, got {e!r}"
-                )
-            u, v = _as_vertex(e[0]), _as_vertex(e[1])
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ArgumentError(f"{what} endpoint out of range 1..{n}: ({u}, {v})")
-            if u == v:
-                raise ArgumentError(f"{what} may not be a self-loop (vertex {u})")
-            ws = tuple(float(x) for x in e[2:])
-            for w in ws:
-                if not math.isfinite(w) or w < 1.0:
-                    raise ArgumentError(f"{what} weight must be >= 1 and finite, got {w!r}")
-            return (u, v, *ws)
+        def checked(edges, what: str) -> tuple[tuple, ...]:
+            u, v, w = _check_edges(edges, n, len(self.channels), what)
+            return tuple(zip(u.tolist(), v.tolist(), *w.T.tolist()))
 
-        base = tuple(check(e, "base edge") for e in self.base_edges)
-        cands = tuple(check(e, "candidate") for e in self.candidates)
+        base = checked(self.base_edges, "base edge")
+        cands = checked(self.candidates, "candidate")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "base_edges", base)
         object.__setattr__(self, "candidates", cands)
@@ -582,11 +590,8 @@ class EdgeSelectionInstance:
 
     def candidate_edges(self, indices: Iterable[int], channel: str | None = None) -> list[tuple[int, int, float]]:
         """Materialize (u, v, w) triples for a selection, per channel."""
-        out = []
-        for i in indices:
-            e = self.candidates[i]
-            out.append((e[0], e[1], _edge_weight(e, channel)))
-        return out
+        col = _weight_column(channel)
+        return [(e[0], e[1], e[col]) for e in map(self.candidates.__getitem__, indices)]
 
     def merged_base_edges(self) -> tuple[tuple, ...]:
         """Base edges after parallel-edge merging, in instance arity."""
@@ -609,30 +614,28 @@ def reduce_removal_to_addition(inst: EdgeSelectionInstance) -> EdgeSelectionInst
     The base becomes the skeleton with every removal candidate deleted,
     the candidates stay put, and the budget flips to c - k: keeping a
     subset S of candidates is the same design as removing its complement,
-    with identical objective value.
+    with identical objective value. The returned instance's construction
+    is the skeleton's one connectivity walk; a disconnected skeleton
+    raises InfeasibleError naming its number of components.
     """
     if inst.direction != DIRECTION_REMOVE:
         raise ArgumentError("only removal instances can be reduced")
     cand_pairs = {_canonical_pair(e[0], e[1]) for e in inst.candidates}
-    skeleton = tuple(
-        e for e in inst.merged_base_edges() if _canonical_pair(e[0], e[1]) not in cand_pairs
-    )
-    probe_edges = [(e[0], e[1], _edge_weight(e, inst.channels[0][0])) for e in skeleton]
-    probe = WeightedGraph(inst.n, tuple(probe_edges))
-    if not probe.connected:
-        raise InfeasibleError(
-            "the skeleton left after deleting every removal candidate is "
-            f"disconnected ({probe.component_count} components); the reduction "
-            "to an addition instance needs a connected retained base"
+    skeleton = tuple(e for e in inst.merged_base_edges() if e[:2] not in cand_pairs)
+    try:
+        return EdgeSelectionInstance(
+            n=inst.n,
+            base_edges=skeleton,
+            candidates=inst.candidates,
+            k=inst.num_candidates - inst.k,
+            direction=DIRECTION_ADD,
+            objective=inst.objective,
         )
-    return EdgeSelectionInstance(
-        n=inst.n,
-        base_edges=skeleton,
-        candidates=inst.candidates,
-        k=inst.num_candidates - inst.k,
-        direction=DIRECTION_ADD,
-        objective=inst.objective,
-    )
+    except DataError as exc:
+        raise InfeasibleError(
+            "the skeleton left after deleting every removal candidate cannot "
+            f"be the base of an addition instance: {exc}"
+        ) from exc
 
 
 def _design_indices(
@@ -778,21 +781,18 @@ def instance_from_json_dict(doc: dict) -> EdgeSelectionInstance:
     missing = {"n", "base_edges", "candidates", "k", "direction", "objective"} - set(doc)
     if missing:
         raise DataError(f"instance file is missing keys: {sorted(missing)}")
-    objective = doc["objective"]
-    arity = 3 if objective == OBJECTIVE_SINGLE else 4
 
     def edge_list(entries, what: str) -> tuple[tuple, ...]:
+        """JSON typing only; the instance checks the edges themselves."""
         if not isinstance(entries, list):
             raise DataError(f"{what} must be a JSON array")
         out = []
         for e in entries:
-            if not isinstance(e, list) or not all(isinstance(x, (int, float)) for x in e):
+            if not isinstance(e, list) or not all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) for x in e
+            ):
                 raise DataError(f"{what} entries must be arrays of numbers, got {e!r}")
-            if len(e) != arity:
-                raise DataError(
-                    f"{what} entries must have {arity} numbers for {objective!r}, got {e!r}"
-                )
-            out.append((_json_int(e[0], what), _json_int(e[1], what), *map(float, e[2:])))
+            out.append((*(_json_int(x, what) for x in e[:2]), *e[2:]))
         return tuple(out)
 
     try:
@@ -802,7 +802,7 @@ def instance_from_json_dict(doc: dict) -> EdgeSelectionInstance:
             candidates=edge_list(doc["candidates"], "candidates"),
             k=_json_int(doc["k"], "k"),
             direction=doc["direction"],
-            objective=objective,
+            objective=doc["objective"],
         )
     except ArgumentError as exc:
         raise DataError(f"invalid instance file: {exc}") from exc

@@ -218,7 +218,7 @@ def to_instance(
 
     "add": base is the odometry graph, candidates the loop closures.
     "remove": base is the whole graph, candidates the (merged) closure
-    edges to consider pruning.
+    edges to consider pruning. The instance checks k.
     """
     if ds.report.missing_links:
         shown = ", ".join(f"{a}-{b}" for a, b in ds.report.missing_links[:8])
@@ -236,8 +236,6 @@ def to_instance(
         cands = _merge_parallel(ds.loop_closures)
     else:
         raise ArgumentError(f"direction must be add or remove, got {direction!r}")
-    if not 0 <= k <= len(cands):
-        raise ArgumentError(f"budget k={k} outside 0..{len(cands)} available candidates")
     return EdgeSelectionInstance(
         n=ds.poses,
         base_edges=base,

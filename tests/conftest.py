@@ -1,10 +1,15 @@
 import os
 from pathlib import Path
 
-import numpy as np
-import pytest
+# One BLAS/OpenMP thread, as perfbench runs: small threaded BLAS calls
+# stall on machines with few cores. Set before numpy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from treesynth import EdgeSelectionInstance, WeightedGraph, find_dataset, random_instance
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from treesynth import EdgeSelectionInstance, WeightedGraph, find_dataset, random_instance  # noqa: E402
 
 DATA = Path(__file__).parent / "data"
 

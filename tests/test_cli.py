@@ -317,6 +317,17 @@ def test_exit_code_missing_instance_file():
     assert run("synthesize", "--instance", "/no/such/file.json", "--k", "1") == 3
 
 
+def test_exit_code_boolean_edge_weight(tmp_path, capsys):
+    # [1, 3, true] once loaded as weight 1.0
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({
+        "n": 3, "base_edges": [[1, 2, 1.0], [2, 3, 1.0]], "candidates": [[1, 3, True]],
+        "k": 1, "direction": "add", "objective": "single-weight",
+    }))
+    assert run("evaluate", "--instance", str(path)) == 3
+    assert "[1, 3, True]" in capsys.readouterr().err
+
+
 def test_exit_code_candidate_count_needs_sampled_mode(capsys):
     # --c in the default complement mode was once ignored silently
     assert run("gen", "--n", "8", "--m-init", "9", "--c", "4") == 2

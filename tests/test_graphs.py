@@ -90,20 +90,38 @@ def test_graph_rejects_bad_edges(edges):
         WeightedGraph(3, edges)
 
 
-@pytest.mark.parametrize(
-    "edges, message",
-    [
-        # the first offending edge is named, whatever its fault
-        (((1, 2, 1.0), (2, 3, 0.5), (1, 9, 1.0)), "got 0.5"),
-        (((1, 2, 1.0), (3, 3, 1.0), (2, 3, 0.5)), "self-loop at vertex 3"),
-        (((1, 2, 1.0), (2, 1.0, 1.0), (1, 9, 1.0)), "vertex ids must be integers, got 1.0"),
-        (((1, 2, 1.0), (2, 3), (1, 9, 1.0)), "edge must be (u, v, weight), got (2, 3)"),
-        (((1, 9, 1.0), (2, 3, math.inf)), "out of range 1..3: (1, 9)"),
-    ],
-)
+# the first offending edge is named, whatever its fault
+FIRST_BAD_EDGE = [
+    (((1, 2, 1.0), (2, 3, 0.5), (1, 9, 1.0)), "got 0.5"),
+    (((1, 2, 1.0), (3, 3, 1.0), (2, 3, 0.5)), "self-loop at vertex 3"),
+    (((1, 2, 1.0), (2, 1.0, 1.0), (1, 9, 1.0)), "vertex ids must be integers, got 1.0"),
+    (((1, 2, 1.0), (2, 3), (1, 9, 1.0)), "edge must be (u, v, weight), got (2, 3)"),
+    (((1, 9, 1.0), (2, 3, math.inf)), "out of range 1..3: (1, 9)"),
+]
+
+
+@pytest.mark.parametrize("edges, message", FIRST_BAD_EDGE)
 def test_graph_names_the_first_bad_edge(edges, message):
     with pytest.raises(ArgumentError, match=re.escape(message)):
         WeightedGraph(3, edges)
+
+
+@pytest.mark.parametrize("objective", ["single-weight", "slam-double"])
+@pytest.mark.parametrize("what", ["base edge", "candidate"])
+@pytest.mark.parametrize("edges, message", FIRST_BAD_EDGE)
+def test_instance_names_the_first_bad_edge_and_its_list(edges, message, what, objective):
+    # instances run the graph's checker; on slam-double the bad weight sits
+    # in the second weight column, behind a good first one
+    path = ((1, 2, 1.0), (2, 3, 1.0))
+    if objective == "slam-double":
+        path, edges = (tuple((*e[:2], 1.0, *e[2:]) if len(e) == 3 else e for e in es)
+                       for es in (path, edges))
+        message = message.replace("(u, v, weight)", "(u, v, wp, wt)")
+    message = message.replace("edge must be", f"{what} must be")
+    base, cands = (edges, ()) if what == "base edge" else (path, edges)
+    with pytest.raises(ArgumentError, match=re.escape(message)) as err:
+        EdgeSelectionInstance(3, base, cands, 0, objective=objective)
+    assert str(err.value).startswith(f"{what} ")
 
 
 def test_graph_refuses_vertex_counts_whose_pair_keys_overflow():
@@ -388,6 +406,34 @@ def test_reduction_rejects_disconnected_skeleton():
         reduce_removal_to_addition(inst)
 
 
+def test_reduction_names_the_skeleton_components():
+    base = ((1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0))
+    inst = EdgeSelectionInstance(4, base, ((1, 2, 1.0), (3, 4, 1.0)), 1, direction="remove")
+    with pytest.raises(InfeasibleError, match=re.escape("(3 components)")):
+        reduce_removal_to_addition(inst)
+
+
+@pytest.mark.parametrize("objective", ["single-weight", "slam-double"])
+def test_reduction_builds_one_graph_per_channel(monkeypatch, objective):
+    # the reduced instance's own construction walks the skeleton; no probe graph
+    arity = 3 if objective == "single-weight" else 4
+    base = tuple((u, v, 1.0 + u, 2.0 + v)[:arity] for u in range(1, 5) for v in range(u + 1, 5))
+    inst = EdgeSelectionInstance(4, base, (base[0], base[4]), 1, direction="remove",
+                                 objective=objective)
+    built = []
+    init = WeightedGraph.__post_init__
+
+    def counted(self):
+        built.append(self.n)
+        init(self)
+
+    monkeypatch.setattr(WeightedGraph, "__post_init__", counted)
+    red = reduce_removal_to_addition(inst)
+    for channel, _ in red.channels:
+        red.base_graph(channel)
+    assert len(built) == len(red.channels)
+
+
 def test_removal_set_is_complement_of_kept():
     base = tuple((u, v, 1.0) for u in range(1, 5) for v in range(u + 1, 5))
     cands = ((1, 2, 1.0), (1, 3, 1.0), (2, 4, 1.0))
@@ -453,6 +499,33 @@ def test_load_instance_errors(tmp_path):
     wrong.write_text(json.dumps({"n": 3, "base_edges": [[1, 2, 1.0]], "candidates": [], "k": 0}))
     with pytest.raises(DataError):
         load_instance(wrong)  # disconnected base surfaces as a data error
+
+
+def _instance_doc(objective: str) -> dict:
+    w = (1.0,) if objective == "single-weight" else (1.0, 2.0)
+    return {"n": 3, "base_edges": [[1, 2, *w], [2, 3, *w]], "candidates": [[1, 3, *w]],
+            "k": 1, "direction": "add", "objective": objective}
+
+
+@pytest.mark.parametrize("objective, arity", [("single-weight", 3), ("slam-double", 4)])
+@pytest.mark.parametrize("key", ["base_edges", "candidates"])
+def test_instance_file_entries_of_any_length_are_data_errors(objective, arity, key):
+    doc = _instance_doc(objective)
+    for length in (0, 1, 2, arity + 1):
+        entry = [1, 3, 1.0, 2.0, 3.0][:length]
+        with pytest.raises(DataError, match=re.escape(f"got {tuple(entry)!r}")):
+            instance_from_json_dict({**doc, key: doc[key] + [entry]})
+
+
+@pytest.mark.parametrize(
+    "entry", [[1, 3, True], [True, 3, 1.0], [1, False, 1.0], [1, 3, 1.0, True], [1, 3, False, 1.0]]
+)
+def test_instance_file_refuses_booleans_in_edges(entry):
+    # JSON true is not the weight 1.0, nor the vertex 1
+    doc = _instance_doc("single-weight" if len(entry) == 3 else "slam-double")
+    for key in ("base_edges", "candidates"):
+        with pytest.raises(DataError, match="arrays of numbers"):
+            instance_from_json_dict({**doc, key: doc[key] + [entry]})
 
 
 @settings(max_examples=60)
