@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
+from ._lapack import dpotrf, dpotrs
 from .errors import ArgumentError, ConvergenceError
 from .graphs import (
     EdgeSelectionInstance,

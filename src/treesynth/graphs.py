@@ -22,8 +22,8 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
 
+from ._lapack import dpotrf
 from .errors import ArgumentError, DataError, InfeasibleError, NumericalError
 
 DIRECTION_ADD = "add"
@@ -69,7 +69,12 @@ def _check_edge(e, n: int, weights: int = 1, what: str = "edge") -> tuple:
         u, v = _as_vertex(e[0]), _as_vertex(e[1])
     except ArgumentError as exc:
         raise ArgumentError(f"{at}: {exc}") from None
-    ws = tuple(float(x) for x in e[2:])
+    try:
+        ws = tuple(float(x) for x in e[2:])
+    except OverflowError:  # an integer beyond the float range
+        raise ArgumentError(
+            f"{at}: weight must be >= 1 and finite, got an overflowing integer"
+        ) from None
     if not (1 <= u <= n and 1 <= v <= n):
         raise ArgumentError(f"{at}: vertex id out of range 1..{n}: ({u}, {v})")
     if u == v:
@@ -409,15 +414,6 @@ def build_reduced_laplacian(g: WeightedGraph) -> ReducedLaplacian:
     return ReducedLaplacian._trusted(g.n, _laplacian(g, g.n - 1))
 
 
-def _weight_column(channel: str | None) -> int:
-    """Position of a weight channel's entry in an instance edge."""
-    if channel is None or channel == "p":
-        return 2
-    if channel == "theta":
-        return 3
-    raise ArgumentError(f"unknown weight channel {channel!r}")
-
-
 @dataclass(frozen=True)
 class EdgeSelectionInstance:
     """A budgeted edge-selection problem over a connected base graph.
@@ -507,22 +503,28 @@ class EdgeSelectionInstance:
             return ((None, 1.0),)
         return (("p", 2.0), ("theta", 1.0))
 
+    def _channel_index(self, channel: str | None) -> int:
+        """Position of ``channel`` in ``channels``: the one channel check.
+
+        A channel's weight is entry 2 + index of an instance edge and
+        column 2 + index of ``candidate_array``.
+        """
+        for i, (ch, _) in enumerate(self.channels):
+            if ch == channel:
+                return i
+        if self.objective == OBJECTIVE_SINGLE:
+            raise ArgumentError("single-weight instances have no named channels")
+        raise ArgumentError(
+            f"slam-double instances require a channel, 'p' or 'theta', got {channel!r}"
+        )
+
     @cached_property
-    def _base_graphs(self) -> dict[str | None, WeightedGraph]:
+    def _base_graphs(self) -> tuple[WeightedGraph, ...]:
         cols = tuple(zip(*self.base_edges)) or ((),) * (2 + len(self.channels))
-        return {
-            channel: WeightedGraph(self.n, tuple(zip(cols[0], cols[1], cols[_weight_column(channel)])))
-            for channel, _ in self.channels
-        }
+        return tuple(WeightedGraph(self.n, tuple(zip(cols[0], cols[1], w))) for w in cols[2:])
 
     def base_graph(self, channel: str | None = None) -> WeightedGraph:
-        if channel not in self._base_graphs:
-            if self.objective == OBJECTIVE_SINGLE:
-                raise ArgumentError("single-weight instances have no named channels")
-            raise ArgumentError(
-                f"slam-double instances require a channel, 'p' or 'theta', got {channel!r}"
-            )
-        return self._base_graphs[channel]
+        return self._base_graphs[self._channel_index(channel)]
 
     @cached_property
     def candidate_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -584,13 +586,13 @@ class EdgeSelectionInstance:
         return inst
 
     def candidate_weights(self, channel: str | None = None) -> np.ndarray:
-        w = np.ascontiguousarray(self.candidate_array[:, _weight_column(channel)])
+        w = np.ascontiguousarray(self.candidate_array[:, 2 + self._channel_index(channel)])
         w.setflags(write=False)
         return w
 
     def candidate_edges(self, indices: Iterable[int], channel: str | None = None) -> list[tuple[int, int, float]]:
         """Materialize (u, v, w) triples for a selection, per channel."""
-        col = _weight_column(channel)
+        col = 2 + self._channel_index(channel)
         return [(e[0], e[1], e[col]) for e in map(self.candidates.__getitem__, indices)]
 
     def merged_base_edges(self) -> tuple[tuple, ...]:

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtri
 
 from . import treeconn
+from ._lapack import dpotrf, dtrtri
 from .errors import InfeasibleError, SizeGuardError
 from .graphs import EdgeSelectionInstance, _design_indices, build_reduced_laplacian
 

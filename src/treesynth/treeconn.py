@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.blas import dtrsm
-from scipy.linalg.lapack import dpotrf
 
+from ._lapack import dpotrf, dtrsm
 from .errors import DataError, NumericalError, SizeGuardError
 from .graphs import (
     ReducedLaplacian,

@@ -328,6 +328,19 @@ def test_exit_code_boolean_edge_weight(tmp_path, capsys):
     assert "[1, 3, True]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", ["evaluate", "synthesize"])
+def test_exit_code_weight_beyond_float_range(tmp_path, capsys, cmd):
+    # float() of a 401-digit weight once raised OverflowError, a traceback
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "n": 3, "base_edges": [[1, 2, 1.0], [2, 3, 1.0]], "candidates": [[1, 3, 10**400]],
+        "k": 1, "direction": "add", "objective": "single-weight",
+    }))
+    assert run(cmd, "--instance", str(path)) == 3
+    err = capsys.readouterr().err
+    assert "candidate (1, 3, 1000" in err and "overflowing integer" in err
+
+
 def test_exit_code_candidate_count_needs_sampled_mode(capsys):
     # --c in the default complement mode was once ignored silently
     assert run("gen", "--n", "8", "--m-init", "9", "--c", "4") == 2

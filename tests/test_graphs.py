@@ -97,6 +97,8 @@ FIRST_BAD_EDGE = [
     (((1, 2, 1.0), (2, 1.0, 1.0), (1, 9, 1.0)), "vertex ids must be integers, got 1.0"),
     (((1, 2, 1.0), (2, 3), (1, 9, 1.0)), "edge must be (u, v, weight), got (2, 3)"),
     (((1, 9, 1.0), (2, 3, math.inf)), "out of range 1..3: (1, 9)"),
+    # float() of an integer beyond the float range raises OverflowError
+    (((1, 2, 1.0), (2, 3, 10**400), (1, 9, 1.0)), "got an overflowing integer"),
 ]
 
 
@@ -368,11 +370,30 @@ def test_instance_dual_channel_shapes():
     assert inst.channels == (("p", 2.0), ("theta", 1.0))
     assert inst.base_graph("p").weight(1, 2) == 1.0
     assert inst.base_graph("theta").weight(1, 2) == 2.0
-    for channel in (None, "bogus"):
-        with pytest.raises(ArgumentError):
-            inst.base_graph(channel)
     with pytest.raises(ArgumentError):
         EdgeSelectionInstance(3, base, ((1, 3, 1.0),), 1, objective="slam-double")
+
+
+@pytest.mark.parametrize("objective, good, bad", [
+    ("single-weight", (None,), ("p", "theta", "bogus")),
+    ("slam-double", ("p", "theta"), (None, "bogus")),
+])
+def test_instance_channel_accessors_share_one_check(objective, good, bad):
+    # candidate_edges and candidate_weights once read a fixed column, so
+    # "theta" on a single-weight instance raised IndexError
+    base, cands = ((1, 2, 1.0, 2.0), (2, 3, 1.5, 2.5)), ((1, 3, 3.0, 4.0),)
+    if objective == "single-weight":
+        base, cands = (tuple(e[:3] for e in es) for es in (base, cands))
+    inst = EdgeSelectionInstance(3, base, cands, 1, objective=objective)
+    for col, channel in enumerate(good, start=2):
+        assert inst.base_graph(channel).weight(1, 2) == base[0][col]
+        assert inst.candidate_weights(channel).tolist() == [cands[0][col]]
+        assert inst.candidate_edges([0], channel) == [(1, 3, cands[0][col])]
+    accessors = (inst.base_graph, inst.candidate_weights, lambda ch: inst.candidate_edges([0], ch))
+    for channel in bad:
+        for accessor in accessors:
+            with pytest.raises(ArgumentError, match="channel"):
+                accessor(channel)
 
 
 def test_remove_candidates_must_live_in_base():
