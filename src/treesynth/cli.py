@@ -6,7 +6,9 @@ dataset), bench (sweep tables for plots).
 
 Exit codes: 0 success, 2 argument errors, 3 data errors, 4 solver
 non-convergence. Artifacts written for a fixed seed and config are
-byte-identical across runs; wall-clock timing therefore goes to the
+byte-identical across runs at a fixed BLAS thread count (the test suite
+and the benchmark pin it to one; another count can move the last digits,
+as BLAS sums in another order); wall-clock timing therefore goes to the
 console (and into bench tables only behind --timings).
 """
 
@@ -282,10 +284,15 @@ def cmd_certify(args) -> int:
             design = removal_set_from_addition(original, design)
         doc["gap"] = gap_for_design(work, design, bundle).to_dict()
     _emit_json(doc, args.output)
+    relaxed = bundle.relaxed
     _say(
         f"lower={bundle.lower!r} upper={bundle.upper!r} "
         f"(greedy={bundle.tau_greedy!r}, rounded={bundle.tau_cvx!r}, "
-        f"relaxed={bundle.tau_cvx_star!r})",
+        f"relaxed={bundle.tau_cvx_star!r})\n"
+        f"legs: greedy_s={bundle.greedy.elapsed:.6f} relax_s={relaxed.elapsed:.6f} "
+        f"round_s={bundle.rounded.elapsed:.6f} iterations={relaxed.iterations} "
+        f"stop={relaxed.stop_reason} fw_gap={relaxed.fw_gap!r} "
+        f"newton_steps={relaxed.newton_steps}",
         to_stderr=args.output is None,
     )
     return EXIT_OK
@@ -352,11 +359,10 @@ def _parse_sweep(spec: str, what: str) -> list[int]:
     return values
 
 
-def _bench_row(inst: EdgeSelectionInstance, sweep: str, value: int, args) -> dict:
+def _bench_row(inst: EdgeSelectionInstance, d: dict, sweep: str, value: int, args) -> dict:
+    """certify (and the oracle) on addition instance inst; d describes the original."""
     bundle = certify(inst, tolerance=args.tolerance, max_iters=args.max_iters)
     oracle = exhaustive_select(inst) if args.oracle and exhaustive_fits(inst) else None
-
-    d = inst.describe()
     return {
         "sweep": sweep,
         "value": value,
@@ -400,18 +406,19 @@ def cmd_bench(args) -> int:
     if args.k_sweep:
         values = _parse_sweep(args.k_sweep, "--k-sweep")
         if args.instance or args.g2o:
-            base_inst = _as_addition(_load_instance_from_args(args, need_k=False))
+            original = _load_instance_from_args(args, need_k=False)
         else:
             if args.n is None or args.m_init is None:
                 raise ArgumentError("generated bench instances need --n and --m-init")
-            base_inst = _random_instance(args, m_init=args.m_init, seed=args.seed, k=0)
+            original = _random_instance(args, m_init=args.m_init, seed=args.seed, k=0)
+        work = _as_addition(original)
+        c = work.num_candidates
         for kk in values:
-            if kk > base_inst.num_candidates:
-                raise ArgumentError(
-                    f"sweep point k={kk} exceeds the {base_inst.num_candidates} candidates"
-                )
-            inst = base_inst.with_budget(kk)
-            rows.append(_bench_row(inst, "k", kk, args))
+            if not 0 <= kk <= c:
+                raise ArgumentError(f"sweep point k={kk} outside 0..{c} candidates")
+            # removing kk candidates is keeping the other c - kk
+            inst = work.with_budget(c - kk if original.direction == DIRECTION_REMOVE else kk)
+            rows.append(_bench_row(inst, {**original.describe(), "k": kk}, "k", kk, args))
     else:
         values = _parse_sweep(args.m_init_sweep, "--m-init-sweep")
         if args.n is None or args.k is None:
@@ -419,7 +426,7 @@ def cmd_bench(args) -> int:
         children = np.random.SeedSequence(args.seed).spawn(len(values))
         for child, m in zip(children, values):
             inst = _random_instance(args, m_init=m, seed=int(child.generate_state(1)[0]), k=args.k)
-            rows.append(_bench_row(inst, "m_init", m, args))
+            rows.append(_bench_row(inst, inst.describe(), "m_init", m, args))
 
     _write_bench(rows, args)
     return EXIT_OK

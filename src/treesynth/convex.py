@@ -42,7 +42,7 @@ from .graphs import (
     ReducedLaplacian,
     build_reduced_laplacian,
 )
-from .greedy import SelectionResult, gain_function
+from .greedy import SelectionResult, _selection_result
 
 ARMIJO_SIGMA = 1e-4
 BACKTRACK_SHRINK = 0.5
@@ -185,7 +185,7 @@ def project_capped_simplex(v, k: float) -> np.ndarray:
     return x
 
 
-def _projected_ascent(objective, project, fw_gap, newton, start, tolerance, max_iters, make_best):
+def _projected_ascent(objective, project, fw_gap, newton, start, tolerance, max_iters, finish):
     """Shared ascent loop: Armijo backtracking along the projection arc.
 
     Once the support of pi is the one of the previous accepted iterate,
@@ -222,10 +222,9 @@ def _projected_ascent(objective, project, fw_gap, newton, start, tolerance, max_
     reason the Armijo test compares only the part of f that depends on
     pi; the constant ``objective.offset`` is added when f is recorded,
     which keeps the curve monotone.
-    Non-convergence raises ConvergenceError carrying the best iterate
-    via ``make_best``. Returns, as make_best takes them, (pi, f(pi),
-    grad, iterations, residual, curve, gap, stop reason, accepted Newton
-    trials).
+    Returns ``finish(pi, f(pi), grad, iterations, residual, curve, gap,
+    stop reason, accepted Newton trials)``; non-convergence raises
+    ConvergenceError carrying ``finish`` of the best iterate.
     """
     pi = project(np.asarray(start, dtype=float).reshape(-1))
     value, grad = objective(pi)
@@ -246,14 +245,14 @@ def _projected_ascent(objective, project, fw_gap, newton, start, tolerance, max_
         gap = fw_gap(grad, pi)
         state = (pi, curve[-1], grad, iterations, residual, tuple(curve), gap)
         if residual <= tolerance:
-            return (*state, "residual", newton_steps)
+            return finish(*state, "residual", newton_steps)
         if gap <= threshold:
-            return (*state, "gap", newton_steps)
+            return finish(*state, "gap", newton_steps)
         if iterations >= max_iters:
             raise ConvergenceError(
                 f"projected gradient did not reach tolerance {tolerance} in "
                 f"{max_iters} iterations (residual {residual:.3e})",
-                best=make_best(*state, "iteration cap", newton_steps),
+                best=finish(*state, "iteration cap", newton_steps),
             )
         cand = None
         if Q is not None:
@@ -272,7 +271,7 @@ def _projected_ascent(objective, project, fw_gap, newton, start, tolerance, max_
                 raise ConvergenceError(
                     "line search stalled before reaching tolerance "
                     f"(residual {residual:.3e})",
-                    best=make_best(*state, "line search stalled", newton_steps),
+                    best=finish(*state, "line search stalled", newton_steps),
                 )
         s = cand - pi
         old_grad = grad
@@ -398,7 +397,7 @@ def solve_p2(
 
     if start is None:
         start = np.full(c, k / c if c else 0.0)
-    return as_solution(*_projected_ascent(
+    return _projected_ascent(
         objective,
         lambda v: project_capped_simplex(v, k),
         budget_gap,
@@ -407,7 +406,7 @@ def solve_p2(
         float(tolerance),
         int(max_iters),
         as_solution,
-    ))
+    )
 
 
 def solve_p3(
@@ -443,7 +442,7 @@ def solve_p3(
 
     if start is None:
         start = np.full(c, 0.5)
-    return as_solution(*_projected_ascent(
+    return _projected_ascent(
         objective,
         lambda v: np.clip(v, 0.0, 1.0),
         box_gap,
@@ -452,7 +451,7 @@ def solve_p3(
         float(tolerance),
         int(max_iters),
         as_solution,
-    ))
+    )
 
 
 def round_deterministic(
@@ -472,17 +471,7 @@ def round_deterministic(
     if not 0 <= k <= inst.num_candidates:
         raise ArgumentError(f"k={k} outside 0..{inst.num_candidates}")
     order = np.argsort(-pi, kind="stable")  # stable: equal values keep index order
-    chosen = sorted(int(i) for i in order[:k])
-    fn = gain_function(inst)
-    tau = fn.absolute(chosen)
-    return SelectionResult(
-        selected=tuple(chosen),
-        edges=tuple(inst.candidates[i] for i in chosen),
-        baseline=fn.baseline_total,
-        tau_achieved=tau,
-        trace=(),
-        elapsed=time.perf_counter() - start,
-    )
+    return _selection_result(inst, sorted(int(i) for i in order[:k]), start)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,8 @@ OBJECTIVE_SLAM = "slam-double"
 PIVOT_RTOL = 1e-12
 # The largest n whose pair keys u * (n + 1) + v fit in int64 (_merge_columns).
 MAX_VERTICES = 3_037_000_498
+# random_instance draws at most this many base graphs before giving up
+RANDOM_BASE_TRIES = 10000
 _UNRESOLVED = (
     "the graph is disconnected up to rounding, or its weights spread more "
     "widely than float64 resolves"
@@ -678,12 +680,12 @@ def random_instance(
     *,
     k: int = 0,
     sample_size: int | None = None,
-    max_tries: int = 10000,
 ) -> EdgeSelectionInstance:
     """Sample a random single-weight addition instance.
 
     The base graph has exactly m_init edges drawn uniformly among vertex
-    pairs and is resampled until connected. candidate_mode "complement"
+    pairs and is resampled until connected, at most RANDOM_BASE_TRIES
+    draws (DataError after that). candidate_mode "complement"
     takes every non-base pair as a candidate; "sampled" draws
     ``sample_size`` of them without replacement; a ``sample_size`` in
     complement mode is refused, not ignored. Weights are uniform in
@@ -713,7 +715,7 @@ def random_instance(
 
     base_pairs: list[tuple[int, int]] | None = None
     base_weights: np.ndarray | None = None
-    for _ in range(max_tries):
+    for _ in range(RANDOM_BASE_TRIES):
         idx = sorted(rng.choice(len(all_pairs), size=m_init, replace=False).tolist())
         pairs = [all_pairs[i] for i in idx]
         weights = rng.uniform(lo, hi, size=m_init)
@@ -724,7 +726,7 @@ def random_instance(
     if base_pairs is None:
         raise DataError(
             f"could not sample a connected base graph with n={n}, m_init={m_init} "
-            f"after {max_tries} tries"
+            f"after {RANDOM_BASE_TRIES} tries"
         )
 
     base_set = set(base_pairs)

@@ -106,8 +106,9 @@ class GainFunction:
     path is checked against. It walks no connectivity: the instance guard
     proved the base graph connected, adding candidates keeps it so, and
     the factor's pivot floor still refuses what float64 cannot resolve.
-    Empty subsets return exactly 0. The baselines, each channel's base
-    tau, are read off the instance's kernels.
+    The gain is absolute(subset) - baseline_total, exactly 0 for the
+    empty subset: the baselines, each channel's base tau read off the
+    instance's kernels, are the from-scratch bits of the base graphs.
     """
 
     instance: EdgeSelectionInstance
@@ -118,13 +119,7 @@ class GainFunction:
         return sum(m * b for (_, m), b in zip(self.instance.channels, self.baselines))
 
     def __call__(self, subset: Iterable[int]) -> float:
-        inst = self.instance
-        idx = _design_indices(inst, subset)
-        total = 0.0
-        for (channel, mult), tau0 in zip(inst.channels, self.baselines):
-            g = inst.base_graph(channel).with_edges(inst.candidate_edges(idx, channel))
-            total += mult * (build_reduced_laplacian(g).log_det() - tau0)
-        return total
+        return self.absolute(subset) - self.baseline_total
 
     def absolute(self, subset: Iterable[int]) -> float:
         """Objective of the completed design, baseline included.
@@ -146,13 +141,32 @@ def gain_function(inst: EdgeSelectionInstance) -> GainFunction:
     return GainFunction(inst, tuple(kernel.log_det0 for _, kernel in inst.kernels))
 
 
+def _selection_result(
+    inst: EdgeSelectionInstance,
+    selected: Iterable[int],
+    start: float,
+    trace: tuple[TraceStep, ...] = (),
+    tau: float | None = None,
+) -> SelectionResult:
+    """The scored design: tau is GainFunction.absolute's unless the caller holds it."""
+    fn = gain_function(inst)
+    selected = tuple(selected)
+    return SelectionResult(
+        selected=selected,
+        edges=tuple(inst.candidates[i] for i in selected),
+        baseline=fn.baseline_total,
+        tau_achieved=fn.absolute(selected) if tau is None else tau,
+        trace=trace,
+        elapsed=time.perf_counter() - start,
+    )
+
+
 def _greedy_run(
     inst: EdgeSelectionInstance,
     budget: int,
     stop_threshold: float | None = None,
 ) -> SelectionResult:
     start = time.perf_counter()
-    fn = gain_function(inst)
     c = inst.num_candidates
     pairs = inst.candidate_pairs
     # Exact duplicate candidates share one kernel column, so their gains
@@ -195,14 +209,7 @@ def _greedy_run(
         trace.append(TraceStep(idx, *pairs[idx], step_score, float(gains[idx])))
         gained += float(gains[idx])
 
-    return SelectionResult(
-        selected=tuple(selected),
-        edges=tuple(inst.candidates[i] for i in selected),
-        baseline=fn.baseline_total,
-        tau_achieved=fn.absolute(selected),
-        trace=tuple(trace),
-        elapsed=time.perf_counter() - start,
-    )
+    return _selection_result(inst, selected, start, tuple(trace))
 
 
 def greedy_select(inst: EdgeSelectionInstance) -> SelectionResult:
@@ -227,10 +234,9 @@ def greedy_to_threshold(inst: EdgeSelectionInstance, tau_min: float) -> Selectio
     short, reporting the maximum achievable gain.
     """
     tau_min = float(tau_min)
-    fn = gain_function(inst)
     if tau_min <= 0.0:
         return _greedy_run(inst, budget=0)
-    achievable = fn(range(inst.num_candidates))
+    achievable = gain_function(inst)(range(inst.num_candidates))
     if tau_min > achievable:
         raise InfeasibleError(
             f"requested gain {tau_min} exceeds the maximum achievable "
@@ -265,14 +271,7 @@ def exhaustive_select(inst: EdgeSelectionInstance) -> SelectionResult:
     shortlist = _exhaustive_shortlist(inst)
     # max keeps the first of equal values, the lexicographically smallest
     best_val, best = max(((fn.absolute(s), s) for s in shortlist), key=lambda vs: vs[0])
-    return SelectionResult(
-        selected=best,
-        edges=tuple(inst.candidates[i] for i in best),
-        baseline=fn.baseline_total,
-        tau_achieved=best_val,
-        trace=(),
-        elapsed=time.perf_counter() - start,
-    )
+    return _selection_result(inst, best, start, tau=best_val)
 
 
 def _exhaustive_shortlist(inst: EdgeSelectionInstance) -> list[tuple[int, ...]]:

@@ -186,6 +186,23 @@ def test_certify_removal_design_judges_its_kept_complement(tmp_path, capsys):
         assert run("certify", "--instance", str(path), "--design", str(design)) == 2
 
 
+def test_certify_prints_its_legs(tmp_path, inst_path, capsys):
+    assert run("certify", "--instance", str(inst_path), "--output", str(tmp_path / "c.json")) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("lower=")
+    head, *fields = lines[1].split()
+    legs = dict(field.split("=") for field in fields)
+    assert head == "legs:"
+    assert list(legs) == ["greedy_s", "relax_s", "round_s", "iterations", "stop", "fw_gap",
+                          "newton_steps"]
+    assert all(float(legs[f"{leg}_s"]) > 0.0 for leg in ("greedy", "relax", "round"))
+    relaxed = certify(load_instance(inst_path)).relaxed
+    assert int(legs["iterations"]) == relaxed.iterations
+    assert legs["stop"] == relaxed.stop_reason
+    assert float(legs["fw_gap"]) == relaxed.fw_gap
+    assert int(legs["newton_steps"]) == relaxed.newton_steps
+
+
 def test_evaluate_instance(inst_path, capsys):
     assert run("evaluate", "--instance", str(inst_path)) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -296,6 +313,22 @@ def test_bench_k_sweep_builds_one_kernel_per_channel(monkeypatch, mini_g2o, caps
         # the candidate kernel does not depend on k
         assert len(built) == channels
     assert len(capsys.readouterr().out.splitlines()) == 6 + 4
+
+
+def test_bench_k_sweep_on_removal_instance_matches_certify(tmp_path, capsys):
+    # k counts removed candidates, as in certify --k on the same file
+    path = tmp_path / "rem.json"
+    skeleton = ((1, 2, 1.0), (2, 3, 2.0), (3, 4, 1.5), (4, 5, 3.0))
+    cands = ((1, 3, 2.5), (2, 4, 1.0), (3, 5, 4.0), (1, 5, 1.5))
+    save_instance(EdgeSelectionInstance(5, skeleton + cands, cands, 2, direction="remove"), path)
+    assert run("bench", "--instance", str(path), "--k-sweep", "0:4", "--format", "json") == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [row["k"] for row in rows] == [0, 1, 2, 3, 4]
+    for row in rows:
+        assert run("certify", "--instance", str(path), "--k", str(row["k"])) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (row["lower"], row["upper"]) == (doc["bundle"]["lower"], doc["bundle"]["upper"])
+        assert row["m_init"] == doc["instance"]["m_init"] == 8
 
 
 def test_bench_m_init_sweep_json(tmp_path):

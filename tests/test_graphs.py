@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treesynth import graphs
 from treesynth.graphs import _merge_parallel
 from treesynth import (
     ArgumentError,
@@ -490,6 +491,13 @@ def test_random_instance_complement_mode_disjoint_from_base():
     cand_pairs = {(u, v) for u, v, _ in inst.candidates}
     assert not base_pairs & cand_pairs
     assert len(cand_pairs) == 7 * 6 // 2 - len(base_pairs)
+
+
+def test_random_instance_gives_up_after_the_tries_constant(monkeypatch):
+    # 19 of the 190 pairs of 20 vertices rarely form a spanning tree
+    monkeypatch.setattr(graphs, "RANDOM_BASE_TRIES", 3)
+    with pytest.raises(DataError, match="n=20, m_init=19 after 3 tries"):
+        random_instance(n=20, m_init=19, seed=0)
 
 
 def test_random_instance_sample_size_needs_sampled_mode():
