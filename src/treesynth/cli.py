@@ -20,6 +20,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import statistics
 import sys
 from pathlib import Path
@@ -58,6 +59,7 @@ from .slam import PoseGraphDataset, channel_taus, find_dataset, parse_g2o, to_in
 from .treeconn import tree_connectivity
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_ARGUMENT = 2
 EXIT_DATA = 3
 EXIT_CONVERGENCE = 4
@@ -524,6 +526,21 @@ def main(argv=None) -> int:
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): point stdout at devnull
+        # so that the interpreter's last flush does not fail again, as the
+        # Python docs recommend (signal module, "Note on SIGPIPE")
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
+
+
+def _run(argv) -> int:
+    """Parse argv and run its command; TreesynthErrors become exit codes."""
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:

@@ -347,10 +347,13 @@ def _fp_allowance(order: int, value: float, objective: _Objective) -> float:
     first sums. Gradient entry i is diag(G)_i - |x_i|^2 or |x_i|^2, both
     terms at most diag(G)_i, so eps * c * sum(mult * diag(G)) covers the
     second. The backward error of the factorizations themselves, which
-    grows with the condition number of L(pi), is not covered. On a path
-    base Z is exact to a few ulps per entry (no solve), but log_det0
-    still comes from the dense base factor, so its error is not covered
-    either.
+    grows with the condition number of L(pi), is not covered. On a tree
+    base, the path of every g2o instance among them, log_det0 is the sum
+    of the base's log weights (graphs.connected_tau), covered by the
+    first term with no condition-number term, and on the path Z is exact
+    to a few ulps per entry (no solve). On any other base log_det0 comes
+    from the dense base factor, whose error grows with the condition
+    number of L0 and is not covered either.
     """
     diag = sum(mult * kernel.gram_diag for mult, kernel in objective.kernels)
     return float(np.finfo(float).eps * (order * abs(value) + diag.size * diag.sum()))

@@ -416,6 +416,22 @@ def build_reduced_laplacian(g: WeightedGraph) -> ReducedLaplacian:
     return ReducedLaplacian._trusted(g.n, _laplacian(g, g.n - 1))
 
 
+def connected_tau(g: WeightedGraph, lap: ReducedLaplacian | None = None) -> float:
+    """tau, the log weighted spanning-tree count, of the connected graph g.
+
+    The one tau rule: a graph with n - 1 merged edges is its own only
+    spanning tree, so tau is the sum of its log weights, exact to the
+    rounding of the logs and the sum, with nothing assembled or factored;
+    every other graph takes the log det of its reduced Laplacian's dense
+    factor, ``lap`` when the caller has assembled it, whose error grows
+    with the matrix's condition number. g must be connected; the caller
+    checks.
+    """
+    if g.num_edges == g.n - 1:
+        return float(np.sum(np.log(g._columns[2])))
+    return (build_reduced_laplacian(g) if lap is None else lap).log_det()
+
+
 @dataclass(frozen=True)
 class EdgeSelectionInstance:
     """A budgeted edge-selection problem over a connected base graph.
@@ -556,26 +572,36 @@ class EdgeSelectionInstance:
         gathered rows, until it returns, and the Newton trial the free
         block's Hessian, |F|^2; the kernel keeps neither.
 
-        A channel whose merged base edges are {a, a + 1} for a = 1..n-1,
+        Each kernel's log_det0 is its base graph's tau by the one tau rule
+        (connected_tau), so it has the bits of tree_connectivity(base). A
+        channel whose merged base edges are {a, a + 1} for a = 1..n-1,
         the odometry path of every g2o instance (slam.to_instance, and
-        reduce_removal_to_addition's base), gets Z in closed form with no
-        solve; every other base is whitened by a triangular solve.
+        reduce_removal_to_addition's base), is neither assembled nor
+        factored: log_det0 is its sum of log weights and Z comes in closed
+        form. Every other base is assembled once, and whitened by a
+        triangular solve against its factor.
         """
-        from .treeconn import SubsetLogDet  # treeconn imports this module
+        from .treeconn import SubsetLogDet, path_whitened_incidence, whitened_incidence
 
         if self.direction != DIRECTION_ADD:
             raise ArgumentError(
                 "the solvers expect an addition instance; reduce removal "
                 "instances first (reduce_removal_to_addition)"
             )
+        pairs = self.candidate_pairs
         kernels = []
         for ch, mult in self.channels:
             g = self.base_graph(ch)
+            weights = self.candidate_weights(ch)
             u, v, w = g._columns
             # g is connected, so edges that all join a and a + 1 are the whole path
-            path = w if np.all(v - u == 1) else None
-            kernels.append((mult, SubsetLogDet(build_reduced_laplacian(g), self.candidate_pairs,
-                                               self.candidate_weights(ch), path)))
+            if np.all(v - u == 1):
+                kernel = SubsetLogDet(connected_tau(g), path_whitened_incidence(w, pairs, weights))
+            else:
+                L = build_reduced_laplacian(g)
+                Z = whitened_incidence(L, pairs) * np.sqrt(weights)
+                kernel = SubsetLogDet(connected_tau(g, L), np.ascontiguousarray(Z.T))
+            kernels.append((mult, kernel))
         return tuple(kernels)
 
     def with_budget(self, k: int) -> EdgeSelectionInstance:

@@ -6,7 +6,9 @@ and submodular, so the classic greedy sweep earns the 1 - 1/e factor.
 Each greedy round reads every candidate's gain off effective resistances
 that a Sherman-Morrison (Woodbury) update keeps current from each
 channel's whitened, weighted incidence Z = C^-1 A diag(sqrt(w)) in the
-instance's kernels: a commit costs O(order * c + c * t) in round t, no solve.
+instance's kernels: a commit costs O(c * (s + t)) in round t, no solve, for
+the s columns on which the picked row of Z is nonzero (on a path base, the
+path edges between the candidate's ends).
 
 Exhaustive search walks a tree of candidate prefixes on the same
 kernels, depth first: a child's objective is its parent's plus the log
@@ -30,7 +32,7 @@ import numpy as np
 from . import treeconn
 from ._lapack import dpotrf, dtrtri
 from .errors import InfeasibleError, SizeGuardError
-from .graphs import EdgeSelectionInstance, _design_indices, build_reduced_laplacian
+from .graphs import EdgeSelectionInstance, _design_indices, connected_tau
 
 # exhaustive_select refuses to walk more subsets than this
 EXHAUSTIVE_MAX_SUBSETS = 10**6
@@ -101,9 +103,10 @@ class GainFunction:
     """Tree-connectivity gain of candidate subsets over the base graph.
 
     Calling it with an index subset rebuilds the augmented graph from
-    scratch, a new graph, reduced Laplacian and Cholesky factor per
-    channel, so it is the slow, trustworthy evaluation the fast greedy
-    path is checked against. It walks no connectivity: the instance guard
+    scratch, a new graph per channel scored by the one tau rule
+    (graphs.connected_tau: a reduced Laplacian and its Cholesky factor
+    unless the graph is a tree), so it is the slow, trustworthy
+    evaluation the fast greedy path is checked against. It walks no connectivity: the instance guard
     proved the base graph connected, adding candidates keeps it so, and
     the factor's pivot floor still refuses what float64 cannot resolve.
     The gain is absolute(subset) - baseline_total, exactly 0 for the
@@ -132,7 +135,7 @@ class GainFunction:
         total = 0.0
         for channel, mult in inst.channels:
             g = inst.base_graph(channel).with_edges(inst.candidate_edges(idx, channel))
-            total += mult * build_reduced_laplacian(g).log_det()
+            total += mult * connected_tau(g)
         return total
 
 
@@ -169,18 +172,34 @@ def _greedy_run(
     start = time.perf_counter()
     c = inst.num_candidates
     pairs = inst.candidate_pairs
-    # Exact duplicate candidates share one kernel column, so their gains
-    # tie exactly and the lowest index wins, as it does from scratch; BLAS
-    # matrix-vector products can round two identical columns differently.
+    mults = [mult for mult, _ in inst.kernels]
+    # Exact duplicate candidates share one kernel row, so their gains tie
+    # exactly and the lowest index wins, as it does from scratch; BLAS
+    # products can round two identical rows differently. One lexsort
+    # finds whether there are any; without them the kernel's Z is read
+    # in place.
     keys = inst.candidate_array.copy()
     keys[:, :2].sort(axis=1)
-    _, first, col = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    col = col.reshape(-1)
-    # per channel: the kernel's Z rows of the distinct candidates and their
-    # current w * resistance, which the commits below keep up to date
-    kernels = [(mult, kern.Zt[first], kern.gram_diag[first]) for mult, kern in inst.kernels]
-    # rows t of U[j] are the low-rank factor of channel j; grown by doubling
-    U = np.empty((len(kernels), min(budget, 16), len(first)))
+    ranked = keys[np.lexsort(keys.T)]
+    if (ranked[1:] == ranked[:-1]).all(axis=1).any():
+        _, rows, col = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        col = col.reshape(-1)
+    else:
+        rows, col = slice(None), None  # a view: each candidate is its own row
+    Zs = [kern.Zt[rows] for _, kern in inst.kernels]
+    resist = np.stack([kern.gram_diag[rows] for _, kern in inst.kernels])
+    # per channel, the column range lo:hi of each row's nonzeros (on a path
+    # base, the path edges between the candidate's ends): column e of Z^T Z
+    # reads only row e's range
+    spans = []
+    for Zt in Zs:
+        nz = Zt != 0.0
+        spans.append((nz.argmax(axis=1), Zt.shape[1] - nz[:, ::-1].argmax(axis=1)))
+    # resist[j] is channel j's current w * resistance of each distinct
+    # candidate, and rows t of U[j] its low-rank factor, grown by doubling;
+    # the commits below keep both up to date
+    U = np.empty((len(Zs), min(budget, 16), resist.shape[1]))
+    g = np.empty_like(resist)
 
     available = np.ones(c, dtype=bool)
     selected: list[int] = []
@@ -190,21 +209,23 @@ def _greedy_run(
     for t in range(budget):
         if stop_threshold is not None and gained >= stop_threshold:
             break
-        scores = [resist[col] for _, _, resist in kernels]
-        gains = sum(mult * np.log1p(s) for (mult, _, _), s in zip(kernels, scores))
+        scores = resist if col is None else resist[:, col]
+        gains = sum(mult * np.log1p(s) for mult, s in zip(mults, scores))
         gains[~available] = -np.inf
         idx = int(np.argmax(gains))  # first max wins, lowest index on ties
         available[idx] = False
-        e = col[idx]
-        if t == U.shape[1]:
-            U = np.concatenate((U, np.empty_like(U)), axis=1)
-        for (_, Zt, resist), Uj in zip(kernels, U):
-            # column e of the current Gram matrix Z^T Z - U^T U (Sherman-Morrison)
-            g = Zt @ Zt[e] - Uj[:t].T @ Uj[:t, e]
-            Uj[t] = g / math.sqrt(1.0 + g[e])
-            resist -= Uj[t] ** 2
         step_score = tuple(float(s[idx]) for s in scores)
         step_score = step_score[0] if len(step_score) == 1 else step_score
+        e = idx if col is None else col[idx]
+        if t == U.shape[1]:
+            U = np.concatenate((U, np.empty_like(U)), axis=1)
+        # column e of each current Gram matrix Z^T Z - U^T U (Sherman-Morrison)
+        for Zt, (lo, hi), gj in zip(Zs, spans, g):
+            span = slice(lo[e], hi[e])
+            np.matmul(Zt[:, span], Zt[e, span], out=gj)
+        g -= np.matmul(U[:, None, :t, e], U[:, :t])[:, 0]
+        np.divide(g, np.sqrt(1.0 + g[:, e])[:, None], out=U[:, t])
+        resist -= U[:, t] ** 2
         selected.append(idx)
         trace.append(TraceStep(idx, *pairs[idx], step_score, float(gains[idx])))
         gained += float(gains[idx])

@@ -23,12 +23,7 @@ import numpy as np
 
 from ._lapack import dpotrf, dtrsm
 from .errors import DataError, NumericalError, SizeGuardError
-from .graphs import (
-    ReducedLaplacian,
-    WeightedGraph,
-    build_reduced_laplacian,
-    is_connected,
-)
+from .graphs import ReducedLaplacian, WeightedGraph, connected_tau, is_connected
 
 # The enumeration oracle walks all (n-1)-subsets of edges; refuse
 # anything that is big on both axes.
@@ -54,12 +49,15 @@ class TreeConnectivity:
 
 
 def tree_connectivity(g: WeightedGraph) -> TreeConnectivity:
-    """tau via Cholesky on the reduced Laplacian. The production path."""
-    if g.n == 1:
-        return TreeConnectivity(0.0, True)
+    """tau by the one tau rule (graphs.connected_tau). The production path.
+
+    A spanning tree's tau is its sum of log weights; every other
+    connected graph's comes from one Cholesky factorization of its
+    reduced Laplacian.
+    """
     if not is_connected(g):
         return TreeConnectivity(0.0, False)
-    return TreeConnectivity(build_reduced_laplacian(g).log_det(), True)
+    return TreeConnectivity(connected_tau(g), True)
 
 
 def tree_connectivity_spectral(g: WeightedGraph) -> TreeConnectivity:
@@ -172,11 +170,15 @@ class SubsetLogDet:
     det L(S) = det L0 * det(I + Z_S^T Z_S), where L(S) is the base L0
     plus the candidates in S and Z = C^{-1} A diag(sqrt(w)) is the
     whitened, weighted incidence of all candidates, kept as Z^T (c x
-    order). Given ``path_weights``, the base is the path 1-2-...-n and Z
-    comes in closed form (path_whitened_incidence), exact to a few ulps
-    per entry; otherwise from one triangular solve against L's factor
-    (whitened_incidence), whose error grows with L's condition number.
-    log_det0 comes from L's dense factor either way. A batch shares one
+    order). The instance builds both (EdgeSelectionInstance.kernels):
+    log_det0 is the base graph's tau by the one tau rule
+    (graphs.connected_tau), and Z comes in closed form on the path base
+    1-2-...-n (path_whitened_incidence), exact to a few ulps per entry,
+    and otherwise from one triangular solve against the base factor
+    (whitened_incidence), whose error grows with L0's condition number.
+    On a tree base, the path of every g2o instance among them, log_det0
+    is the sum of the base's log weights, with no condition-number term;
+    on any other base it comes from L0's dense factor. A batch shares one
     stacked slogdet on the smaller Sylvester form, s x s or
     order x order, and each subset's value does not depend on the rest
     of its batch. Memory is O(order * c) plus the batch.
@@ -193,13 +195,9 @@ class SubsetLogDet:
     returns.
     """
 
-    def __init__(self, L: ReducedLaplacian, pairs, weights, path_weights: np.ndarray | None = None):
-        self.log_det0 = L.log_det()
-        if path_weights is None:
-            Z = whitened_incidence(L, pairs) * np.sqrt(weights)
-            self.Zt = np.ascontiguousarray(Z.T)
-        else:
-            self.Zt = path_whitened_incidence(path_weights, pairs, weights)
+    def __init__(self, log_det0: float, Zt: np.ndarray):
+        self.log_det0 = log_det0
+        self.Zt = Zt
         # (pi, support, sqrt(pi) on it, Cholesky factor) of the last selector
         self._last: tuple | None = None
 

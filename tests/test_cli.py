@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -501,3 +505,43 @@ def test_exit_code_evaluate_both_sources(inst_path, mini_g2o, capsys):
     assert run("evaluate", "--instance", str(inst_path), "--g2o", str(mini_g2o)) == 2
     out = capsys.readouterr()
     assert out.out == "" and "exactly one of --instance and --g2o" in out.err
+
+
+# stdout is a TextIOWrapper whose second write waits for a byte on stdin:
+# the reader sends it once it has read one line and closed its end, so the
+# write meets a closed pipe on every run, not only when the scheduler lets
+# the reader win the race that `treesynth ... | head -1` runs
+GATED_MAIN = """
+import io, sys
+from treesynth.cli import main
+
+class Gate(io.TextIOWrapper):
+    writes = 0
+
+    def write(self, s):
+        if Gate.writes == 1:
+            sys.stdin.read(1)
+        Gate.writes += 1
+        return super().write(s)
+
+sys.stdout = Gate(sys.stdout.detach(), write_through=True)
+sys.exit(main())
+"""
+
+
+def test_closed_stdout_ends_without_a_traceback(mini_g2o, tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONUNBUFFERED="1",
+               PYTHONPATH=os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    argv = ["certify", "--g2o", str(mini_g2o), "--k", "2", "--output", str(tmp_path / "c.json")]
+    proc = subprocess.Popen([sys.executable, "-c", GATED_MAIN, *argv], env=env,
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    proc.stdin.write(b"x")
+    proc.stdin.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE
+    assert first.startswith(b"lower=")
+    assert "Traceback" not in err and err == ""

@@ -19,6 +19,8 @@ from treesynth import (
     ReducedLaplacian,
     WeightedGraph,
     build_reduced_laplacian,
+    certify,
+    greedy_select,
     instance_from_json_dict,
     instance_to_json_dict,
     is_connected,
@@ -30,6 +32,7 @@ from treesynth import (
     save_instance,
     to_instance,
 )
+from treesynth.cli import main
 
 TRIANGLE = ((1, 2, 2.0), (2, 3, 3.0), (1, 3, 4.0))
 
@@ -284,15 +287,24 @@ def test_reduced_laplacian_disconnected_graph_fails_factorization():
         L.cholesky  # noqa: B018  (property access is the operation under test)
 
 
-def test_cholesky_refusal_names_both_causes():
+def test_cholesky_refusal_names_both_causes(tmp_path, capsys):
     # connected, but 1e15 in series with 1 leaves the second pivot at rounding level
     inst = EdgeSelectionInstance(3, ((1, 2, 1e15), (2, 3, 1.0)), ((1, 3, 2.0),), 1)
     assert is_connected(inst.base_graph())
-    with pytest.raises(NumericalError) as err:
-        inst.kernels  # noqa: B018
-    message = str(err.value)
-    assert "disconnected up to rounding" in message
-    assert "weights spread more widely than float64 resolves" in message
+    # the base is the path 1-2-3, whose kernel factors nothing, so the
+    # refusal comes at the first from-scratch factor of base plus candidate;
+    # a base with a cycle is factored for its kernel, which refuses
+    cyclic = EdgeSelectionInstance(3, ((1, 2, 1e15), (2, 3, 1.0), (1, 3, 1.0)), ((1, 3, 2.0),), 1)
+    for call in (lambda: greedy_select(inst), lambda: certify(inst), lambda: cyclic.kernels):
+        with pytest.raises(NumericalError) as err:
+            call()
+        message = str(err.value)
+        assert "disconnected up to rounding" in message
+        assert "weights spread more widely than float64 resolves" in message
+    path = tmp_path / "refused.json"
+    save_instance(inst, path)
+    assert main(["certify", "--instance", str(path)]) == 3
+    assert "disconnected up to rounding" in capsys.readouterr().err
 
 
 def test_incidence_vector_anchor_handling():

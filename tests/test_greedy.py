@@ -48,6 +48,38 @@ def test_gain_baselines_are_the_base_graphs_tau_bit_for_bit():
             tree_connectivity(inst.base_graph(channel)).tau for channel, _ in inst.channels)
 
 
+def test_path_base_baselines_are_the_trees_tau_bit_for_bit():
+    # the kernels factor nothing on a path base: their log_det0 and every
+    # from-scratch tau follow one rule, so the empty design still gains 0.0
+    rng = np.random.default_rng(19)
+    path = tuple((a, a + 1, float(10 ** rng.uniform(0.0, 8.0))) for a in range(1, 10))
+    cands = ((1, 10, 2.0), (3, 7, 1.5), (9, 2, 4.0), (4, 5, 2.5))
+    inst = slam_instance(EdgeSelectionInstance(10, path, cands, 2), rng)
+    fn = gain_function(inst)
+    assert fn.baselines == tuple(
+        tree_connectivity(inst.base_graph(channel)).tau for channel, _ in inst.channels)
+    assert fn(()) == 0.0
+    assert greedy_select(inst).baseline == fn.baseline_total
+
+
+def test_greedy_picks_the_lowest_of_exact_duplicates():
+    # the duplicates, one of them reversed, are the best candidates, also
+    # in the second round; the near-copy (a lighter weight) has a kernel
+    # row of its own
+    path = tuple((a, a + 1, 1.0) for a in range(1, 9))
+    cands = ((2, 3, 1.0), (1, 9, 3.0), (9, 1, 3.0), (1, 9, 3.0), (1, 9, 3.0 - 1e-12))
+    base = EdgeSelectionInstance(9, path, cands, 2)
+    chord = EdgeSelectionInstance(9, (*path, (2, 7, 2.0)), cands, 2)
+    slam = EdgeSelectionInstance(9, tuple((*e, 2.0) for e in path),
+                                 tuple((*e, 1.5) for e in cands), 2, objective="slam-double")
+    for inst in (base, chord, slam):
+        res = greedy_select(inst)
+        assert res.selected == (1, 2)
+    # without duplicates the kernel's Z is read in place, and the picks agree
+    plain = EdgeSelectionInstance(9, path, cands[:2], 2)
+    assert greedy_select(plain).selected == (1, 0)
+
+
 def test_gain_of_empty_set_is_exactly_zero():
     fn = gain_function(star_instance())
     assert fn(()) == 0.0
@@ -505,9 +537,8 @@ def test_threshold_stop_builds_no_graph_per_round(monkeypatch):
             inst.n, inst.base_edges, inst.candidates, 12, objective=inst.objective))
         gains = np.cumsum([s.gain for s in full.trace])
         calls = []
-        scratch = greedy.build_reduced_laplacian
-        monkeypatch.setattr(
-            greedy, "build_reduced_laplacian", lambda g: calls.append(1) or scratch(g))
+        scratch = greedy.connected_tau
+        monkeypatch.setattr(greedy, "connected_tau", lambda g: calls.append(1) or scratch(g))
         counts = []
         for rounds in (1, 3, 8):
             calls.clear()

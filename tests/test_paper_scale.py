@@ -9,6 +9,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from treesynth import certify, parse_g2o, to_instance, tree_connectivity_spectral
@@ -40,6 +41,12 @@ def test_certify_at_intel_shape_with_library_defaults(seed):
     text = posegraph.generate_g2o(posegraph.INTEL_SHAPED, seed)
     inst = to_instance(parse_g2o(text.splitlines()), K)
     assert (inst.n, inst.num_candidates) == (943, 895)
+
+    # the odometry path is a tree: each kernel's log_det0 is its sum of log
+    # weights, with nothing assembled or factored
+    for (channel, _), (_, kernel) in zip(inst.channels, inst.kernels):
+        weights = [w for _, _, w in inst.base_graph(channel).edges]
+        assert kernel.log_det0 == float(np.sum(np.log(weights)))
 
     bundle = certify(inst)  # a ConvergenceError fails the test
     assert bundle.relaxed.stop_reason in ("residual", "gap")

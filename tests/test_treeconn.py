@@ -59,6 +59,51 @@ def test_tree_has_tau_zero_with_unit_weights():
     assert tree_connectivity(path).tau == pytest.approx(0.0, abs=1e-12)
 
 
+# ---------------------------------------------------------------------------
+# the one tau rule: a spanning tree is its own only tree
+
+
+def _random_tree(rng, n, shape, top):
+    """A tree on 1..n, weights log-uniform in [1, top].
+
+    shape "path" is the path 1-2-...-n; "relabelled path", "star" and
+    "random" (each vertex attached to a random earlier one) have their
+    vertices permuted.
+    """
+    perm = np.arange(1, n + 1) if shape == "path" else rng.permutation(n) + 1
+    edges = []
+    for i in range(1, n):
+        parent = {"star": 0, "random": int(rng.integers(0, i))}.get(shape, i - 1)
+        edges.append((int(perm[i]), int(perm[parent]), float(top ** rng.uniform(0.0, 1.0))))
+    return WeightedGraph(n, tuple(edges))
+
+
+def test_tau_rule_sums_log_weights_on_trees():
+    rng = np.random.default_rng(29)
+    eps = np.finfo(float).eps
+    for trial in range(240):
+        n = int(rng.integers(2, 30))
+        top = 1e8 if trial % 2 else 10.0
+        shape = ("path", "relabelled path", "star", "random")[trial % 4]
+        g = _random_tree(rng, n, shape, top)
+        tau = tree_connectivity(g).tau
+        assert tau == float(np.sum(np.log([w for _, _, w in g.edges])))
+        L = build_reduced_laplacian(g)
+        dense = L.log_det()
+        # The dense value carries the factor's backward error, C C^T = L + E
+        # with |E| <= (n + 1) eps |C| |C^T| (Higham, Thm 10.3), which moves
+        # log det by up to |L^-1| : |E| to first order, plus the rounding of
+        # the logs and their sum. With weights up to 1e8 that reaches a few
+        # 1e-10 relative (one cancelling pivot per heavy edge beside a light
+        # one), which the rule does not have.
+        C = np.abs(L.cholesky)
+        bound = eps * ((n + 1) * np.sum(np.abs(np.linalg.inv(L.matrix)) * (C @ C.T))
+                       + n * abs(tau))
+        assert abs(dense - tau) <= bound, (trial, shape, n)
+        if top == 10.0:
+            assert dense == pytest.approx(tau, rel=1e-12, abs=0.0)
+
+
 def test_three_paths_agree_on_random_graphs():
     rng = np.random.default_rng(42)
     for _ in range(60):
@@ -217,7 +262,8 @@ def _assert_kernels_match_the_solve(inst):
         Z *= np.sqrt(inst.candidate_weights(channel))
         assert kernel.Zt.shape == Z.T.shape and kernel.Zt.flags.c_contiguous
         np.testing.assert_allclose(kernel.Zt, Z.T, rtol=0, atol=1e-12 * np.abs(Z).max())
-        assert kernel.log_det0 == L.log_det()
+        assert kernel.log_det0 == tree_connectivity(inst.base_graph(channel)).tau
+        assert kernel.log_det0 == pytest.approx(L.log_det(), rel=1e-12, abs=0.0)
 
 
 def test_path_base_whitens_in_closed_form():
@@ -258,6 +304,31 @@ def test_bases_that_are_not_the_path_keep_the_solve():
     for inst in (chord, relabelled, slam_instance(chord, np.random.default_rng(4))):
         assert _solved_channels(inst) == len(inst.channels)
         _assert_kernels_match_the_solve(inst)
+
+
+def test_path_base_kernels_assemble_and_factor_nothing(monkeypatch):
+    from treesynth import _lapack, graphs
+
+    calls = []
+    for module, name in ((graphs, "build_reduced_laplacian"), (graphs, "dpotrf"),
+                         (treeconn, "dpotrf"), (_lapack, "dpotrf")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, fn=fn, name=name, **kw: calls.append(name) or fn(*a, **kw))
+    rng = np.random.default_rng(31)
+    path = tuple((a, a + 1, float(10 ** rng.uniform(0.0, 8.0))) for a in range(1, 12))
+    cands = tuple((int(u), int(v), float(rng.uniform(1.0, 5.0)))
+                  for u, v in (rng.choice(np.arange(1, 13), 2, replace=False) for _ in range(15)))
+    single = EdgeSelectionInstance(12, path, cands, 3)
+    for inst in (single, slam_instance(single, rng)):
+        for (channel, _), (_, kernel) in zip(inst.channels, inst.kernels):
+            weights = [w for _, _, w in inst.base_graph(channel).edges]
+            assert kernel.log_det0 == float(np.sum(np.log(weights)))
+    assert calls == []
+    # a base that is not the path is assembled once per channel and factored
+    chord = EdgeSelectionInstance(12, (*path, (2, 9, 3.0)), cands, 3)
+    chord.kernels
+    assert calls == ["build_reduced_laplacian", "dpotrf"]
 
 
 def test_g2o_instances_take_the_closed_form(mini_g2o):
