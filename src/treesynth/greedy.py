@@ -106,9 +106,10 @@ class GainFunction:
     scratch, a new graph per channel scored by the one tau rule
     (graphs.connected_tau: a reduced Laplacian and its Cholesky factor
     unless the graph is a tree), so it is the slow, trustworthy
-    evaluation the fast greedy path is checked against. It walks no connectivity: the instance guard
-    proved the base graph connected, adding candidates keeps it so, and
-    the factor's pivot floor still refuses what float64 cannot resolve.
+    evaluation the fast greedy path is checked against. It walks no
+    connectivity: the instance guard proved the base graph connected,
+    adding candidates keeps it so, and the factor's pivot floor still
+    refuses what float64 cannot resolve.
     The gain is absolute(subset) - baseline_total, exactly 0 for the
     empty subset: the baselines, each channel's base tau read off the
     instance's kernels, are the from-scratch bits of the base graphs.

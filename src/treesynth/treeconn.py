@@ -2,7 +2,8 @@
 
 The weighted spanning-tree count of a connected graph equals the
 determinant of any reduced Laplacian, so its log (tau, the quantity this
-package maximizes) comes out of one Cholesky factorization. A spectral
+package maximizes) comes out of one Cholesky factorization, or, for a
+spanning tree, straight from its weights (graphs.connected_tau). A spectral
 form, sum of log nonzero Laplacian eigenvalues minus log n, serves as an
 independent cross-check, and a literal subset-enumeration oracle covers
 small graphs in tests.
