@@ -75,7 +75,7 @@ def test_greedy_picks_the_lowest_of_exact_duplicates():
     for inst in (base, chord, slam):
         res = greedy_select(inst)
         assert res.selected == (1, 2)
-    # without duplicates the kernel's Z is read in place, and the picks agree
+    # without duplicates greedy reads the kernel's Z in place
     plain = EdgeSelectionInstance(9, path, cands[:2], 2)
     assert greedy_select(plain).selected == (1, 0)
 
