@@ -174,21 +174,22 @@ def _greedy_run(
     c = inst.num_candidates
     pairs = inst.candidate_pairs
     mults = [mult for mult, _ in inst.kernels]
-    # Exact duplicate candidates share one kernel row, so their gains tie
-    # exactly and the lowest index wins, as it does from scratch; BLAS
-    # products can round two identical rows differently. One lexsort
-    # finds whether there are any; without them the kernel's Z is read
-    # in place.
+    # Exact duplicate candidates read one kernel row, their lowest index's,
+    # so their gains tie exactly and the lowest index wins, as it does from
+    # scratch; BLAS products can round two identical rows differently.
+    # rep[i] is that row for candidate i, found by one stable lexsort; the
+    # kernel's Z is read in place, and the rows of later duplicates are
+    # updated but never read.
     keys = inst.candidate_array.copy()
     keys[:, :2].sort(axis=1)
-    ranked = keys[np.lexsort(keys.T)]
-    if (ranked[1:] == ranked[:-1]).all(axis=1).any():
-        _, rows, col = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-        col = col.reshape(-1)
-    else:
-        rows, col = slice(None), None  # a view: each candidate is its own row
-    Zs = [kern.Zt[rows] for _, kern in inst.kernels]
-    resist = np.stack([kern.gram_diag[rows] for _, kern in inst.kernels])
+    order = np.lexsort(keys.T)  # stable: equal rows stay in index order
+    ranked = keys[order]
+    new = np.ones(c, dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    rep = np.empty(c, dtype=np.intp)
+    rep[order] = order[np.maximum.accumulate(np.where(new, np.arange(c), 0))]
+    Zs = [kern.Zt for _, kern in inst.kernels]
+    resist = np.stack([kern.gram_diag for _, kern in inst.kernels])
     # per channel, the column range lo:hi of each row's nonzeros (on a path
     # base, the path edges between the candidate's ends): column e of Z^T Z
     # reads only row e's range
@@ -196,8 +197,8 @@ def _greedy_run(
     for Zt in Zs:
         nz = Zt != 0.0
         spans.append((nz.argmax(axis=1), Zt.shape[1] - nz[:, ::-1].argmax(axis=1)))
-    # resist[j] is channel j's current w * resistance of each distinct
-    # candidate, and rows t of U[j] its low-rank factor, grown by doubling;
+    # resist[j] is channel j's current w * resistance of each kernel row,
+    # and rows t of U[j] its low-rank factor, grown by doubling;
     # the commits below keep both up to date
     U = np.empty((len(Zs), min(budget, 16), resist.shape[1]))
     g = np.empty_like(resist)
@@ -210,14 +211,13 @@ def _greedy_run(
     for t in range(budget):
         if stop_threshold is not None and gained >= stop_threshold:
             break
-        scores = resist if col is None else resist[:, col]
-        gains = sum(mult * np.log1p(s) for mult, s in zip(mults, scores))
+        gains = sum(mult * np.log1p(s) for mult, s in zip(mults, resist))[rep]
         gains[~available] = -np.inf
         idx = int(np.argmax(gains))  # first max wins, lowest index on ties
         available[idx] = False
-        step_score = tuple(float(s[idx]) for s in scores)
+        e = int(rep[idx])
+        step_score = tuple(float(s[e]) for s in resist)
         step_score = step_score[0] if len(step_score) == 1 else step_score
-        e = idx if col is None else col[idx]
         if t == U.shape[1]:
             U = np.concatenate((U, np.empty_like(U)), axis=1)
         # column e of each current Gram matrix Z^T Z - U^T U (Sherman-Morrison)

@@ -507,21 +507,22 @@ def test_exit_code_evaluate_both_sources(inst_path, mini_g2o, capsys):
     assert out.out == "" and "exactly one of --instance and --g2o" in out.err
 
 
-# stdout is a TextIOWrapper whose second write waits for a byte on stdin:
-# the reader sends it once it has read one line and closed its end, so the
-# write meets a closed pipe on every run, not only when the scheduler lets
-# the reader win the race that `treesynth ... | head -1` runs
+# stdout is a TextIOWrapper whose first write after a newline has gone out
+# waits for a byte on stdin: the reader sends it once it has read one line
+# and closed its end, so the write meets a closed pipe on every run, not
+# only when the scheduler lets the reader win the race that
+# `treesynth ... | head -1` runs
 GATED_MAIN = """
 import io, sys
 from treesynth.cli import main
 
 class Gate(io.TextIOWrapper):
-    writes = 0
+    newline_out = False
 
     def write(self, s):
-        if Gate.writes == 1:
-            sys.stdin.read(1)
-        Gate.writes += 1
+        if Gate.newline_out:
+            sys.stdin.read(1)  # returns at once after the reader's close
+        Gate.newline_out = Gate.newline_out or "\\n" in s
         return super().write(s)
 
 sys.stdout = Gate(sys.stdout.detach(), write_through=True)
@@ -536,13 +537,17 @@ def test_closed_stdout_ends_without_a_traceback(mini_g2o, tmp_path):
     argv = ["certify", "--g2o", str(mini_g2o), "--k", "2", "--output", str(tmp_path / "c.json")]
     proc = subprocess.Popen([sys.executable, "-c", GATED_MAIN, *argv], env=env,
                             stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    proc.stdin.write(b"x")
-    proc.stdin.close()
-    err = proc.stderr.read().decode()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        proc.stdin.write(b"x")
+        proc.stdin.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()  # no-op once it has exited
+        proc.stderr.close()
+    assert code == cli.EXIT_BROKEN_PIPE
     assert first.startswith(b"lower=")
     assert "Traceback" not in err
     assert err == ""  # nor "Exception ignored" from the interpreter's last flush

@@ -75,9 +75,33 @@ def test_greedy_picks_the_lowest_of_exact_duplicates():
     for inst in (base, chord, slam):
         res = greedy_select(inst)
         assert res.selected == (1, 2)
-    # without duplicates greedy reads the kernel's Z in place
     plain = EdgeSelectionInstance(9, path, cands[:2], 2)
     assert greedy_select(plain).selected == (1, 0)
+
+
+def test_greedy_never_takes_a_later_exact_duplicate_first():
+    # random path bases whose pools repeat about 30% of their candidates,
+    # some reversed: a candidate's exact duplicates of lower index are
+    # picked before it. Duplicate rows of Z updated on their own can round
+    # apart in BLAS: with one OpenBLAS build, 7 of these instances then pick
+    # a later copy first
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        n = int(rng.integers(5, 40))
+        path = tuple((a, a + 1, float(np.exp(rng.uniform(0, 5)))) for a in range(1, n))
+        cands = []
+        for _ in range(int(rng.integers(3, 30))):
+            if cands and rng.random() < 0.3:
+                u, v, w = cands[int(rng.integers(len(cands)))]
+                cands.append((v, u, w) if rng.random() < 0.5 else (u, v, w))
+            else:
+                u, v = sorted(rng.choice(np.arange(1, n + 1), 2, replace=False).tolist())
+                cands.append((u, v, float(np.exp(rng.uniform(0, 5)))))
+        k = int(rng.integers(1, len(cands) + 1))
+        sel = greedy_select(EdgeSelectionInstance(n, path, tuple(cands), k)).selected
+        key = [(min(u, v), max(u, v), w) for u, v, w in cands]
+        for t, i in enumerate(sel):
+            assert all(j in sel[:t] for j in range(i) if key[j] == key[i])
 
 
 def test_gain_of_empty_set_is_exactly_zero():
