@@ -9,7 +9,10 @@ output file holds every run's metrics and, per workload, seed and metric,
 each side's median and quartiles and the number of pairs the change won,
 and per workload and seed each side's quartiles of the runs' attempted
 instance counts, by which a per-process figure such as peak_rss_mb can be
-read per call.
+read per call, and of the runs' minor page faults per attempted instance
+(the run process's faults, from getrusage, over its attempted count). A
+fault count that jumps between sides on code the change does not touch
+is a sign of a different heap layout, not of different work.
 
 Usage:
     python scripts/paired_bench.py --base HEAD~1 --workload posegraph-300 \\
@@ -22,6 +25,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -58,22 +62,25 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     win when the change's value is strictly better than the base's;
     ``clear`` says whether the medians differ, in the better direction, by
     more than the base's interquartile range. Beside the metrics, the
-    entry ``attempted`` holds each side's quartiles of the runs'
-    attempted counts.
+    entries ``attempted`` and ``minflt_per_call`` hold each side's
+    quartiles of the runs' attempted counts and of the runs' minor page
+    faults per attempted instance (a run record's ``minflt_per_call``).
     """
     values: dict = {}
-    attempted: dict = {}
+    counts: dict = {}
     for r in runs:
         slot = values.setdefault(r["workload"], {}).setdefault(str(r["seed"]), {})
         for metric, rec in r["result"].get("metrics", {}).items():
             slot.setdefault(metric, {}).setdefault(r["pair"], {})[r["side"]] = rec["value"]
-        if "attempted" in r["result"]:
-            counts = attempted.setdefault((r["workload"], str(r["seed"])), {})
-            counts.setdefault(r["side"], []).append(r["result"]["attempted"])
+        for name, value in (("attempted", r["result"].get("attempted")),
+                            ("minflt_per_call", r.get("minflt_per_call"))):
+            if value is not None:
+                per_side = counts.setdefault((r["workload"], str(r["seed"]), name), {})
+                per_side.setdefault(r["side"], []).append(value)
     out: dict = {}
-    for (workload, seed), counts in attempted.items():
-        out.setdefault(workload, {}).setdefault(seed, {})["attempted"] = {
-            side: quartiles(counts[side]) for side in SIDES if side in counts}
+    for (workload, seed, name), per_side in counts.items():
+        out.setdefault(workload, {}).setdefault(seed, {})[name] = {
+            side: quartiles(per_side[side]) for side in SIDES if side in per_side}
     for workload, seeds in values.items():
         for seed, metrics in seeds.items():
             for metric, pairs in metrics.items():
@@ -106,15 +113,18 @@ def _git(*args: str, cwd: Path = ROOT) -> str:
                           text=True).stdout.strip()
 
 
-def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def _run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, int]:
+    """The run's JSON result and the minor page faults of its process."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
                           timeout=20 * seconds + 600)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"{' '.join(cmd)} in {tree} exited with {proc.returncode}")
-    return last_json(proc.stdout)
+    return last_json(proc.stdout), faults
 
 
 def main(argv=None) -> int:
@@ -139,13 +149,18 @@ def main(argv=None) -> int:
             for seed in args.seed:
                 for pair in range(args.pairs):
                     for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                        result = _run(tree[side], workload, seed, args.seconds)
+                        result, faults = _run(tree[side], workload, seed, args.seconds)
+                        attempted = result.get("attempted")
+                        per_call = faults / attempted if attempted else None
                         runs.append({"workload": workload, "seed": seed, "pair": pair,
-                                     "side": side, "result": result})
+                                     "side": side, "result": result,
+                                     "minflt_per_call": per_call})
                         got = result["metrics"]
                         print(f"{workload} seed {seed} pair {pair} {side}: "
                               + " ".join(f"{k}={v['value']:.6g}" for k, v in got.items())
-                              + f" attempted={result.get('attempted')}", flush=True)
+                              + f" attempted={attempted} minflt_per_call="
+                              + (f"{per_call:.1f}" if per_call is not None else "None"),
+                              flush=True)
 
     doc = {
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g}",

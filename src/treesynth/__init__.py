@@ -61,7 +61,6 @@ from .greedy import (
 from .slam import (
     LoadReport,
     PoseGraphDataset,
-    dataset_proxy,
     dopt_proxy,
     find_dataset,
     parse_g2o,
@@ -102,7 +101,6 @@ __all__ = [
     "build_reduced_laplacian",
     "certify",
     "count_spanning_trees_bruteforce",
-    "dataset_proxy",
     "dopt_proxy",
     "effective_resistance",
     "exhaustive_select",

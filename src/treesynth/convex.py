@@ -226,6 +226,8 @@ def _projected_ascent(objective, project, fw_gap, newton, start, tolerance, max_
     stop reason, accepted Newton trials)``; non-convergence raises
     ConvergenceError carrying ``finish`` of the best iterate.
     """
+    if not (tolerance >= 0.0 and max_iters >= 0):
+        raise ArgumentError(f"tolerance and max_iters must be >= 0, got {tolerance}, {max_iters}")
     pi = project(np.asarray(start, dtype=float).reshape(-1))
     value, grad = objective(pi)
     curve = [objective.offset + value]
@@ -307,12 +309,20 @@ class _Objective:
     base graphs' sum mult * log_det0, completes f. Scaling every weight
     by a power of two leaves the kernels' Z, and so every returned bit,
     unchanged. P3 keeps pi >= 0, so its L1 penalty is this linear term.
+    It lives for one solve and keeps the factors of the last point it
+    evaluated: the gradient at an accepted line-search trial reuses them.
     """
 
     def __init__(self, inst: EdgeSelectionInstance, lam: float = 0.0):
         self.kernels = inst.kernels
         self.lam = lam
         self.offset = sum(mult * kernel.log_det0 for mult, kernel in self.kernels)
+        self._last = None  # (pi, each channel's factor) of the last point
+
+    def _factors(self, pi):
+        if self._last is None or not np.array_equal(pi, self._last[0]):
+            self._last = (pi.copy(), [kernel.factor(pi) for _, kernel in self.kernels])
+        return self._last[1]
 
     def __call__(self, pi, free=None):
         """(value, grad); with ``free``, also Q = -Hessian_FF = sum mult * W_FF o W_FF.
@@ -323,18 +333,22 @@ class _Objective:
         value = 0.0
         grad = np.zeros(pi.size)
         Q = 0.0
-        for mult, kernel in self.kernels:
-            v, g, *W = kernel.log_det_and_grad(pi, free)
-            value += mult * v
+        for (mult, kernel), factor in zip(self.kernels, self._factors(pi)):
+            g, W = kernel.grad(factor, free)
+            value += mult * kernel.log_det(factor)
             grad += mult * g
-            if W:
-                Q = Q + mult * W[0] ** 2
+            if W is not None:
+                Q = Q + mult * W ** 2
         out = (value - self.lam * float(pi.sum()), grad - self.lam)
         return out if free is None else (*out, Q)
 
+    def log_det(self, pi):
+        """The channel-combined log det L(pi), less the offset and without the penalty."""
+        return sum(mult * kernel.log_det(factor)
+                   for (mult, kernel), factor in zip(self.kernels, self._factors(pi)))
+
     def value_only(self, pi):
-        value = sum(mult * kernel.log_det(pi) for mult, kernel in self.kernels)
-        return value - self.lam * float(pi.sum())
+        return self.log_det(pi) - self.lam * float(pi.sum())
 
 
 def _fp_allowance(order: int, value: float, objective: _Objective) -> float:
@@ -439,7 +453,7 @@ def solve_p3(
         return max(0.0, float(np.maximum(grad, 0.0).sum() - grad @ p))
 
     def as_solution(p, val, grad, it, res, cur, gap, reason, newton_steps):
-        tau = objective.offset + sum(mult * kern.log_det(p) for mult, kern in objective.kernels)
+        tau = objective.offset + objective.log_det(p)
         return RelaxedSolution(p, tau, it, res, cur, gap, reason, newton_steps,
                                time.perf_counter() - t0)
 

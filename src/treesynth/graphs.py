@@ -389,10 +389,6 @@ class ReducedLaplacian:
             A[end[keep], np.flatnonzero(keep)] = sign
         return A
 
-    def incidence_vector(self, u: int, v: int) -> np.ndarray:
-        """Signed incidence column of edge {u, v}, anchor coordinate dropped."""
-        return self.incidence_matrix([(u, v)])[:, 0]
-
     def with_edge(self, u: int, v: int, w: float) -> ReducedLaplacian:
         """Commit edge {u, v} with weight w: the matrix gains w a a^T.
 
@@ -401,7 +397,7 @@ class ReducedLaplacian:
         w = float(w)
         if not math.isfinite(w) or w <= 0:
             raise ArgumentError(f"edge weight must be positive and finite, got {w!r}")
-        a = self.incidence_vector(u, v)
+        a = self.incidence_matrix([(u, v)])[:, 0]
         return ReducedLaplacian(self.n, self.matrix + w * np.outer(a, a))
 
 
@@ -565,12 +561,12 @@ class EdgeSelectionInstance:
         (reduce_removal_to_addition). Built on first use and held for the
         instance's lifetime: order * c floats per channel (Z), plus c^2 (G)
         once the relaxation, or exhaustive search with k >= 2, has run
-        with c <= order, plus the last selector's factor, at most
-        min(c, order)^2. While the relaxation runs, each gradient also
-        holds one s * c array for s nonzero selectors (order * c when s >
-        order), its one right-side triangular solve overwriting the
-        gathered rows, until it returns, and the Newton trial the free
-        block's Hessian, |F|^2; the kernel keeps neither.
+        with c <= order. A relaxation also holds, until it returns, the
+        factor of its last point, at most min(c, order)^2 per channel; each
+        gradient one s * c array for s nonzero selectors (order * c when
+        s > order), its one right-side triangular solve overwriting the
+        gathered rows; and the Newton trial the free block's Hessian,
+        |F|^2. The kernel keeps none of them.
 
         Each kernel's log_det0 is its base graph's tau by the one tau rule
         (connected_tau), so it has the bits of tree_connectivity(base). A

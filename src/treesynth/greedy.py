@@ -31,7 +31,7 @@ import numpy as np
 
 from . import treeconn
 from ._lapack import dpotrf, dtrtri
-from .errors import InfeasibleError, SizeGuardError
+from .errors import ArgumentError, InfeasibleError, SizeGuardError
 from .graphs import EdgeSelectionInstance, _design_indices, connected_tau
 
 # exhaustive_select refuses to walk more subsets than this
@@ -253,9 +253,12 @@ def greedy_to_threshold(inst: EdgeSelectionInstance, tau_min: float) -> Selectio
     The stop test reads the running sum of the rounds' exact gains, so no
     round rebuilds the graph; tau_achieved is still computed from scratch.
     Raises InfeasibleError when even the full candidate pool falls
-    short, reporting the maximum achievable gain.
+    short, reporting the maximum achievable gain, and ArgumentError for
+    a NaN tau_min.
     """
     tau_min = float(tau_min)
+    if math.isnan(tau_min):
+        raise ArgumentError("the gain threshold tau_min must not be NaN")
     if tau_min <= 0.0:
         return _greedy_run(inst, budget=0)
     achievable = gain_function(inst)(range(inst.num_candidates))

@@ -267,11 +267,6 @@ def dopt_proxy(n: int, edges: Iterable[tuple]) -> float:
     return 2.0 * tau_p + tau_theta
 
 
-def dataset_proxy(ds: PoseGraphDataset) -> float:
-    """dopt_proxy of the full dataset graph (odometry plus closures)."""
-    return dopt_proxy(ds.poses, ds.odometry + ds.loop_closures)
-
-
 def find_dataset(name: str | Path) -> Path | None:
     """Resolve a dataset path directly or under $TREECONN_DATA_DIR."""
     p = Path(name)

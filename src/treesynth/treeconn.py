@@ -187,7 +187,8 @@ class SubsetLogDet:
     A selector pi with support S and r = sqrt(pi_S) gives log det L(pi)
     = log_det0 + log det(I + r G_SS r), G = Z^T Z the candidate Gram
     matrix, or the order x order side if smaller: O(s^3 + s^2 c) per
-    evaluation. G is kept only when c <= order, so it is no larger than Z.
+    evaluation, whose factor (factor(pi)) the kernel returns and never
+    keeps. G is kept only when c <= order, so it is no larger than Z.
     The gradient is one right-side triangular solve, X^T = B^T R^{-T}:
     on the s x s form it is written over the gathered rows B, so the
     call holds one s x c array (order x c on the order side, where Z is
@@ -199,8 +200,6 @@ class SubsetLogDet:
     def __init__(self, log_det0: float, Zt: np.ndarray):
         self.log_det0 = log_det0
         self.Zt = Zt
-        # (pi, support, sqrt(pi) on it, Cholesky factor) of the last selector
-        self._last: tuple | None = None
 
     def batch_rows(self, width: int) -> int:
         """Subsets of ``width`` candidates per call within LEMMA_BATCH_BYTES."""
@@ -231,10 +230,7 @@ class SubsetLogDet:
         return np.einsum("ij,ij->i", self.Zt, self.Zt)
 
     def factor(self, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(S, r, lower factor R of the smaller form) at pi, kept for the last pi."""
-        last = self._last
-        if last is not None and np.array_equal(pi, last[0]):
-            return last[1:]
+        """(S, r, R) at pi: its support, sqrt(pi) on it, the lower factor of the smaller form."""
         S = np.flatnonzero(pi)
         r = np.sqrt(pi[S])
         if S.size <= self.Zt.shape[1] and self.gram is not None:
@@ -247,25 +243,23 @@ class SubsetLogDet:
         R, info = dpotrf(K, lower=1, clean=0)
         if info:
             raise NumericalError("selector-weighted Laplacian lost positive definiteness")
-        self._last = (pi.copy(), S, r, R)
-        return self._last[1:]
+        return S, r, R
 
-    def log_det(self, pi: np.ndarray) -> float:
-        """log det L(pi) - log_det0, which power-of-2 weight scaling leaves exact."""
-        return float(2.0 * np.sum(np.log(np.diag(self.factor(pi)[2]))))
+    def log_det(self, factor: tuple) -> float:
+        """log det L(pi) - log_det0 from pi's factor; power-of-2 weight scaling leaves it exact."""
+        return float(2.0 * np.sum(np.log(np.diag(factor[2]))))
 
-    def log_det_and_grad(self, pi: np.ndarray, free: np.ndarray | None = None) -> tuple:
-        """log_det(pi) and its gradient w_i a_i^T L(pi)^{-1} a_i; with ``free``, W_FF too.
+    def grad(self, factor: tuple, free: np.ndarray | None = None) -> tuple:
+        """(w_i a_i^T L(pi)^{-1} a_i for all i, W_FF or None) from pi's factor and ``free``.
 
         Column-wise, the gradient is diag(G) - |R^{-1} r G_S|^2 (Woodbury)
         on the s x s form and |R^{-1} Z|^2 on the order x order one. W =
         Z^T (I + Z diag(pi) Z^T)^{-1} Z, W_ij = sqrt(w_i w_j) a_i^T L(pi)^{-1}
         a_j, is the whitened Hessian: d^2 log det L(pi) / dpi_i dpi_j =
         -W_ij^2. With the same solve X, W_FF = G_FF - X_F^T X_F on the
-        s x s form and X_F^T X_F on the order side, returned third.
+        s x s form and X_F^T X_F on the order side.
         """
-        S, r, R = self.factor(pi)
-        value = float(2.0 * np.sum(np.log(np.diag(R))))
+        S, r, R = factor
         order_side = S.size > self.Zt.shape[1]
         if order_side:
             # without overwrite_b dtrsm solves on a copy: Zt is never written
@@ -279,13 +273,13 @@ class SubsetLogDet:
             Xt = dtrsm(1.0, R, B.T, side=1, lower=1, trans_a=1, overwrite_b=1)
             grad = self.gram_diag - np.einsum("ij,ij->i", Xt, Xt)
         if free is None:
-            return value, grad
+            return grad, None
         XF = Xt[free]
         W = XF @ XF.T
         if not order_side:
             ZF = self.Zt[free]
             W = (ZF @ ZF.T if self.gram is None else self.gram[np.ix_(free, free)]) - W
-        return value, grad, W
+        return grad, W
 
 
 @dataclass(frozen=True)

@@ -455,6 +455,31 @@ def test_exit_code_solver_nonconvergence_reports_best_iterate(inst_path, capsys)
     }
 
 
+def test_exit_code_nan_gain_threshold(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    assert run("gen", "--n", "8", "--m-init", "9", "--k", "3", "--seed", "2",
+               "--weight-range", "1", "3", "--output", str(path)) == 0
+    capsys.readouterr()
+    assert run("synthesize", "--instance", str(path), "--tau-min", "nan") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "NaN" in captured.err
+
+
+@pytest.mark.parametrize("flags", [("--tolerance", "nan"), ("--tolerance", "-1"),
+                                   ("--max-iters", "-3")])
+def test_exit_code_bad_solver_stop_settings(inst_path, capsys, flags):
+    assert run("certify", "--instance", str(inst_path), *flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be >= 0" in captured.err
+
+
+def test_zero_solver_stop_settings_stay_accepted(inst_path, capsys):
+    # the solver runs: it converges, or stops with exit 4 and its best iterate
+    for flags in (("--tolerance", "0"), ("--max-iters", "0")):
+        assert run("certify", "--instance", str(inst_path), *flags) in (0, 4)
+        assert "must be >= 0" not in capsys.readouterr().err
+
+
 def test_exit_code_malformed_g2o(tmp_path):
     bad = tmp_path / "bad.g2o"
     bad.write_text("EDGE_SE2 0 1 broken\n")

@@ -221,6 +221,17 @@ def test_pi_validation():
         relaxed_objective_and_gradient(inst, np.array([0.5, np.nan, 0.5]))
 
 
+def test_solvers_refuse_nan_or_negative_stop_settings():
+    inst = star_instance()
+    for solve in (solve_p2, lambda i, **kw: solve_p3(i, 0.5, **kw)):
+        for bad in ({"tolerance": math.nan}, {"tolerance": -1.0}, {"max_iters": -3}):
+            with pytest.raises(ArgumentError):
+                solve(inst, **bad)
+    # a zero tolerance and a zero iteration cap stay accepted
+    assert solve_p2(inst, tolerance=0.0).stop_reason == "residual"
+    assert solve_p2(inst, max_iters=0).iterations == 0
+
+
 # ---------------------------------------------------------------------------
 # budgeted solver
 
@@ -276,13 +287,13 @@ def test_solver_factors_each_accepted_point_once(monkeypatch):
     reused = solve_p2(inst)
     reused_calls = len(calls)
 
-    factor = treeconn.SubsetLogDet.factor
+    factors = convex._Objective._factors
 
     def fresh(self, pi):
-        self._last = None  # forget the cached factor: every call factors
-        return factor(self, pi)
+        self._last = None  # forget the kept factors: every call factors
+        return factors(self, pi)
 
-    monkeypatch.setattr(treeconn.SubsetLogDet, "factor", fresh)
+    monkeypatch.setattr(convex._Objective, "_factors", fresh)
     calls.clear()
     rebuilt = solve_p2(inst)
     assert np.array_equal(reused.pi, rebuilt.pi)
@@ -471,7 +482,7 @@ def test_newton_curvature_matches_central_differences():
                 H[:, j] = (objective(pi + e)[1] - objective(pi - e)[1])[free] / (2 * h)
             np.testing.assert_allclose(Q, -H, rtol=0, atol=1e-6 * np.abs(Q).max())
             assert np.array_equal(Q, Q.T)
-            # the kernels last factored pi - e: pi's new factor gives the same bits
+            # the objective last factored pi - e: pi's new factor gives the same bits
             assert np.array_equal(objective(pi, free)[2], Q)
             forms.add((c <= order, s > order))
     # the s x s form with G kept and with its rows formed from Z, and the

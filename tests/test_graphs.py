@@ -310,9 +310,9 @@ def test_cholesky_refusal_names_both_causes(tmp_path, capsys):
 def test_incidence_vector_anchor_handling():
     g = WeightedGraph(3, TRIANGLE)
     L = build_reduced_laplacian(g)
-    a = L.incidence_vector(1, 2)
+    a = L.incidence_matrix([(1, 2)])[:, 0]
     assert list(a) == [1.0, -1.0]
-    a2 = L.incidence_vector(1, 3)  # anchored endpoint drops out
+    a2 = L.incidence_matrix([(1, 3)])[:, 0]  # anchored endpoint drops out
     assert list(a2) == [1.0, 0.0]
 
 

@@ -534,6 +534,12 @@ def test_threshold_zero_selects_nothing():
     assert res.selected == ()
 
 
+def test_threshold_nan_is_refused():
+    # NaN fails both of the threshold's comparisons, and would select every candidate
+    with pytest.raises(ArgumentError, match="NaN"):
+        greedy_to_threshold(star_instance(k=3), math.nan)
+
+
 def test_threshold_at_full_gain_is_feasible_boundary():
     inst = star_instance(k=3)
     fn = gain_function(inst)

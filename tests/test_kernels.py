@@ -2,9 +2,9 @@
 
 EdgeSelectionInstance.kernels holds each channel's whitened, weighted
 candidate incidence Z. Greedy, the relaxation, both roundings and
-exhaustive search read it, so it is built once per channel, and the state
-it keeps between calls (the last selector's factor, the Gram matrix) must
-not change any later result.
+exhaustive search read it, so it is built once per channel. It keeps no
+per-call state: what it builds lazily (the Gram matrix and its diagonal)
+must not change any later result.
 """
 
 import numpy as np
@@ -14,6 +14,7 @@ from treesynth import (
     exhaustive_select,
     greedy_select,
     relaxed_objective_and_gradient,
+    round_deterministic,
     round_randomized,
     solve_p2,
     solve_p3,
@@ -38,9 +39,9 @@ def test_every_solver_reads_one_kernel_per_channel(monkeypatch):
     built = []
     init = treeconn.SubsetLogDet.__init__
 
-    def count(self, L, pairs, *rest):
-        built.append(len(pairs))
-        init(self, L, pairs, *rest)
+    def count(self, log_det0, Zt):
+        built.append(len(Zt))
+        init(self, log_det0, Zt)
 
     monkeypatch.setattr(treeconn.SubsetLogDet, "__init__", count)
     for inst in _instances():
@@ -52,6 +53,21 @@ def test_every_solver_reads_one_kernel_per_channel(monkeypatch):
         exhaustive_select(inst)
         relaxed_objective_and_gradient(inst, relaxed.pi)
         assert built == [inst.num_candidates] * len(inst.channels)
+
+
+def test_solvers_leave_only_the_kernels_own_arrays():
+    # the kernel is a function of its instance: after every solver it holds
+    # Z^T, log_det0 and what it builds lazily, and no factor of a selector
+    for inst in _instances():
+        relaxed = solve_p2(inst)
+        greedy_select(inst)
+        solve_p3(inst, 0.5)
+        relaxed_objective_and_gradient(inst, relaxed.pi)
+        round_deterministic(inst, relaxed.pi)
+        round_randomized(inst, relaxed.pi, seed=3, trials=20)
+        exhaustive_select(inst)
+        for _, kernel in inst.kernels:
+            assert set(vars(kernel)) <= {"log_det0", "Zt", "gram", "gram_diag"}
 
 
 def _same_relaxed(a, b):

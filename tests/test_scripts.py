@@ -34,9 +34,12 @@ def test_paired_bench_summarizes_canned_runs():
     times = [(0.020, 0.015), (0.022, 0.016), (0.021, 0.017), (0.023, 0.015), (0.016, 0.018)]
     # instances attempted per run: the faster change fits more into a run
     counts = [(40, 60), (42, 57), (41, 62), (39, 61), (44, 55)]
+    # minor page faults per attempted instance: the change's heap layout differs
+    faults = [(280.0, 4100.0), (290.0, 4300.0), (285.0, 4200.0), (295.0, 4338.0),
+              (278.0, 4114.0)]
     runs = []
-    for pair, (values, attempted) in enumerate(zip(times, counts)):
-        for side, value, n in zip(("base", "change"), values, attempted):
+    for pair, (values, attempted, minflt) in enumerate(zip(times, counts, faults)):
+        for side, value, n, per_call in zip(("base", "change"), values, attempted, minflt):
             stdout = "\n".join([
                 "workload posegraph-300 seed 1 trace 0",
                 'metric greedy_s s {"median": 0.0}',
@@ -47,7 +50,7 @@ def test_paired_bench_summarizes_canned_runs():
                 "",
             ])
             runs.append({"workload": "posegraph-300", "seed": 1, "pair": pair, "side": side,
-                         "result": pb.last_json(stdout)})
+                         "result": pb.last_json(stdout), "minflt_per_call": per_call})
     summary = pb.summarize(runs, {"greedy_s": "lower"})["posegraph-300"]["1"]
     greedy = summary["greedy_s"]
     assert greedy["base"]["median"] == 0.021
@@ -70,6 +73,13 @@ def test_paired_bench_summarizes_canned_runs():
     assert (attempted["change"]["q1"], attempted["change"]["median"],
             attempted["change"]["q3"]) == (57, 60, 61)
     assert attempted["change"]["n"] == 5
+    # and so do each side's quartiles of the faults per attempted instance
+    minflt = summary["minflt_per_call"]
+    assert (minflt["base"]["q1"], minflt["base"]["median"], minflt["base"]["q3"]) == (
+        280.0, 285.0, 290.0)
+    assert (minflt["change"]["q1"], minflt["change"]["median"],
+            minflt["change"]["q3"]) == (4114.0, 4200.0, 4300.0)
+    assert minflt["base"]["n"] == minflt["change"]["n"] == 5
 
 
 def test_paired_bench_help():
