@@ -36,7 +36,9 @@ class CertificateBundle:
 
     lower = max(tau_greedy, tau_cvx) <= OPT <= min(u_greedy, tau_cvx_star)
     = upper, where u_greedy rescales the greedy value by the inverse
-    1 - 1/e factor. All values are combined-objective taus. A bundle
+    1 - 1/e factor. All values are combined-objective taus. lower <= OPT
+    holds in exact arithmetic only: lower is a feasible design's computed
+    value, which can exceed the exact OPT by its rounding. A bundle
     from certify also carries the legs it was built from, the greedy
     design, the relaxed solution and its rounding; they stay out of
     to_dict() and of comparisons, and are None on a bundle assembled by
@@ -88,7 +90,10 @@ def certify(
     tolerance: float = DEFAULT_TOLERANCE,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> CertificateBundle:
-    """Run both legs (greedy, relax + round) and bundle the bounds with them."""
+    """Run both legs (greedy, relax + round) and bundle the bounds with them.
+
+    lower is a computed design value (see CertificateBundle).
+    """
     greedy = greedy_select(inst)
     relaxed = solve_p2(inst, tolerance=tolerance, max_iters=max_iters)
     rounded = round_deterministic(inst, relaxed.pi)

@@ -422,6 +422,8 @@ def cmd_bench(args) -> int:
             inst = work.with_budget(c - kk if original.direction == DIRECTION_REMOVE else kk)
             rows.append(_bench_row(inst, {**original.describe(), "k": kk}, "k", kk, args))
     else:
+        if args.instance or args.g2o:
+            raise ArgumentError("--m-init-sweep generates its instances; drop --instance and --g2o")
         values = _parse_sweep(args.m_init_sweep, "--m-init-sweep")
         if args.n is None or args.k is None:
             raise ArgumentError("--m-init-sweep needs --n and --k")

@@ -20,7 +20,8 @@ upper-bounds every integral design of the same budget, and so does f(pi)
 plus the Frank-Wolfe gap at any feasible pi, which is what the solver
 reports; rounding pi back to a k-subset recovers a feasible design. An
 L1-penalized box variant trades the hard budget for a sparsity price
-lambda.
+lambda. One ascent runs both forms; each passes only its feasible set
+and the value it reports.
 
 For slam-double instances the objective is the 2:1 channel combination
 throughout, matching the rest of the package.
@@ -59,18 +60,20 @@ SUM_TOLERANCE = 1e-12
 class RelaxedSolution:
     """Solver output: the fractional selector and its objective.
 
-    kkt_residual is the infinity norm of pi - P(pi + grad), the
-    projected-gradient fixed-point residual, zero exactly at an optimum.
-    fw_gap is the Frank-Wolfe gap max_x grad.(x - pi) over the feasible
-    set at the final pi; by concavity the optimum is at most f(pi) +
-    fw_gap. objective_curve holds one value per accepted iterate and
-    never decreases; its last entry is f(pi). stop_reason is "residual"
-    or "gap" (see _projected_ascent); the best iterate carried by a
-    ConvergenceError says "iteration cap" or "line search stalled".
-    newton_steps counts the iterations that took the Newton trial, and
-    elapsed is the solve's wall-clock seconds, as in
-    SelectionResult.elapsed; like the other fields after kkt_residual,
-    they stay out of to_dict().
+    The shared ascent (_projected_ascent) builds every one, and its
+    solver supplies tau_cvx_star: the certified bound for solve_p2, the
+    unpenalized objective for solve_p3. kkt_residual is the infinity
+    norm of pi - P(pi + grad), the projected-gradient fixed-point
+    residual, zero exactly at an optimum. fw_gap is the Frank-Wolfe gap
+    max_x grad.(x - pi) over the feasible set at the final pi; by
+    concavity the optimum is at most f(pi) + fw_gap. objective_curve
+    holds one value per accepted iterate and never decreases; its last
+    entry is f(pi). stop_reason is "residual" or "gap"; the best iterate
+    carried by a ConvergenceError says "iteration cap" or "line search
+    stalled". newton_steps counts the iterations that took the Newton
+    trial, and elapsed is the solve's wall-clock seconds from before the
+    objective is built, as in SelectionResult.elapsed; like the other
+    fields after kkt_residual, they stay out of to_dict().
     """
 
     pi: np.ndarray
@@ -185,8 +188,13 @@ def project_capped_simplex(v, k: float) -> np.ndarray:
     return x
 
 
-def _projected_ascent(objective, project, fw_gap, newton, start, tolerance, max_iters, finish):
-    """Shared ascent loop: Armijo backtracking along the projection arc.
+def _projected_ascent(inst, lam, project, fw_gap, newton, start, tolerance, max_iters, certified):
+    """The one relaxation ascent: Armijo backtracking along the projection arc.
+
+    It climbs f = _Objective(inst, lam) from ``start`` over the feasible
+    set that ``project``, ``fw_gap`` and ``newton`` describe, and builds
+    every RelaxedSolution, returned or in a ConvergenceError, with
+    tau_cvx_star = ``certified(objective, pi, f(pi), gap)``.
 
     Once the support of pi is the one of the previous accepted iterate,
     the first trial is the projected Newton point (Bertsekas, SIAM J.
@@ -222,12 +230,12 @@ def _projected_ascent(objective, project, fw_gap, newton, start, tolerance, max_
     reason the Armijo test compares only the part of f that depends on
     pi; the constant ``objective.offset`` is added when f is recorded,
     which keeps the curve monotone.
-    Returns ``finish(pi, f(pi), grad, iterations, residual, curve, gap,
-    stop reason, accepted Newton trials)``; non-convergence raises
-    ConvergenceError carrying ``finish`` of the best iterate.
     """
+    t0 = time.perf_counter()
+    tolerance, max_iters = float(tolerance), int(max_iters)
     if not (tolerance >= 0.0 and max_iters >= 0):
         raise ArgumentError(f"tolerance and max_iters must be >= 0, got {tolerance}, {max_iters}")
+    objective = _Objective(inst, lam)
     pi = project(np.asarray(start, dtype=float).reshape(-1))
     value, grad = objective(pi)
     curve = [objective.offset + value]
@@ -242,19 +250,22 @@ def _projected_ascent(objective, project, fw_gap, newton, start, tolerance, max_
         cand_value = objective.value_only(cand)
         return gd > 0.0 and cand_value >= value + ARMIJO_SIGMA * gd
 
+    def solution(reason):
+        return RelaxedSolution(pi, certified(objective, pi, curve[-1], gap), iterations, residual,
+                               tuple(curve), gap, reason, newton_steps, time.perf_counter() - t0)
+
     while True:
         residual = float(np.max(np.abs(pi - project(pi + grad)))) if pi.size else 0.0
         gap = fw_gap(grad, pi)
-        state = (pi, curve[-1], grad, iterations, residual, tuple(curve), gap)
         if residual <= tolerance:
-            return finish(*state, "residual", newton_steps)
+            return solution("residual")
         if gap <= threshold:
-            return finish(*state, "gap", newton_steps)
+            return solution("gap")
         if iterations >= max_iters:
             raise ConvergenceError(
                 f"projected gradient did not reach tolerance {tolerance} in "
                 f"{max_iters} iterations (residual {residual:.3e})",
-                best=finish(*state, "iteration cap", newton_steps),
+                best=solution("iteration cap"),
             )
         cand = None
         if Q is not None:
@@ -273,7 +284,7 @@ def _projected_ascent(objective, project, fw_gap, newton, start, tolerance, max_
                 raise ConvergenceError(
                     "line search stalled before reaching tolerance "
                     f"(residual {residual:.3e})",
-                    best=finish(*state, "line search stalled", newton_steps),
+                    best=solution("line search stalled"),
                 )
         s = cand - pi
         old_grad = grad
@@ -392,10 +403,7 @@ def solve_p2(
     (_fp_allowance), and the best iterate of a ConvergenceError carries
     it too.
     """
-    t0 = time.perf_counter()
-    c = inst.num_candidates
-    k = inst.k
-    objective = _Objective(inst)
+    c, k = inst.num_candidates, inst.k
 
     def budget_gap(grad, p):
         top = np.partition(grad, c - k)[c - k:].sum() if k else 0.0
@@ -407,23 +415,12 @@ def solve_p2(
         a, b = solve(np.column_stack((g, np.ones_like(g)))).T
         return project_capped_simplex(p + a - (a.sum() / b.sum()) * b, p.sum())
 
-    def as_solution(p, val, grad, it, res, cur, gap, reason, newton_steps):
-        tau = val + gap + _fp_allowance(inst.n - 1, val, objective)
-        return RelaxedSolution(p, tau, it, res, cur, gap, reason, newton_steps,
-                               time.perf_counter() - t0)
-
     if start is None:
         start = np.full(c, k / c if c else 0.0)
     return _projected_ascent(
-        objective,
-        lambda v: project_capped_simplex(v, k),
-        budget_gap,
-        budget_newton,
-        start,
-        float(tolerance),
-        int(max_iters),
-        as_solution,
-    )
+        inst, 0.0, lambda v: project_capped_simplex(v, k), budget_gap, budget_newton, start,
+        tolerance, max_iters,
+        lambda objective, p, f, gap: f + gap + _fp_allowance(inst.n - 1, f, objective))
 
 
 def solve_p3(
@@ -442,33 +439,19 @@ def solve_p3(
     at the final selector while the recorded curve tracks the penalized
     one the solver climbs; it is not a certificate.
     """
-    t0 = time.perf_counter()
     lam = float(lam)
     if lam < 0 or not math.isfinite(lam):
         raise ArgumentError(f"lambda must be finite and >= 0, got {lam!r}")
-    c = inst.num_candidates
-    objective = _Objective(inst, lam)
 
     def box_gap(grad, p):
         return max(0.0, float(np.maximum(grad, 0.0).sum() - grad @ p))
 
-    def as_solution(p, val, grad, it, res, cur, gap, reason, newton_steps):
-        tau = objective.offset + objective.log_det(p)
-        return RelaxedSolution(p, tau, it, res, cur, gap, reason, newton_steps,
-                               time.perf_counter() - t0)
-
     if start is None:
-        start = np.full(c, 0.5)
+        start = np.full(inst.num_candidates, 0.5)
     return _projected_ascent(
-        objective,
-        lambda v: np.clip(v, 0.0, 1.0),
-        box_gap,
-        lambda solve, g, p: np.clip(p + solve(g), 0.0, 1.0),
-        start,
-        float(tolerance),
-        int(max_iters),
-        as_solution,
-    )
+        inst, lam, lambda v: np.clip(v, 0.0, 1.0), box_gap,
+        lambda solve, g, p: np.clip(p + solve(g), 0.0, 1.0), start, tolerance, max_iters,
+        lambda objective, p, f, gap: objective.offset + objective.log_det(p))
 
 
 def round_deterministic(

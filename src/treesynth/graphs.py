@@ -601,12 +601,13 @@ class EdgeSelectionInstance:
         return tuple(kernels)
 
     def with_budget(self, k: int) -> EdgeSelectionInstance:
-        """The instance with budget k, sharing this one's kernels (built here if new).
+        """The instance with budget k; an addition instance shares its kernels.
 
-        The kernels do not depend on k, so a budget sweep builds them once.
+        They do not depend on k, so a budget sweep builds them once, here if new.
         """
         inst = replace(self, k=k)
-        inst.__dict__["kernels"] = self.kernels
+        if self.direction == DIRECTION_ADD:
+            inst.__dict__["kernels"] = self.kernels
         return inst
 
     def candidate_weights(self, channel: str | None = None) -> np.ndarray:

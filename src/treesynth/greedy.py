@@ -207,9 +207,14 @@ def _greedy_run(
     selected: list[int] = []
     trace: list[TraceStep] = []
     gained = 0.0  # running sum of the trace's exact gains
+    if stop_threshold is not None:
+        fn = gain_function(inst)
+        # the running sum rounds apart from the from-scratch gain, by well under this
+        slack = EXHAUSTIVE_TIE_MARGIN * (1.0 + abs(fn.baseline_total) + stop_threshold)
 
     for t in range(budget):
-        if stop_threshold is not None and gained >= stop_threshold:
+        if stop_threshold is not None and gained >= stop_threshold - slack and (
+                gained >= stop_threshold + slack or fn(selected) >= stop_threshold):
             break
         gains = sum(mult * np.log1p(s) for mult, s in zip(mults, resist))[rep]
         gains[~available] = -np.inf
@@ -250,8 +255,11 @@ def greedy_select(inst: EdgeSelectionInstance) -> SelectionResult:
 def greedy_to_threshold(inst: EdgeSelectionInstance, tau_min: float) -> SelectionResult:
     """Greedy rounds until the gain reaches tau_min (budget ignored).
 
-    The stop test reads the running sum of the rounds' exact gains, so no
-    round rebuilds the graph; tau_achieved is still computed from scratch.
+    It stops at the first design whose from-scratch gain (GainFunction)
+    reaches tau_min, so greedy_select(k).gain as tau_min gives greedy's k
+    edges. No round rebuilds the graph: the stop test reads the running
+    sum of the rounds' exact gains, and only a sum within rounding of
+    tau_min is decided from scratch. tau_achieved is from scratch too.
     Raises InfeasibleError when even the full candidate pool falls
     short, reporting the maximum achievable gain, and ArgumentError for
     a NaN tau_min.

@@ -346,6 +346,14 @@ def test_bench_m_init_sweep_json(tmp_path):
     assert all(r["lower"] <= r["upper"] + 1e-9 for r in rows)
 
 
+def test_bench_m_init_sweep_refuses_an_instance_source(inst_path, mini_g2o, capsys):
+    # the sweep generates its own instances; a given one was once ignored
+    for source in (("--instance", str(inst_path)), ("--g2o", str(mini_g2o))):
+        assert run("bench", *source, "--m-init-sweep", "9:10", "--n", "7", "--k", "2") == 2
+        captured = capsys.readouterr()
+        assert "--m-init-sweep" in captured.err and not captured.out
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

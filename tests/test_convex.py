@@ -440,6 +440,16 @@ def test_convergence_error_carries_the_certified_bound(monkeypatch):
     assert best.tau_cvx_star > best.objective_curve[-1] + best.fw_gap
 
 
+def test_p3_convergence_error_carries_the_unpenalized_objective():
+    rng = np.random.default_rng(31)
+    inst = slam_instance(random_add_instance(rng, 8, 10, 9, 4), rng)
+    with pytest.raises(ConvergenceError) as err:
+        solve_p3(inst, 0.5, max_iters=1)
+    best = err.value.best
+    assert (best.iterations, best.stop_reason) == (1, "iteration cap")
+    assert best.tau_cvx_star == relaxed_objective_and_gradient(inst, best.pi)[0]
+
+
 def test_solver_converges_at_defaults_on_random_instances():
     # with the unit step as every first trial, some of these instances
     # need hundreds of iterations; the Barzilai-Borwein trial alone needs

@@ -468,6 +468,17 @@ def test_reduction_builds_one_graph_per_channel(monkeypatch, objective):
     assert len(built) == len(red.channels)
 
 
+def test_with_budget_shares_kernels_on_addition_instances_only():
+    base = tuple((u, v, 1.0) for u in range(1, 6) for v in range(u + 1, 6))
+    cands = ((1, 2, 1.0), (1, 3, 1.0), (2, 4, 1.0))
+    removal = EdgeSelectionInstance(5, base, cands, 2, direction="remove")
+    fewer = removal.with_budget(1)
+    assert (fewer.k, fewer.direction, fewer.candidates) == (1, "remove", cands)
+    addition = reduce_removal_to_addition(removal)
+    more = addition.with_budget(2)
+    assert more.k == 2 and more.kernels is addition.kernels
+
+
 def test_removal_set_is_complement_of_kept():
     base = tuple((u, v, 1.0) for u in range(1, 5) for v in range(u + 1, 5))
     cands = ((1, 2, 1.0), (1, 3, 1.0), (2, 4, 1.0))

@@ -1,6 +1,9 @@
+import importlib.util
 import itertools
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,12 +20,14 @@ from treesynth import (
     gain_function,
     greedy_select,
     greedy_to_threshold,
+    parse_g2o,
     random_instance,
     reduce_removal_to_addition,
     round_deterministic,
     round_randomized,
     solve_p2,
     solve_p3,
+    to_instance,
     tree_connectivity,
 )
 from treesynth import greedy, treeconn
@@ -582,6 +587,28 @@ def test_threshold_stop_builds_no_graph_per_round(monkeypatch):
         # the full-pool check and the final design, per channel; the
         # baselines come from the instance's kernels
         assert counts == [2 * len(inst.channels)] * 3
+
+
+def test_threshold_stop_at_greedys_own_gain_keeps_its_k_edges():
+    """Stop rule: before the first round whose design's from-scratch gain reaches tau_min.
+
+    With tau_min = greedy_select(k).gain, the running sum of the rounds'
+    gains lands a few 1e-13 nats below tau_min at k = 10, 25 and 40 on
+    this pose graph; within the rounding allowance the from-scratch gain
+    decides, so the threshold run stops at greedy's k edges.
+    """
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "posegraph.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_posegraph", path)
+    posegraph = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = posegraph  # its dataclasses look their module up there
+    spec.loader.exec_module(posegraph)
+    text = posegraph.generate_g2o(posegraph.MID_SIZE, 0)
+    inst = to_instance(parse_g2o(text.splitlines()), 51)
+    for k in (10, 25, 40, 51):
+        target = greedy_select(inst.with_budget(k))
+        res = greedy_to_threshold(inst, target.gain)
+        assert res.selected == target.selected
+        assert res.tau_achieved == target.tau_achieved
 
 
 # ---------------------------------------------------------------------------
