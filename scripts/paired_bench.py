@@ -12,7 +12,11 @@ instance counts, by which a per-process figure such as peak_rss_mb can be
 read per call, and of the runs' minor page faults per attempted instance
 (the run process's faults, from getrusage, over its attempted count). A
 fault count that jumps between sides on code the change does not touch
-is a sign of a different heap layout, not of different work.
+is a sign of a different heap layout, not of different work. After
+writing the file it prints the verdict: per workload, seed and end-to-end
+metric of BENCHMARK.json, each side's median, the relative change, the
+pairs won and whether the change is clear, and each side's faults per
+call in quartiles.
 
 Usage:
     python scripts/paired_bench.py --base HEAD~1 --workload posegraph-300 \\
@@ -103,9 +107,32 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
-def _better_directions() -> dict[str, str]:
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+def verdict_lines(summary: dict, metrics: list[str]) -> list[str]:
+    """The summary's verdict as text, per workload and seed.
+
+    One line per metric of ``metrics`` that the summary holds: each side's
+    median, the relative change, the pairs the change won and whether the
+    change is clear; then one line with each side's minor page faults per
+    call, median [first-third quartile].
+    """
+    lines = []
+    for workload, seeds in summary.items():
+        for seed, entries in seeds.items():
+            for metric in metrics:
+                m = entries.get(metric)
+                if m is None:
+                    continue
+                rel = "n/a" if m["change_rel"] is None else f"{m['change_rel']:+.1%}"
+                lines.append(
+                    f"{workload} seed {seed} {metric}: base {m['base']['median']:.6g} "
+                    f"change {m['change']['median']:.6g} ({rel}), "
+                    f"wins {m['wins']}/{m['pairs']}, clear {'yes' if m['clear'] else 'no'}")
+            faults = entries.get("minflt_per_call")
+            if faults:
+                lines.append(f"{workload} seed {seed} faults per call: " + ", ".join(
+                    f"{side} {q['median']:.1f} [{q['q1']:.1f}-{q['q3']:.1f}]"
+                    for side, q in faults.items()))
+    return lines
 
 
 def _git(*args: str, cwd: Path = ROOT) -> str:
@@ -137,6 +164,8 @@ def main(argv=None) -> int:
     ap.add_argument("--output", type=Path, required=True)
     args = ap.parse_args(argv)
 
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
     base_sha = _git("rev-parse", args.base)
     runs: list[dict] = []
     with tempfile.TemporaryDirectory(prefix="paired-bench-") as tmp:
@@ -169,11 +198,13 @@ def main(argv=None) -> int:
                   + (" with uncommitted changes" if _git("status", "--porcelain") else ""),
         "machine": {"platform": platform.platform(), "python": platform.python_version(),
                     "nproc": os.cpu_count()},
-        "summary": summarize(runs, _better_directions()),
+        "summary": summarize(runs, better),
         "runs": runs,
     }
     args.output.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {args.output}")
+    for line in verdict_lines(doc["summary"], [m["name"] for m in spec.get("end_to_end", [])]):
+        print(line)
     return 0
 
 

@@ -64,27 +64,6 @@ EXIT_ARGUMENT = 2
 EXIT_DATA = 3
 EXIT_CONVERGENCE = 4
 
-BENCH_COLUMNS = [
-    "sweep",
-    "value",
-    "n",
-    "m_init",
-    "c",
-    "k",
-    "tau_init",
-    "tau_greedy",
-    "tau_cvx",
-    "tau_cvx_star",
-    "u_greedy",
-    "lower",
-    "upper",
-    "opt",
-    "t_greedy_s",
-    "t_convex_s",
-    "t_oracle_s",
-]
-
-
 def _emit_json(doc: dict, output: str | None) -> None:
     text = json.dumps(doc, indent=2) + "\n"
     if output:
@@ -362,7 +341,10 @@ def _parse_sweep(spec: str, what: str) -> list[int]:
 
 
 def _bench_row(inst: EdgeSelectionInstance, d: dict, sweep: str, value: int, args) -> dict:
-    """certify (and the oracle) on addition instance inst; d describes the original."""
+    """certify (and the oracle) on addition instance inst; d describes the original.
+
+    The keys, in order, are the bench table's columns (_write_bench).
+    """
     bundle = certify(inst, tolerance=args.tolerance, max_iters=args.max_iters)
     oracle = exhaustive_select(inst) if args.oracle and exhaustive_fits(inst) else None
     return {
@@ -386,11 +368,10 @@ def _write_bench(rows: list[dict], args) -> None:
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(BENCH_COLUMNS)
+        writer.writerow(rows[0])  # the header: _bench_row's keys, in order
         for row in rows:
             writer.writerow(
-                "" if row[col] is None else repr(row[col]) if isinstance(row[col], float) else row[col]
-                for col in BENCH_COLUMNS
+                "" if x is None else repr(x) if isinstance(x, float) else x for x in row.values()
             )
         text = buf.getvalue()
     if args.output:
@@ -463,7 +444,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0, help="master random seed")
+    seeded.add_argument(
+        "--seed", type=int, default=0,
+        help="master random seed of bench; synthesize draws nothing at random and only "
+        "records it in the artifact's config",
+    )
 
     solver = argparse.ArgumentParser(add_help=False)
     solver.add_argument(

@@ -41,6 +41,7 @@ from .errors import ArgumentError, ConvergenceError
 from .graphs import (
     EdgeSelectionInstance,
     ReducedLaplacian,
+    _as_vertex,
     build_reduced_laplacian,
 )
 from .greedy import SelectionResult, _selection_result
@@ -232,7 +233,7 @@ def _projected_ascent(inst, lam, project, fw_gap, newton, start, tolerance, max_
     which keeps the curve monotone.
     """
     t0 = time.perf_counter()
-    tolerance, max_iters = float(tolerance), int(max_iters)
+    tolerance, max_iters = float(tolerance), _as_vertex(max_iters, "max_iters")
     if not (tolerance >= 0.0 and max_iters >= 0):
         raise ArgumentError(f"tolerance and max_iters must be >= 0, got {tolerance}, {max_iters}")
     objective = _Objective(inst, lam)
@@ -467,7 +468,7 @@ def round_deterministic(
     pi = _validate_pi(pi, inst.num_candidates)
     if k is None:
         k = inst.k
-    k = int(k)
+    k = _as_vertex(k, "k")
     if not 0 <= k <= inst.num_candidates:
         raise ArgumentError(f"k={k} outside 0..{inst.num_candidates}")
     order = np.argsort(-pi, kind="stable")  # stable: equal values keep index order
@@ -532,7 +533,7 @@ def round_randomized(
     Memory is the instance's Z plus LEMMA_BATCH_BYTES per batch of trials.
     """
     pi = _validate_pi(pi, inst.num_candidates)
-    trials = int(trials)
+    trials = _as_vertex(trials, "trials")
     if trials < 1:
         raise ArgumentError("trials must be >= 1")
     c = inst.num_candidates

@@ -48,11 +48,43 @@ def _canonical_pair(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u <= v else (v, u)
 
 
-def _as_vertex(x) -> int:
+def _as_vertex(x, what: str | None = None) -> int:
+    """x as a Python int, the one integer check of counts and vertex ids.
+
+    ArgumentError names ``what``, a count such as "k" or "max_iters";
+    without it the value is a vertex id.
+    """
     try:
         return int(operator.index(x))
     except TypeError:
-        raise ArgumentError(f"vertex ids must be integers, got {x!r}") from None
+        if what is None:
+            raise ArgumentError(f"vertex ids must be integers, got {x!r}") from None
+        raise ArgumentError(f"{what} must be an integer, got {x!r}") from None
+
+
+def _component_count(n: int, u: Iterable[int], v: Iterable[int]) -> int:
+    """Connected components of the graph on 1..n with edges (u[i], v[i]).
+
+    The one connectivity check: a union-find whose parent map holds only
+    the edges' ends, so a vertex that no edge touches costs nothing and
+    memory is bounded by the edges, not by n. Each union joins two
+    components, so the count is n minus the unions.
+    """
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while (p := parent.get(x, x)) != x:
+            parent[x] = p = parent.get(p, p)  # path halving
+            x = p
+        return x
+
+    unions = 0
+    for a, b in zip(u, v):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            unions += 1
+    return n - unions
 
 
 def _check_edge(e, n: int, weights: int = 1, what: str = "edge") -> tuple:
@@ -187,7 +219,7 @@ class WeightedGraph:
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self) -> None:
-        n = _as_vertex(self.n)
+        n = _as_vertex(self.n, "n")
         if not 1 <= n <= MAX_VERTICES:
             raise ArgumentError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
         object.__setattr__(self, "n", n)
@@ -213,34 +245,13 @@ class WeightedGraph:
         return self.pair_weights.get(_canonical_pair(_as_vertex(u), _as_vertex(v)))
 
     @cached_property
-    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for u, v, _ in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(tuple(a) for a in adj)
-
-    @cached_property
     def connected(self) -> bool:
         return self.component_count == 1
 
     @cached_property
     def component_count(self) -> int:
-        seen = [False] * (self.n + 1)
-        components = 0
-        for start in range(1, self.n + 1):
-            if seen[start]:
-                continue
-            components += 1
-            stack = [start]
-            seen[start] = True
-            while stack:
-                x = stack.pop()
-                for y in self._adjacency[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        stack.append(y)
-        return components
+        u, v, _ = self._columns
+        return _component_count(self.n, u.tolist(), v.tolist())
 
     def with_edges(self, extra: Iterable[Sequence]) -> WeightedGraph:
         """New graph with ``extra`` (u, v, w) edges merged in."""
@@ -309,7 +320,7 @@ class ReducedLaplacian:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        n = _as_vertex(self.n)
+        n = _as_vertex(self.n, "n")
         if n < 2:
             raise ArgumentError("reduced Laplacian needs at least 2 vertices")
         m = np.array(self.matrix, dtype=float)
@@ -442,13 +453,13 @@ class EdgeSelectionInstance:
     Candidate order is significant: greedy ties break toward the lowest
     index and selections are reported as indices into ``candidates``.
 
-    Construction is the one edge check and the one connectivity walk:
+    Construction is the one edge check and the one connectivity check:
     base edges and candidates go through _check_edges, with one weight
     column per channel, and come out as (int, int, float, ...) tuples in
-    their given orientation; the base graph must be connected. The
-    channels share one topology, so only the first channel's graph is
-    walked. Every design adds edges to a connected base, so scoring one
-    (greedy.GainFunction) walks nothing.
+    their given orientation; the base graph must be connected
+    (_component_count). The channels share one topology, so only the
+    first channel's graph is checked. Every design adds edges to a
+    connected base, so scoring one (greedy.GainFunction) checks nothing.
     """
 
     n: int
@@ -466,7 +477,7 @@ class EdgeSelectionInstance:
                 f"objective must be {OBJECTIVE_SINGLE!r} or {OBJECTIVE_SLAM!r}, "
                 f"got {self.objective!r}"
             )
-        n = _as_vertex(self.n)
+        n = _as_vertex(self.n, "n")
         if n < 2:
             raise ArgumentError(f"instances need at least 2 vertices, got n={n}")
 
@@ -480,7 +491,7 @@ class EdgeSelectionInstance:
         object.__setattr__(self, "base_edges", base)
         object.__setattr__(self, "candidates", cands)
 
-        k = _as_vertex(self.k)
+        k = _as_vertex(self.k, "k")
         if not 0 <= k <= len(cands):
             raise ArgumentError(f"budget k={k} outside 0..{len(cands)}")
         object.__setattr__(self, "k", k)
@@ -642,7 +653,7 @@ def reduce_removal_to_addition(inst: EdgeSelectionInstance) -> EdgeSelectionInst
     the candidates stay put, and the budget flips to c - k: keeping a
     subset S of candidates is the same design as removing its complement,
     with identical objective value. The returned instance's construction
-    is the skeleton's one connectivity walk; a disconnected skeleton
+    is the skeleton's one connectivity check; a disconnected skeleton
     raises InfeasibleError naming its number of components.
     """
     if inst.direction != DIRECTION_REMOVE:
@@ -714,7 +725,7 @@ def random_instance(
     complement mode is refused, not ignored. Weights are uniform in
     ``weight_range`` (bounds must be >= 1). Deterministic per seed.
     """
-    n = _as_vertex(n)
+    n, m_init = _as_vertex(n, "n"), _as_vertex(m_init, "m_init")
     if n < 2:
         raise ArgumentError("need at least 2 vertices")
     max_edges = n * (n - 1) // 2
@@ -759,6 +770,7 @@ def random_instance(
     else:
         if sample_size is None:
             raise ArgumentError("candidate_mode='sampled' requires sample_size")
+        sample_size = _as_vertex(sample_size, "sample_size")
         if not 0 <= sample_size <= len(complement):
             raise ArgumentError(
                 f"sample_size={sample_size} outside 0..{len(complement)} available pairs"

@@ -106,7 +106,7 @@ class GainFunction:
     scratch, a new graph per channel scored by the one tau rule
     (graphs.connected_tau: a reduced Laplacian and its Cholesky factor
     unless the graph is a tree), so it is the slow, trustworthy
-    evaluation the fast greedy path is checked against. It walks no
+    evaluation the fast greedy path is checked against. It checks no
     connectivity: the instance guard proved the base graph connected,
     adding candidates keeps it so, and the factor's pivot floor still
     refuses what float64 cannot resolve.

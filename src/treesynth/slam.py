@@ -87,8 +87,10 @@ def parse_g2o(
         edges, replacing the consecutive-id convention. Needed for
         datasets whose odometry is not id-consecutive.
 
-    Raises DataError on malformed lines (with a line number) and on
-    non-positive information diagonals.
+    Raises DataError on malformed lines (with a line number), on
+    non-positive information diagonals, and on pose ids that are not
+    contiguous 0..n-1: the VERTEX ids, or without VERTEX lines the ids
+    the edges reference.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
@@ -155,12 +157,13 @@ def parse_g2o(
     if not raw_edges:
         raise DataError(f"{name}: no {EDGE_TAG} lines found")
 
-    if vertex_ids:
-        n = max(vertex_ids) + 1
-        if vertex_ids != set(range(n)):
-            raise DataError(f"{name}: vertex ids are not contiguous 0..{n - 1}")
-    else:
-        n = max(max(i, j) for _, i, j, _, _ in raw_edges) + 1
+    # the poses are the VERTEX ids, or else the ids the edges reference;
+    # either way they must be 0..n-1, so n is bounded by the file's lines
+    ids = vertex_ids or {x for _, i, j, _, _ in raw_edges for x in (i, j)}
+    n = max(ids) + 1
+    if len(ids) != n:
+        what = "vertex ids" if vertex_ids else "pose ids of the edges"
+        raise DataError(f"{name}: {what} are not contiguous 0..{n - 1}")
     for lineno, i, j, _, _ in raw_edges:
         if i >= n or j >= n:
             raise DataError(f"{name}:{lineno}: edge references pose {max(i, j)} >= {n}")

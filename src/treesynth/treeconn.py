@@ -6,7 +6,9 @@ package maximizes) comes out of one Cholesky factorization, or, for a
 spanning tree, straight from its weights (graphs.connected_tau). A spectral
 form, sum of log nonzero Laplacian eigenvalues minus log n, serves as an
 independent cross-check, and a literal subset-enumeration oracle covers
-small graphs in tests.
+small graphs in tests. Whether a graph is connected, and the oracle's
+test of whether n - 1 edges form a spanning tree, are both the one
+union-find of graphs._component_count.
 
 Scoring a candidate edge {u, v} with weight w against a graph reduces to
 its effective resistance Delta: appending the edge multiplies the tree
@@ -24,7 +26,7 @@ import numpy as np
 
 from ._lapack import dpotrf, dtrsm
 from .errors import DataError, NumericalError, SizeGuardError
-from .graphs import ReducedLaplacian, WeightedGraph, connected_tau, is_connected
+from .graphs import ReducedLaplacian, WeightedGraph, _component_count, connected_tau, is_connected
 
 # The enumeration oracle walks all (n-1)-subsets of edges; refuse
 # anything that is big on both axes.
@@ -98,27 +100,10 @@ def count_spanning_trees_bruteforce(g: WeightedGraph) -> float:
         return 0.0
     total = 0.0
     for subset in itertools.combinations(g.edges, g.n - 1):
-        if _is_spanning_tree(g.n, subset):
-            total += math.prod(w for _, _, w in subset)
+        u, v, w = zip(*subset)
+        if _component_count(g.n, u, v) == 1:  # n - 1 edges, no cycle: a spanning tree
+            total += math.prod(w)
     return total
-
-
-def _is_spanning_tree(n: int, edges) -> bool:
-    # n-1 edges and no cycle means a spanning tree; union-find suffices.
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v, _ in edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
 
 
 def whitened_incidence(L: ReducedLaplacian, pairs) -> np.ndarray:

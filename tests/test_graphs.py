@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,10 @@ from treesynth import (
     random_instance,
     reduce_removal_to_addition,
     removal_set_from_addition,
+    round_deterministic,
+    round_randomized,
     save_instance,
+    solve_p2,
     to_instance,
 )
 from treesynth.cli import main
@@ -374,6 +378,51 @@ def test_instance_needs_two_vertices(tmp_path):
 def test_instance_requires_connected_base():
     with pytest.raises(DataError):
         EdgeSelectionInstance(4, ((1, 2, 1.0), (3, 4, 1.0)), ((2, 3, 1.0),), 1)
+
+
+def test_connectivity_memory_is_bounded_by_the_edges():
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match=r"\(999999 components\)"):
+            EdgeSelectionInstance(10**6, ((1, 2, 1.0),), (), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=10),
+    ))
+)
+def test_component_count_is_n_minus_the_laplacian_rank(case):
+    # repeated pairs are parallel edges; vertices no pair names are isolated
+    n, pairs = case
+    g = WeightedGraph(n, tuple((u, v, 1.0) for u, v in pairs if u != v))
+    assert g.component_count == n - np.linalg.matrix_rank(g.full_laplacian())
+    assert g.connected == (g.component_count == 1)
+
+
+@pytest.mark.parametrize("value", [2.5, math.inf])
+@pytest.mark.parametrize("name", ["n", "k", "round k", "trials", "max_iters", "m_init", "sample_size"])
+def test_counts_must_be_integers(name, value):
+    inst = EdgeSelectionInstance(3, ((1, 2, 1.0), (2, 3, 1.0)), ((1, 3, 2.0),), 1)
+    pi = np.ones(1)
+    calls = {
+        "n": lambda: EdgeSelectionInstance(value, inst.base_edges, inst.candidates, 1),
+        "k": lambda: EdgeSelectionInstance(3, inst.base_edges, inst.candidates, value),
+        "round k": lambda: round_deterministic(inst, pi, k=value),
+        "trials": lambda: round_randomized(inst, pi, trials=value),
+        "max_iters": lambda: solve_p2(inst, max_iters=value),
+        "m_init": lambda: random_instance(4, value),
+        "sample_size": lambda: random_instance(4, 3, "sampled", sample_size=value),
+    }
+    what = name.split()[-1]
+    with pytest.raises(ArgumentError, match=rf"^{what} must be an integer, got {value!r}$"):
+        calls[name]()
 
 
 def test_instance_dual_channel_shapes():

@@ -80,6 +80,15 @@ def test_paired_bench_summarizes_canned_runs():
     assert (minflt["change"]["q1"], minflt["change"]["median"],
             minflt["change"]["q3"]) == (4114.0, 4200.0, 4300.0)
     assert minflt["base"]["n"] == minflt["change"]["n"] == 5
+    # the printed verdict: one line per end-to-end metric held, then the faults
+    lines = pb.verdict_lines(pb.summarize(runs, {"greedy_s": "lower"}),
+                             ["greedy_s", "cert_width", "peak_rss_mb"])
+    assert lines == [
+        "posegraph-300 seed 1 greedy_s: base 0.021 change 0.016 (-23.8%), wins 4/5, clear yes",
+        "posegraph-300 seed 1 cert_width: base 16.25 change 16.25 (+0.0%), wins 0/5, clear no",
+        "posegraph-300 seed 1 faults per call: base 285.0 [280.0-290.0], "
+        "change 4200.0 [4114.0-4300.0]",
+    ]
 
 
 def test_paired_bench_help():

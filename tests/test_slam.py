@@ -80,6 +80,10 @@ def test_parse_rejects_structural_problems():
             "VERTEX_SE2 1 0 0 0",
             "EDGE_SE2 0 7 0 0 0 1 0 0 1 0 1",
         ])
+    # without VERTEX lines the edges' pose ids must be contiguous: one
+    # 37-byte line may not stand for a million poses
+    with pytest.raises(DataError, match="pose ids of the edges are not contiguous 0..1000000"):
+        parse_g2o(["EDGE_SE2 0 1000000 0 0 0 1 0 0 1 0 1"])
     with pytest.raises(DataError, match="file not found"):
         parse_g2o("/nonexistent/file.g2o")
 
