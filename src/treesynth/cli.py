@@ -40,6 +40,7 @@ from .graphs import (
     DIRECTION_REMOVE,
     OBJECTIVE_SLAM,
     EdgeSelectionInstance,
+    _as_seed,
     _json_int,
     _read_json,
     load_instance,
@@ -408,7 +409,7 @@ def cmd_bench(args) -> int:
         values = _parse_sweep(args.m_init_sweep, "--m-init-sweep")
         if args.n is None or args.k is None:
             raise ArgumentError("--m-init-sweep needs --n and --k")
-        children = np.random.SeedSequence(args.seed).spawn(len(values))
+        children = np.random.SeedSequence(_as_seed(args.seed)).spawn(len(values))
         for child, m in zip(children, values):
             inst = _random_instance(args, m_init=m, seed=int(child.generate_state(1)[0]), k=args.k)
             rows.append(_bench_row(inst, inst.describe(), "m_init", m, args))

@@ -41,6 +41,7 @@ from .errors import ArgumentError, ConvergenceError
 from .graphs import (
     EdgeSelectionInstance,
     ReducedLaplacian,
+    _as_seed,
     _as_vertex,
     build_reduced_laplacian,
 )
@@ -536,6 +537,7 @@ def round_randomized(
     trials = _as_vertex(trials, "trials")
     if trials < 1:
         raise ArgumentError("trials must be >= 1")
+    seed = _as_seed(seed)
     c = inst.num_candidates
     lemmas = inst.kernels
 
@@ -557,7 +559,7 @@ def round_randomized(
     log_counts.setflags(write=False)
     return RandomizedRounding(
         pi=pi,
-        seed=int(seed),
+        seed=seed,
         channels=tuple(ch for ch, _ in inst.channels),
         num_selected=num_selected,
         log_tree_counts=log_counts,

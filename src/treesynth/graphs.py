@@ -62,6 +62,14 @@ def _as_vertex(x, what: str | None = None) -> int:
         raise ArgumentError(f"{what} must be an integer, got {x!r}") from None
 
 
+def _as_seed(seed) -> int:
+    """A random seed, checked: an integer >= 0, as numpy's generators take it."""
+    seed = _as_vertex(seed, "seed")
+    if seed < 0:
+        raise ArgumentError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _component_count(n: int, u: Iterable[int], v: Iterable[int]) -> int:
     """Connected components of the graph on 1..n with edges (u[i], v[i]).
 
@@ -423,19 +431,73 @@ def build_reduced_laplacian(g: WeightedGraph) -> ReducedLaplacian:
     return ReducedLaplacian._trusted(g.n, _laplacian(g, g.n - 1))
 
 
+def path_whitened_incidence(path_weights: np.ndarray, pairs, weights) -> np.ndarray:
+    """Z^T = (C^{-1} A diag(sqrt(w)))^T in closed form when the base is the path 1-2-...-n.
+
+    ``path_weights[j]`` is the weight p_j of the base edge {j + 1, j + 2},
+    the graph's merged edges in order. The path's reduced Laplacian is
+    B P B^T, B its bidiagonal incidence (1 on the diagonal, -1 below), so
+    its Cholesky factor is C = B P^{1/2} and B^{-1} is the lower triangle
+    of ones: C^{-1} a_uv is +-1 / sqrt(p_j) on the path edges j between u
+    and v, + when u < v. Row i of Z^T is d_i / sqrt(p_j), d_i = sign_i
+    sqrt(w_i), on its span of columns j in [min(u, v) - 1, max(u, v) - 1)
+    (column n - 1, the anchor's, is dropped) and zero elsewhere; only the
+    spans are written, one division per nonzero. No solve, so each entry
+    is exact to a few ulps whatever the base's condition number; c x
+    order, C-ordered.
+    """
+    order = len(path_weights)
+    uv = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    lo, hi = uv.min(axis=1) - 1, uv.max(axis=1) - 1
+    d = np.where(uv[:, 0] < uv[:, 1], 1.0, -1.0) * np.sqrt(weights)
+    # the (row, column) of every span entry, row by row
+    lens = hi - lo
+    rows = np.repeat(np.arange(len(uv)), lens)
+    cols = np.arange(len(rows)) + np.repeat(lo + lens - np.cumsum(lens), lens)
+    Zt = np.zeros((len(uv), order))
+    Zt[rows, cols] = d[rows] / np.sqrt(path_weights)[cols]
+    return Zt
+
+
 def connected_tau(g: WeightedGraph, lap: ReducedLaplacian | None = None) -> float:
     """tau, the log weighted spanning-tree count, of the connected graph g.
 
-    The one tau rule: a graph with n - 1 merged edges is its own only
-    spanning tree, so tau is the sum of its log weights, exact to the
-    rounding of the logs and the sum, with nothing assembled or factored;
-    every other graph takes the log det of its reduced Laplacian's dense
-    factor, ``lap`` when the caller has assembled it, whose error grows
-    with the matrix's condition number. g must be connected; the caller
-    checks.
+    The one tau rule, in three cases:
+
+    * a graph with n - 1 merged edges is its own only spanning tree, so
+      tau is the sum of its log weights, exact to the rounding of the
+      logs and the sum, with nothing assembled or factored;
+    * a graph whose merged edges contain the path {a, a + 1}, a =
+      1..n-1, and at most order / 2 other edges X (order = n - 1) takes
+      the determinant lemma over that path: tau = sum log p + log det(I +
+      Z_X^T Z_X), p the path weights and Z_X the path's closed-form
+      whitening of X (path_whitened_incidence), from one Cholesky factor
+      of the |X| x |X| form. That form's eigenvalues are all at least
+      1, so the factor's error needs no condition number;
+    * every other graph takes the log det of its reduced Laplacian's
+      dense factor, ``lap`` when the caller has assembled it, whose error
+      grows with the matrix's condition number.
+
+    The cut at order / 2 keeps the designs of the paper's budgets, well
+    under half the poses, on the lemma, and full g2o graphs, with about
+    as many closures as poses, on the dense factor, as the lemma's
+    |X|^2 order flops near the factor's order^3 / 3. g must be connected;
+    the caller checks.
     """
-    if g.num_edges == g.n - 1:
-        return float(np.sum(np.log(g._columns[2])))
+    u, v, w = g._columns
+    order = g.n - 1
+    if g.num_edges == order:
+        return float(np.sum(np.log(w)))
+    # merged edges have u < v, one per pair
+    if 2 * (g.num_edges - order) <= order and np.count_nonzero(on_path := v - u == 1) == order:
+        off = ~on_path
+        Zt = path_whitened_incidence(w[on_path], np.stack((u[off], v[off]), axis=1), w[off])
+        K = Zt @ Zt.T
+        K.flat[:: K.shape[0] + 1] += 1.0
+        R, info = dpotrf(K, lower=1, clean=0)
+        if info:
+            raise NumericalError(f"Cholesky factorization failed: {_UNRESOLVED}")
+        return float(np.sum(np.log(w[on_path]))) + 2.0 * float(np.sum(np.log(np.diag(R))))
     return (build_reduced_laplacian(g) if lap is None else lap).log_det()
 
 
@@ -585,10 +647,12 @@ class EdgeSelectionInstance:
         the odometry path of every g2o instance (slam.to_instance, and
         reduce_removal_to_addition's base), is neither assembled nor
         factored: log_det0 is its sum of log weights and Z comes in closed
-        form. Every other base is assembled once, and whitened by a
-        triangular solve against its factor.
+        form (path_whitened_incidence). Every other base is assembled
+        once, and whitened by a triangular solve against its factor; its
+        log_det0 is that factor's unless the tau rule's determinant lemma
+        takes the base (the path plus at most order / 2 other edges).
         """
-        from .treeconn import SubsetLogDet, path_whitened_incidence, whitened_incidence
+        from .treeconn import SubsetLogDet, whitened_incidence
 
         if self.direction != DIRECTION_ADD:
             raise ArgumentError(
@@ -744,7 +808,7 @@ def random_instance(
             "mode takes every non-base pair"
         )
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_as_seed(seed))
     all_pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
 
     base_pairs: list[tuple[int, int]] | None = None

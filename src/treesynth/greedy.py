@@ -104,12 +104,15 @@ class GainFunction:
 
     Calling it with an index subset rebuilds the augmented graph from
     scratch, a new graph per channel scored by the one tau rule
-    (graphs.connected_tau: a reduced Laplacian and its Cholesky factor
-    unless the graph is a tree), so it is the slow, trustworthy
-    evaluation the fast greedy path is checked against. It checks no
+    (graphs.connected_tau), so it is the slow, trustworthy evaluation the
+    fast greedy path is checked against. On a path base, every g2o
+    instance's, a design of at most order / 2 candidates takes the
+    determinant lemma over the path: one |X| x |X| factor, X the
+    design's edges off the path. Other designs assemble and factor the
+    reduced Laplacian, unless the graph is a tree. It checks no
     connectivity: the instance guard proved the base graph connected,
-    adding candidates keeps it so, and the factor's pivot floor still
-    refuses what float64 cannot resolve.
+    adding candidates keeps it so, and the dense factor's pivot floor
+    still refuses what float64 cannot resolve.
     The gain is absolute(subset) - baseline_total, exactly 0 for the
     empty subset: the baselines, each channel's base tau read off the
     instance's kernels, are the from-scratch bits of the base graphs.

@@ -29,6 +29,7 @@ from .graphs import (
     OBJECTIVE_SLAM,
     EdgeSelectionInstance,
     WeightedGraph,
+    _as_vertex,
     _canonical_pair,
     _merge_parallel,
 )
@@ -104,7 +105,7 @@ def parse_g2o(
 
     override = None
     if base_pairs is not None:
-        override = {_canonical_pair(int(i), int(j)) for i, j in base_pairs}
+        override = {_canonical_pair(_as_vertex(i), _as_vertex(j)) for i, j in base_pairs}
 
     vertex_ids: set[int] = set()
     raw_edges: list[tuple[int, int, int, float, float]] = []  # lineno, i, j, wp, wt

@@ -2,8 +2,11 @@
 
 The weighted spanning-tree count of a connected graph equals the
 determinant of any reduced Laplacian, so its log (tau, the quantity this
-package maximizes) comes out of one Cholesky factorization, or, for a
-spanning tree, straight from its weights (graphs.connected_tau). A spectral
+package maximizes) comes from the one tau rule (graphs.connected_tau):
+straight from the weights of a spanning tree, by the determinant lemma
+over the path 1-2-...-n when the graph holds that path and at most
+order / 2 other edges, and otherwise from one dense Cholesky factor of
+the reduced Laplacian. A spectral
 form, sum of log nonzero Laplacian eigenvalues minus log n, serves as an
 independent cross-check, and a literal subset-enumeration oracle covers
 small graphs in tests. Whether a graph is connected, and the oracle's
@@ -54,7 +57,9 @@ class TreeConnectivity:
 def tree_connectivity(g: WeightedGraph) -> TreeConnectivity:
     """tau by the one tau rule (graphs.connected_tau). The production path.
 
-    A spanning tree's tau is its sum of log weights; every other
+    A spanning tree's tau is its sum of log weights; a graph that holds
+    the path 1-2-...-n and at most order / 2 other edges adds the log det
+    of the determinant lemma's small form over that path; every other
     connected graph's comes from one Cholesky factorization of its
     reduced Laplacian.
     """
@@ -115,39 +120,10 @@ def whitened_incidence(L: ReducedLaplacian, pairs) -> np.ndarray:
     One right-side triangular solve, Y^T = A^T C^{-T}, written over the
     fresh A; order x len(pairs). Its error grows with the condition
     number of L; on a path base the kernel uses the closed form
-    (path_whitened_incidence) instead.
+    (graphs.path_whitened_incidence) instead.
     """
     A = L.incidence_matrix(pairs)
     return dtrsm(1.0, L.cholesky, A.T, side=1, lower=1, trans_a=1, overwrite_b=1).T
-
-
-def path_whitened_incidence(path_weights: np.ndarray, pairs, weights) -> np.ndarray:
-    """Z^T = (C^{-1} A diag(sqrt(w)))^T in closed form when the base is the path 1-2-...-n.
-
-    ``path_weights[j]`` is the weight p_j of the base edge {j + 1, j + 2},
-    the graph's merged edges in order. The path's reduced Laplacian is
-    B P B^T, B its bidiagonal incidence (1 on the diagonal, -1 below), so
-    its Cholesky factor is C = B P^{1/2} and B^{-1} is the lower triangle
-    of ones: C^{-1} a_uv is +-1 / sqrt(p_j) on the path edges j between u
-    and v, + when u < v. Row i of Z^T is sign_i sqrt(w_i) / sqrt(p_j) on
-    the columns j in [min(u, v) - 1, max(u, v) - 1): a difference array of
-    +-sqrt(w_i), one in-place cumulative sum along rows (exact: the two
-    entries of a row cancel to zero) and one division. No solve, so each
-    entry is exact to a few ulps whatever the base's condition number;
-    c x order, C-ordered.
-    """
-    order = len(path_weights)
-    uv = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-    lo, hi = uv.min(axis=1) - 1, uv.max(axis=1) - 1
-    d = np.where(uv[:, 0] < uv[:, 1], 1.0, -1.0) * np.sqrt(weights)
-    Zt = np.zeros((len(uv), order))
-    rows = np.arange(len(uv))
-    Zt[rows, lo] = d
-    inside = hi < order  # column hi is the anchor's, dropped
-    Zt[rows[inside], hi[inside]] = -d[inside]
-    np.cumsum(Zt, axis=1, out=Zt)
-    Zt /= np.sqrt(path_weights)
-    return Zt
 
 
 class SubsetLogDet:
@@ -159,12 +135,14 @@ class SubsetLogDet:
     order). The instance builds both (EdgeSelectionInstance.kernels):
     log_det0 is the base graph's tau by the one tau rule
     (graphs.connected_tau), and Z comes in closed form on the path base
-    1-2-...-n (path_whitened_incidence), exact to a few ulps per entry,
-    and otherwise from one triangular solve against the base factor
-    (whitened_incidence), whose error grows with L0's condition number.
-    On a tree base, the path of every g2o instance among them, log_det0
-    is the sum of the base's log weights, with no condition-number term;
-    on any other base it comes from L0's dense factor. A batch shares one
+    1-2-...-n (graphs.path_whitened_incidence), exact to a few ulps per
+    entry, and otherwise from one triangular solve against the base
+    factor (whitened_incidence), whose error grows with L0's condition
+    number. On a tree base, the path of every g2o instance among them,
+    log_det0 is the sum of the base's log weights, and on the path plus
+    at most order / 2 other edges it comes from the determinant lemma
+    over the path, neither with a condition-number term; on any other
+    base it comes from L0's dense factor. A batch shares one
     stacked slogdet on the smaller Sylvester form, s x s or
     order x order, and each subset's value does not depend on the rest
     of its batch. Memory is O(order * c) plus the batch.

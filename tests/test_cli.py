@@ -401,6 +401,13 @@ def test_exit_code_empty_sweep():
     assert run("bench", "--n", "6", "--m-init", "7", "--k-sweep", "5:2", "--seed", "0") == 2
 
 
+def test_exit_code_negative_seed(capsys):
+    # every seed goes through one check, the m_init sweep's seed sequence too
+    assert run("gen", "--n", "6", "--m-init", "7", "--seed", "-1") == 2
+    assert run("bench", "--n", "6", "--k", "2", "--m-init-sweep", "6:7", "--seed", "-1") == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_exit_code_blank_source():
     assert run("synthesize", "--k", "1") == 2
 

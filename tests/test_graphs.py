@@ -292,22 +292,25 @@ def test_reduced_laplacian_disconnected_graph_fails_factorization():
 
 
 def test_cholesky_refusal_names_both_causes(tmp_path, capsys):
-    # connected, but 1e15 in series with 1 leaves the second pivot at rounding level
-    inst = EdgeSelectionInstance(3, ((1, 2, 1e15), (2, 3, 1.0)), ((1, 3, 2.0),), 1)
+    # 1e15 in series with 1 on the path 1-2-3: the base plus the candidate
+    # is the path plus one edge, which the tau rule's determinant lemma
+    # answers exactly, det = 1e15 * 1 + 2 * (1e15 + 1)
+    path = EdgeSelectionInstance(3, ((1, 2, 1e15), (2, 3, 1.0)), ((1, 3, 2.0),), 1)
+    tau = greedy_select(path).tau_achieved
+    assert abs(tau - math.log(3e15 + 2)) <= 2 * math.ulp(math.log(3e15 + 2))
+    # the same weights on the path 1-3-2, which the lemma does not take:
+    # connected, but the second pivot of its dense factor is at rounding level
+    inst = EdgeSelectionInstance(3, ((1, 3, 1e15), (3, 2, 1.0)), ((1, 2, 2.0),), 1)
     assert is_connected(inst.base_graph())
-    # the base is the path 1-2-3, whose kernel factors nothing, so the
-    # refusal comes at the first from-scratch factor of base plus candidate;
-    # a base with a cycle is factored for its kernel, which refuses
-    cyclic = EdgeSelectionInstance(3, ((1, 2, 1e15), (2, 3, 1.0), (1, 3, 1.0)), ((1, 3, 2.0),), 1)
-    for call in (lambda: greedy_select(inst), lambda: certify(inst), lambda: cyclic.kernels):
+    for call in (lambda: greedy_select(inst), lambda: certify(inst), lambda: inst.kernels):
         with pytest.raises(NumericalError) as err:
             call()
         message = str(err.value)
         assert "disconnected up to rounding" in message
         assert "weights spread more widely than float64 resolves" in message
-    path = tmp_path / "refused.json"
-    save_instance(inst, path)
-    assert main(["certify", "--instance", str(path)]) == 3
+    refused = tmp_path / "refused.json"
+    save_instance(inst, refused)
+    assert main(["certify", "--instance", str(refused)]) == 3
     assert "disconnected up to rounding" in capsys.readouterr().err
 
 
@@ -422,6 +425,18 @@ def test_counts_must_be_integers(name, value):
     }
     what = name.split()[-1]
     with pytest.raises(ArgumentError, match=rf"^{what} must be an integer, got {value!r}$"):
+        calls[name]()
+
+
+@pytest.mark.parametrize("seed", [2.9, 1.5, -1])
+@pytest.mark.parametrize("name", ["round_randomized", "random_instance"])
+def test_seeds_must_be_nonnegative_integers(name, seed):
+    inst = EdgeSelectionInstance(3, ((1, 2, 1.0), (2, 3, 1.0)), ((1, 3, 2.0),), 1)
+    calls = {
+        "round_randomized": lambda: round_randomized(inst, np.ones(1), seed=seed),
+        "random_instance": lambda: random_instance(4, 3, seed=seed),
+    }
+    with pytest.raises(ArgumentError, match="^seed must be"):
         calls[name]()
 
 

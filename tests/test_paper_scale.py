@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from treesynth import certify, parse_g2o, to_instance, tree_connectivity_spectral
+from treesynth import certify, convex, graphs, parse_g2o, to_instance, tree_connectivity_spectral
 
 POSEGRAPH = Path(__file__).resolve().parents[1] / "perfbench" / "posegraph.py"
 K = 161
@@ -36,7 +36,7 @@ def _spectral_objective(inst, selected):
 
 
 @pytest.mark.parametrize("seed", [0, 5])
-def test_certify_at_intel_shape_with_library_defaults(seed):
+def test_certify_at_intel_shape_with_library_defaults(seed, monkeypatch):
     posegraph = _load_posegraph()
     text = posegraph.generate_g2o(posegraph.INTEL_SHAPED, seed)
     inst = to_instance(parse_g2o(text.splitlines()), K)
@@ -48,7 +48,16 @@ def test_certify_at_intel_shape_with_library_defaults(seed):
         weights = [w for _, _, w in inst.base_graph(channel).edges]
         assert kernel.log_det0 == float(np.sum(np.log(weights)))
 
+    # every design certify scores holds the path and k <= order / 2 other
+    # edges, so the tau rule's determinant lemma scores it: no reduced
+    # Laplacian is assembled once the kernels are built
+    assembled = []
+    for module in (graphs, convex):
+        build = module.build_reduced_laplacian
+        monkeypatch.setattr(module, "build_reduced_laplacian",
+                            lambda g, build=build: assembled.append(g) or build(g))
     bundle = certify(inst)  # a ConvergenceError fails the test
+    assert assembled == []
     assert bundle.relaxed.stop_reason in ("residual", "gap")
     assert bundle.lower <= bundle.upper
     for design in (bundle.greedy, bundle.rounded):

@@ -127,6 +127,9 @@ def test_base_pair_override_reclassifies_and_skips_chain_check():
     assert ds.report.missing_links == ()
     inst = to_instance(ds, 0)
     assert inst.num_candidates == 0
+    # override ids are pose ids: a fractional one is refused, not truncated
+    with pytest.raises(ArgumentError, match="vertex ids must be integers, got 0.5"):
+        parse_g2o(lines, base_pairs={(0.5, 1)})
 
 
 def test_to_instance_shapes(mini_g2o):

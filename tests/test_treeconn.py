@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from treesynth import (
     DataError,
     EdgeSelectionInstance,
+    GainFunction,
     SizeGuardError,
     WeightedGraph,
     batch_effective_resistance,
@@ -102,6 +105,142 @@ def test_tau_rule_sums_log_weights_on_trees():
         assert abs(dense - tau) <= bound, (trial, shape, n)
         if top == 10.0:
             assert dense == pytest.approx(tau, rel=1e-12, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the one tau rule: the determinant lemma over the path 1-2-...-n
+
+
+def _exact_tau(g):
+    """tau of g in exact arithmetic: a Bareiss determinant of the reduced
+    Laplacian over Fractions of the float weights, then a 60-digit log."""
+    order = g.n - 1
+    L = [[Fraction(0)] * order for _ in range(order)]
+    for u, v, w in g.edges:
+        w = Fraction(w)
+        for a in (u, v):
+            if a <= order:
+                L[a - 1][a - 1] += w
+        if v <= order:
+            L[u - 1][v - 1] -= w
+            L[v - 1][u - 1] -= w
+    prev = Fraction(1)
+    for k in range(order - 1):  # Bareiss: every division is exact
+        for i in range(k + 1, order):
+            for j in range(k + 1, order):
+                L[i][j] = (L[i][j] * L[k][k] - L[i][k] * L[k][j]) / prev
+        prev = L[k][k]
+    det = L[-1][-1]
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return Decimal(det.numerator).ln() - Decimal(det.denominator).ln()
+
+
+def _path_with_chords(rng, n, chords, e):
+    """A graph on 1..n holding the path {a, a + 1} and ``chords`` other edges.
+
+    It is drawn with its vertices relabelled (its Hamiltonian path visits
+    a random permutation), then labelled along that path, so the path is
+    1-2-...-n; one path edge comes as two parallel edges, and the edge
+    list is shuffled with random orientations. Weights are 10^U(0, e).
+    Returns the relabelled graph and the drawn one, which has the same tau.
+    """
+    perm = rng.permutation(n) + 1
+    weight = lambda: float(10 ** rng.uniform(0.0, e))
+    pairs = [(int(perm[i]), int(perm[i + 1])) for i in range(n - 1)]
+    edges = [(a, b, weight()) for a, b in pairs]
+    edges.append((*pairs[int(rng.integers(0, n - 1))], weight()))  # merged with its twin
+    taken = {frozenset(p) for p in pairs}
+    while len(taken) < n - 1 + chords:
+        a, b = (int(x) for x in rng.choice(perm, 2, replace=False))
+        if frozenset((a, b)) not in taken:
+            taken.add(frozenset((a, b)))
+            edges.append((a, b, weight()))
+    label = {int(p): i + 1 for i, p in enumerate(perm)}
+    relabelled = [(label[b], label[a], w) if rng.random() < 0.5 else (label[a], label[b], w)
+                  for a, b, w in edges]
+    order = rng.permutation(len(edges))
+    return (WeightedGraph(n, tuple(relabelled[i] for i in order)),
+            WeightedGraph(n, tuple(edges)))
+
+
+@pytest.mark.parametrize("e", [4, 8, 12])
+def test_tau_rule_takes_the_lemma_over_the_path(e, monkeypatch):
+    from treesynth import graphs
+
+    assembled = []
+    build = graphs.build_reduced_laplacian
+    monkeypatch.setattr(graphs, "build_reduced_laplacian",
+                        lambda g: assembled.append(g) or build(g))
+    rng = np.random.default_rng(100 + e)
+    eps = np.finfo(float).eps
+    n, chords = 10, 3
+    for _ in range(12):
+        g, drawn = _path_with_chords(rng, n, chords, e)
+        tau = tree_connectivity(g).tau
+        assert assembled == []  # the lemma, not the dense factor
+        exact = _exact_tau(drawn)
+        # the lemma's own R: R R^T = K = I + Z_X^T Z_X, X the chords. Z's
+        # entries, sqrt(w) / sqrt(p), are nonnegative (u < v) and within
+        # 3 roundings, so with the Gram product, the + I and the factor's
+        # backward error (Higham, Thm 10.3) K is perturbed by at most
+        # (order + |X| + 8) / 2 eps |R| |R^T| <= (n + 1) eps |R| |R^T|,
+        # which moves log det by up to |K^-1| : that to first order; the
+        # logs and the sum of nonnegative terms add n eps |tau|
+        u, v, w = (np.array(c) for c in zip(*g.edges))
+        on_path = v - u == 1
+        Zt = graphs.path_whitened_incidence(w[on_path], np.stack((u, v), 1)[~on_path], w[~on_path])
+        K = Zt @ Zt.T + np.eye(chords)
+        R = np.abs(np.linalg.cholesky(K))
+        bound = eps * ((n + 1) * np.sum(np.abs(np.linalg.inv(K)) * (R @ R.T)) + n * abs(tau))
+        assert abs(Decimal(tau) - exact) <= Decimal(bound), (e, tau, exact, bound)
+        # the design score is the same rule: from scratch, bit for bit
+        base = tuple((a, a + 1, w) for a, w in zip(range(1, n), w[on_path]))
+        inst = EdgeSelectionInstance(n, base, tuple(zip(u[~on_path].tolist(), v[~on_path].tolist(),
+                                                        w[~on_path].tolist())), chords)
+        assert GainFunction(inst, (0.0,)).absolute(range(chords)) == tau
+        assert assembled == []
+    # the cut: the path plus order / 2 other edges takes the lemma, one more
+    # edge the dense factor
+    path = tuple((a, a + 1, 2.0) for a in range(1, n))
+    others = ((1, 3, 1.5), (2, 7, 3.0), (4, 9, 1.0), (5, 10, 2.5), (1, 10, 4.0))
+    for extra, dense in ((4, 0), (5, 1)):
+        g = WeightedGraph(n, path + others[:extra])
+        tau = tree_connectivity(g).tau
+        assert len(assembled) == dense
+        assert tau == pytest.approx(float(_exact_tau(g)), rel=1e-14, abs=0.0)
+        assembled.clear()
+
+
+def test_path_whitened_incidence_writes_only_the_spans():
+    def with_cumsum(path_weights, pairs, weights):
+        # the construction it replaced: a difference array of +-sqrt(w),
+        # a cumulative sum along rows and a division of every entry
+        order = len(path_weights)
+        uv = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        lo, hi = uv.min(axis=1) - 1, uv.max(axis=1) - 1
+        d = np.where(uv[:, 0] < uv[:, 1], 1.0, -1.0) * np.sqrt(weights)
+        Zt = np.zeros((len(uv), order))
+        rows = np.arange(len(uv))
+        Zt[rows, lo] = d
+        inside = hi < order
+        Zt[rows[inside], hi[inside]] = -d[inside]
+        np.cumsum(Zt, axis=1, out=Zt)
+        Zt /= np.sqrt(path_weights)
+        return Zt
+
+    from treesynth.graphs import path_whitened_incidence
+
+    rng = np.random.default_rng(57)
+    for n, c in ((2, 3), (9, 1), (12, 30), (60, 200)):
+        p = 10 ** rng.uniform(0.0, 8.0, n - 1)
+        pairs = [rng.choice(np.arange(1, n + 1), 2, replace=False) for _ in range(c)]
+        w = 10 ** rng.uniform(0.0, 8.0, c)
+        Zt = path_whitened_incidence(p, pairs, w)
+        ref = with_cumsum(p, pairs, w)
+        assert Zt.flags.c_contiguous and Zt.shape == ref.shape
+        assert Zt.tobytes() == ref.tobytes()
+    assert path_whitened_incidence(np.ones(3), np.empty((0, 2), int), np.empty(0)).shape == (0, 3)
 
 
 def test_three_paths_agree_on_random_graphs():
@@ -327,9 +466,11 @@ def test_path_base_kernels_assemble_and_factor_nothing(monkeypatch):
             assert kernel.log_det0 == float(np.sum(np.log(weights)))
     assert calls == []
     # a base that is not the path is assembled once per channel and factored
+    # for Z; the path plus one chord takes the tau rule's determinant lemma,
+    # whose 1 x 1 form is factored for log_det0
     chord = EdgeSelectionInstance(12, (*path, (2, 9, 3.0)), cands, 3)
     chord.kernels
-    assert calls == ["build_reduced_laplacian", "dpotrf"]
+    assert calls == ["build_reduced_laplacian", "dpotrf", "dpotrf"]
 
 
 def test_g2o_instances_take_the_closed_form(mini_g2o):
