@@ -36,6 +36,15 @@ OBJECTIVE_SLAM = "slam-double"
 PIVOT_RTOL = 1e-12
 # The largest n whose pair keys u * (n + 1) + v fit in int64 (_merge_columns).
 MAX_VERTICES = 3_037_000_498
+# connected_tau scores a graph that holds the path 1-2-...-n by the
+# determinant lemma while its other edges number at most this share of the
+# order, and by the dense factor beyond. With one BLAS thread and glibc's
+# malloc thresholds pinned, the lemma stops being faster between shares
+# 0.55 and 0.60 at order 299 and between 0.65 and 0.70 at order 942, and
+# takes 2.2-2.4 times the dense factor's on a full g2o graph (share 0.95):
+# scripts/tau_crossover.py, BENCH_tau_crossover.json. The cut is the
+# smaller crossing, so below it neither order takes the slower route.
+LEMMA_MAX_EXTRA = 0.55
 # random_instance draws at most this many base graphs before giving up
 RANDOM_BASE_TRIES = 10000
 _UNRESOLVED = (
@@ -459,6 +468,28 @@ def path_whitened_incidence(path_weights: np.ndarray, pairs, weights) -> np.ndar
     return Zt
 
 
+def path_lemma_tau(path_weights: np.ndarray, pairs, weights) -> float:
+    """tau of the path 1-2-...-n plus the edges X by the determinant lemma.
+
+    ``path_weights[j]`` is the weight of the path edge {j + 1, j + 2};
+    ``pairs`` and ``weights`` are the edges X, none of them a path pair.
+    tau = sum log p + log det(I + Z_X^T Z_X), Z_X the path's closed-form
+    whitening of X (path_whitened_incidence), from one Cholesky factor of
+    the |X| x |X| form. That form's eigenvalues are all at least 1, so the
+    factor's error needs no condition number; a form that overflows, or
+    whose factor fails, is refused with _UNRESOLVED.
+    """
+    Zt = path_whitened_incidence(path_weights, pairs, weights)
+    with np.errstate(over="ignore"):  # refused below
+        K = Zt @ Zt.T
+    K.flat[:: K.shape[0] + 1] += 1.0
+    R, info = dpotrf(K, lower=1, clean=0)
+    log_det = 2.0 * float(np.sum(np.log(np.diag(R))))
+    if info or not math.isfinite(log_det):
+        raise NumericalError(f"Cholesky factorization failed: {_UNRESOLVED}")
+    return float(np.sum(np.log(path_weights))) + log_det
+
+
 def connected_tau(g: WeightedGraph, lap: ReducedLaplacian | None = None) -> float:
     """tau, the log weighted spanning-tree count, of the connected graph g.
 
@@ -468,36 +499,28 @@ def connected_tau(g: WeightedGraph, lap: ReducedLaplacian | None = None) -> floa
       tau is the sum of its log weights, exact to the rounding of the
       logs and the sum, with nothing assembled or factored;
     * a graph whose merged edges contain the path {a, a + 1}, a =
-      1..n-1, and at most order / 2 other edges X (order = n - 1) takes
-      the determinant lemma over that path: tau = sum log p + log det(I +
-      Z_X^T Z_X), p the path weights and Z_X the path's closed-form
-      whitening of X (path_whitened_incidence), from one Cholesky factor
-      of the |X| x |X| form. That form's eigenvalues are all at least
-      1, so the factor's error needs no condition number;
+      1..n-1, and at most LEMMA_MAX_EXTRA * order other edges (order =
+      n - 1) takes the determinant lemma over that path (path_lemma_tau);
     * every other graph takes the log det of its reduced Laplacian's
       dense factor, ``lap`` when the caller has assembled it, whose error
       grows with the matrix's condition number.
 
-    The cut at order / 2 keeps the designs of the paper's budgets, well
-    under half the poses, on the lemma, and full g2o graphs, with about
-    as many closures as poses, on the dense factor, as the lemma's
-    |X|^2 order flops near the factor's order^3 / 3. g must be connected;
-    the caller checks.
+    The lemma costs about |X|^2 order flops and the dense factor about
+    order^3 / 3, so past some share of extra edges the dense factor is
+    faster; LEMMA_MAX_EXTRA is the measured share (see its comment), so
+    the designs of the paper's budgets, well under half the poses, take
+    the lemma and full g2o graphs, with about as many closures as poses,
+    the dense factor. g must be connected; the caller checks.
     """
     u, v, w = g._columns
     order = g.n - 1
     if g.num_edges == order:
         return float(np.sum(np.log(w)))
     # merged edges have u < v, one per pair
-    if 2 * (g.num_edges - order) <= order and np.count_nonzero(on_path := v - u == 1) == order:
+    on_path = v - u == 1
+    if g.num_edges - order <= LEMMA_MAX_EXTRA * order and np.count_nonzero(on_path) == order:
         off = ~on_path
-        Zt = path_whitened_incidence(w[on_path], np.stack((u[off], v[off]), axis=1), w[off])
-        K = Zt @ Zt.T
-        K.flat[:: K.shape[0] + 1] += 1.0
-        R, info = dpotrf(K, lower=1, clean=0)
-        if info:
-            raise NumericalError(f"Cholesky factorization failed: {_UNRESOLVED}")
-        return float(np.sum(np.log(w[on_path]))) + 2.0 * float(np.sum(np.log(np.diag(R))))
+        return path_lemma_tau(w[on_path], np.stack((u[off], v[off]), axis=1), w[off])
     return (build_reduced_laplacian(g) if lap is None else lap).log_det()
 
 
@@ -650,7 +673,8 @@ class EdgeSelectionInstance:
         form (path_whitened_incidence). Every other base is assembled
         once, and whitened by a triangular solve against its factor; its
         log_det0 is that factor's unless the tau rule's determinant lemma
-        takes the base (the path plus at most order / 2 other edges).
+        takes the base (the path plus at most LEMMA_MAX_EXTRA * order
+        other edges).
         """
         from .treeconn import SubsetLogDet, whitened_incidence
 

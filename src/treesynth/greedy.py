@@ -106,10 +106,11 @@ class GainFunction:
     scratch, a new graph per channel scored by the one tau rule
     (graphs.connected_tau), so it is the slow, trustworthy evaluation the
     fast greedy path is checked against. On a path base, every g2o
-    instance's, a design of at most order / 2 candidates takes the
-    determinant lemma over the path: one |X| x |X| factor, X the
-    design's edges off the path. Other designs assemble and factor the
-    reduced Laplacian, unless the graph is a tree. It checks no
+    instance's, a design of at most LEMMA_MAX_EXTRA * order candidates
+    (graphs.LEMMA_MAX_EXTRA, 0.55) takes the determinant lemma over the
+    path: one |X| x |X| factor, X the design's edges off the path. Other
+    designs assemble and factor the reduced Laplacian, unless the graph
+    is a tree. It checks no
     connectivity: the instance guard proved the base graph connected,
     adding candidates keeps it so, and the dense factor's pivot floor
     still refuses what float64 cannot resolve.

@@ -5,10 +5,10 @@ determinant of any reduced Laplacian, so its log (tau, the quantity this
 package maximizes) comes from the one tau rule (graphs.connected_tau):
 straight from the weights of a spanning tree, by the determinant lemma
 over the path 1-2-...-n when the graph holds that path and at most
-order / 2 other edges, and otherwise from one dense Cholesky factor of
-the reduced Laplacian. A spectral
-form, sum of log nonzero Laplacian eigenvalues minus log n, serves as an
-independent cross-check, and a literal subset-enumeration oracle covers
+LEMMA_MAX_EXTRA * order other edges (0.55 of the order, where the
+measured costs cross), and otherwise from one dense Cholesky factor of
+the reduced Laplacian. A spectral form, sum of log nonzero Laplacian
+eigenvalues minus log n, serves as an independent cross-check, and a literal subset-enumeration oracle covers
 small graphs in tests. Whether a graph is connected, and the oracle's
 test of whether n - 1 edges form a spanning tree, are both the one
 union-find of graphs._component_count.
@@ -58,10 +58,10 @@ def tree_connectivity(g: WeightedGraph) -> TreeConnectivity:
     """tau by the one tau rule (graphs.connected_tau). The production path.
 
     A spanning tree's tau is its sum of log weights; a graph that holds
-    the path 1-2-...-n and at most order / 2 other edges adds the log det
-    of the determinant lemma's small form over that path; every other
-    connected graph's comes from one Cholesky factorization of its
-    reduced Laplacian.
+    the path 1-2-...-n and at most LEMMA_MAX_EXTRA * order other edges
+    (graphs.LEMMA_MAX_EXTRA) adds the log det of the determinant lemma's
+    small form over that path; every other connected graph's comes from
+    one Cholesky factorization of its reduced Laplacian.
     """
     if not is_connected(g):
         return TreeConnectivity(0.0, False)
@@ -140,9 +140,9 @@ class SubsetLogDet:
     factor (whitened_incidence), whose error grows with L0's condition
     number. On a tree base, the path of every g2o instance among them,
     log_det0 is the sum of the base's log weights, and on the path plus
-    at most order / 2 other edges it comes from the determinant lemma
-    over the path, neither with a condition-number term; on any other
-    base it comes from L0's dense factor. A batch shares one
+    at most LEMMA_MAX_EXTRA * order other edges it comes from the
+    determinant lemma over the path, neither with a condition-number
+    term; on any other base it comes from L0's dense factor. A batch shares one
     stacked slogdet on the smaller Sylvester form, s x s or
     order x order, and each subset's value does not depend on the rest
     of its batch. Memory is O(order * c) plus the batch.

@@ -35,6 +35,7 @@ from treesynth import (
     save_instance,
     solve_p2,
     to_instance,
+    tree_connectivity,
 )
 from treesynth.cli import main
 
@@ -312,6 +313,13 @@ def test_cholesky_refusal_names_both_causes(tmp_path, capsys):
     save_instance(inst, refused)
     assert main(["certify", "--instance", str(refused)]) == 3
     assert "disconnected up to rounding" in capsys.readouterr().err
+    # the lemma's form overflows: K = 1 + 2e308 is inf, which the factor
+    # takes without complaint, so the rule refuses the non-finite log det
+    overflow = WeightedGraph(3, ((1, 2, 1.0), (2, 3, 1.0), (1, 3, 1e308)))
+    with pytest.raises(NumericalError) as err:
+        tree_connectivity(overflow)
+    assert "disconnected up to rounding" in str(err.value)
+    assert "weights spread more widely than float64 resolves" in str(err.value)
 
 
 def test_incidence_vector_anchor_handling():

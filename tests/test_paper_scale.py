@@ -48,8 +48,8 @@ def test_certify_at_intel_shape_with_library_defaults(seed, monkeypatch):
         weights = [w for _, _, w in inst.base_graph(channel).edges]
         assert kernel.log_det0 == float(np.sum(np.log(weights)))
 
-    # every design certify scores holds the path and k <= order / 2 other
-    # edges, so the tau rule's determinant lemma scores it: no reduced
+    # every design certify scores holds the path and k <= LEMMA_MAX_EXTRA *
+    # order other edges, so the tau rule's determinant lemma scores it: no reduced
     # Laplacian is assembled once the kernels are built
     assembled = []
     for module in (graphs, convex):

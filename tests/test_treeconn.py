@@ -200,11 +200,14 @@ def test_tau_rule_takes_the_lemma_over_the_path(e, monkeypatch):
                                                         w[~on_path].tolist())), chords)
         assert GainFunction(inst, (0.0,)).absolute(range(chords)) == tau
         assert assembled == []
-    # the cut: the path plus order / 2 other edges takes the lemma, one more
-    # edge the dense factor
+    # the cut: the path plus LEMMA_MAX_EXTRA * order other edges takes the
+    # lemma, one more edge the dense factor
     path = tuple((a, a + 1, 2.0) for a in range(1, n))
-    others = ((1, 3, 1.5), (2, 7, 3.0), (4, 9, 1.0), (5, 10, 2.5), (1, 10, 4.0))
-    for extra, dense in ((4, 0), (5, 1)):
+    others = ((1, 3, 1.5), (2, 7, 3.0), (4, 9, 1.0), (5, 10, 2.5), (1, 10, 4.0), (3, 8, 0.5),
+              (2, 5, 1.25))
+    last = math.floor(graphs.LEMMA_MAX_EXTRA * (n - 1))
+    assert 0 < last < len(others)
+    for extra, dense in ((last, 0), (last + 1, 1)):
         g = WeightedGraph(n, path + others[:extra])
         tau = tree_connectivity(g).tau
         assert len(assembled) == dense
