@@ -37,6 +37,7 @@ from .errors import (
     TreesynthError,
 )
 from .graphs import (
+    DIRECTION_ADD,
     DIRECTION_REMOVE,
     OBJECTIVE_SLAM,
     EdgeSelectionInstance,
@@ -57,7 +58,6 @@ from .greedy import (
     greedy_to_threshold,
 )
 from .slam import PoseGraphDataset, channel_taus, find_dataset, parse_g2o, to_instance
-from .treeconn import tree_connectivity
 
 EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1
@@ -304,14 +304,14 @@ def cmd_evaluate(args) -> int:
         inst = _load_instance_from_args(args, need_k=False)
         doc = {"instance": inst.describe()}
         proxy = {"base": 0.0, "full": 0.0}
-        for channel, mult in inst.channels:
-            base = inst.base_graph(channel)
-            full = base.with_edges(inst.candidate_edges(range(inst.num_candidates), channel))
+        # a removal instance's candidates are base edges already: its full graph is its base
+        every = range(inst.num_candidates) if inst.direction == DIRECTION_ADD else ()
+        taus = {"base": inst.design_taus(), "full": inst.design_taus(every)}
+        for i, (channel, mult) in enumerate(inst.channels):
             prefix = "tau" if channel is None else f"tau_{channel}"
-            for which, g in (("base", base), ("full", full)):
-                tau = tree_connectivity(g).tau
-                doc[f"{prefix}_{which}"] = tau
-                proxy[which] += mult * tau
+            for which in ("base", "full"):
+                doc[f"{prefix}_{which}"] = taus[which][i]
+                proxy[which] += mult * taus[which][i]
         if inst.objective == OBJECTIVE_SLAM:
             doc.update({f"dopt_proxy_{which}": value for which, value in proxy.items()})
     _emit_json(doc, args.output)

@@ -180,17 +180,18 @@ def _check_edges(
     return u, v, w
 
 
-def _merge_columns(
-    lo: np.ndarray, hi: np.ndarray, w: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edge columns with lo < hi in 1..n, one row per pair, sorted by pair.
+def _merge_columns(u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int) -> tuple:
+    """An edge set's merged columns: lo < hi in 1..n, one row per pair, sorted by pair.
 
-    w holds one weight column, shape (m,), or several, (m, j). One stable
-    sort on the pair key lo * (n + 1) + hi finds each pair's first edge,
-    and bincount sums each pair's weights from 0.0 in input order, so a
-    pair's first weights keep their bits and later copies add on in the
-    order they came, as a dict merge over the edges would.
+    The canonical form, the one the tau rule reads. u and v come in either
+    orientation; w holds one weight column, (m,), or one per channel,
+    (m, j). One stable sort on the pair key lo * (n + 1) + hi finds each
+    pair's first edge, and bincount sums each pair's weights from 0.0 in
+    input order, so a pair's first weights keep their bits and later
+    copies add on in the order they came, as a dict merge would.
     """
+    lo = np.minimum(u, v).astype(np.int64, copy=False)
+    hi = np.maximum(u, v).astype(np.int64, copy=False)
     key = lo * (n + 1) + hi
     order = np.argsort(key, kind="stable")
     sorted_key = key[order]
@@ -215,8 +216,7 @@ def _merge_parallel(edges: Iterable[tuple]) -> tuple[tuple, ...]:
     if not edges:
         return ()
     u, v, *ws = (np.array(c) for c in zip(*edges))
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    lo, hi, sums = _merge_columns(lo, hi, np.stack(ws, axis=1).astype(float), int(hi.max()))
+    lo, hi, sums = _merge_columns(u, v, np.stack(ws, axis=1).astype(float), int(np.maximum(u, v).max()))
     return tuple(zip(lo.tolist(), hi.tolist(), *sums.T.tolist()))
 
 
@@ -242,8 +242,7 @@ class WeightedGraph:
         object.__setattr__(self, "n", n)
 
         u, v, w = _check_edges(self.edges, n)
-        lo, hi = (a.astype(np.int64, copy=False) for a in (np.minimum(u, v), np.maximum(u, v)))
-        u, v, w = _merge_columns(lo, hi, w[:, 0], n)
+        u, v, w = _merge_columns(u, v, w[:, 0], n)
         for a in (u, v, w):
             a.setflags(write=False)
         object.__setattr__(self, "_columns", (u, v, w))
@@ -293,21 +292,20 @@ class WeightedGraph:
         The diagonal is one bincount in a per-edge loop's summation order,
         so the bits are that loop's (_laplacian).
         """
-        return _laplacian(self, self.n)
+        return _laplacian(*self._columns, self.n)
 
 
-def _laplacian(g: WeightedGraph, order: int) -> np.ndarray:
-    """The leading order x order block of g's Laplacian, assembled from arrays.
+def _laplacian(u: np.ndarray, v: np.ndarray, w: np.ndarray, order: int) -> np.ndarray:
+    """The leading order x order block of a Laplacian, from merged columns.
 
-    The diagonal is one bincount over the interleaved ends u0, v0, u1,
-    v1, ...: each vertex adds its edges' weights from 0.0 in edge order,
-    the order of a per-edge loop, so the bits are that loop's. Each
-    off-diagonal pair occurs once, so it is set to -w.
+    The one assembly. The diagonal is one bincount over the interleaved
+    ends u0, v0, u1, v1, ...: each vertex adds its edges' weights from
+    0.0 in edge order, the order of a per-edge loop, so the bits are that
+    loop's. Each off-diagonal pair occurs once, so it is set to -w.
     """
-    u, v, w = g._columns
     L = np.zeros((order, order))
     ends = np.stack((u, v), axis=1).ravel()
-    L.flat[:: order + 1] = np.bincount(ends, weights=np.repeat(w, 2), minlength=g.n + 1)[1 : order + 1]
+    L.flat[:: order + 1] = np.bincount(ends, weights=np.repeat(w, 2), minlength=order + 1)[1 : order + 1]
     inside = v <= order  # u < v, so v is the end past the block
     i, j, w = u[inside] - 1, v[inside] - 1, w[inside]
     L[i, j] = -w
@@ -437,7 +435,7 @@ def build_reduced_laplacian(g: WeightedGraph) -> ReducedLaplacian:
     """
     if g.n < 2:
         raise ArgumentError("reduced Laplacian needs at least 2 vertices")
-    return ReducedLaplacian._trusted(g.n, _laplacian(g, g.n - 1))
+    return ReducedLaplacian._trusted(g.n, _laplacian(*g._columns, g.n - 1))
 
 
 def path_whitened_incidence(path_weights: np.ndarray, pairs, weights) -> np.ndarray:
@@ -490,10 +488,10 @@ def path_lemma_tau(path_weights: np.ndarray, pairs, weights) -> float:
     return float(np.sum(np.log(path_weights))) + log_det
 
 
-def connected_tau(g: WeightedGraph, lap: ReducedLaplacian | None = None) -> float:
-    """tau, the log weighted spanning-tree count, of the connected graph g.
+def connected_tau(n: int, u, v, w, lap: ReducedLaplacian | None = None) -> float:
+    """tau, the log weighted spanning-tree count, of a connected graph on 1..n.
 
-    The one tau rule, in three cases:
+    The one tau rule, on one channel of merged columns (_merge_columns):
 
     * a graph with n - 1 merged edges is its own only spanning tree, so
       tau is the sum of its log weights, exact to the rounding of the
@@ -510,18 +508,16 @@ def connected_tau(g: WeightedGraph, lap: ReducedLaplacian | None = None) -> floa
     faster; LEMMA_MAX_EXTRA is the measured share (see its comment), so
     the designs of the paper's budgets, well under half the poses, take
     the lemma and full g2o graphs, with about as many closures as poses,
-    the dense factor. g must be connected; the caller checks.
+    the dense factor. The graph must be connected; the caller checks.
     """
-    u, v, w = g._columns
-    order = g.n - 1
-    if g.num_edges == order:
+    order = n - 1
+    if len(w) == order:
         return float(np.sum(np.log(w)))
-    # merged edges have u < v, one per pair
     on_path = v - u == 1
-    if g.num_edges - order <= LEMMA_MAX_EXTRA * order and np.count_nonzero(on_path) == order:
+    if len(w) - order <= LEMMA_MAX_EXTRA * order and np.count_nonzero(on_path) == order:
         off = ~on_path
         return path_lemma_tau(w[on_path], np.stack((u[off], v[off]), axis=1), w[off])
-    return (build_reduced_laplacian(g) if lap is None else lap).log_det()
+    return (ReducedLaplacian._trusted(n, _laplacian(u, v, w, order)) if lap is None else lap).log_det()
 
 
 @dataclass(frozen=True)
@@ -538,13 +534,13 @@ class EdgeSelectionInstance:
     Candidate order is significant: greedy ties break toward the lowest
     index and selections are reported as indices into ``candidates``.
 
-    Construction is the one edge check and the one connectivity check:
+    Construction is the one edge check, merge and connectivity check:
     base edges and candidates go through _check_edges, with one weight
     column per channel, and come out as (int, int, float, ...) tuples in
-    their given orientation; the base graph must be connected
-    (_component_count). The channels share one topology, so only the
-    first channel's graph is checked. Every design adds edges to a
-    connected base, so scoring one (greedy.GainFunction) checks nothing.
+    their given orientation. The channels share one topology, so the base
+    is merged once for all of them (_merge_columns), and those merged
+    columns, kept with the candidates' checked ones for design_taus, must
+    be connected (_component_count).
     """
 
     n: int
@@ -566,12 +562,12 @@ class EdgeSelectionInstance:
         if n < 2:
             raise ArgumentError(f"instances need at least 2 vertices, got n={n}")
 
-        def checked(edges, what: str) -> tuple[tuple, ...]:
-            u, v, w = _check_edges(edges, n, len(self.channels), what)
-            return tuple(zip(u.tolist(), v.tolist(), *w.T.tolist()))
+        def checked(edges, what: str) -> tuple[tuple, tuple[np.ndarray, ...]]:
+            u, v, w = cols = _check_edges(edges, n, len(self.channels), what)
+            return tuple(zip(u.tolist(), v.tolist(), *w.T.tolist())), cols
 
-        base = checked(self.base_edges, "base edge")
-        cands = checked(self.candidates, "candidate")
+        base, base_cols = checked(self.base_edges, "base edge")
+        cands, cand_cols = checked(self.candidates, "candidate")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "base_edges", base)
         object.__setattr__(self, "candidates", cands)
@@ -581,12 +577,18 @@ class EdgeSelectionInstance:
             raise ArgumentError(f"budget k={k} outside 0..{len(cands)}")
         object.__setattr__(self, "k", k)
 
-        g = self.base_graph(self.channels[0][0])
-        if not g.connected:
-            raise DataError(f"base graph is disconnected ({g.component_count} components)")
+        merged_cols = _merge_columns(*base_cols, n)
+        for a in (*merged_cols, *cand_cols):
+            a.setflags(write=False)
+        object.__setattr__(self, "_base_columns", merged_cols)
+        object.__setattr__(self, "_candidate_columns", cand_cols)
+        u, v, w = merged_cols
+        components = _component_count(n, u.tolist(), v.tolist())
+        if components != 1:
+            raise DataError(f"base graph is disconnected ({components} components)")
 
         if self.direction == DIRECTION_REMOVE:
-            merged = {e[:2]: e[2:] for e in self.merged_base_edges()}
+            merged = dict(zip(zip(u.tolist(), v.tolist()), w.tolist()))
             seen: set[tuple[int, int]] = set()
             for e in cands:
                 pair = _canonical_pair(e[0], e[1])
@@ -617,7 +619,7 @@ class EdgeSelectionInstance:
         """Position of ``channel`` in ``channels``: the one channel check.
 
         A channel's weight is entry 2 + index of an instance edge and
-        column 2 + index of ``candidate_array``.
+        column index of the instance's weight columns.
         """
         for i, (ch, _) in enumerate(self.channels):
             if ch == channel:
@@ -628,24 +630,14 @@ class EdgeSelectionInstance:
             f"slam-double instances require a channel, 'p' or 'theta', got {channel!r}"
         )
 
-    @cached_property
-    def _base_graphs(self) -> tuple[WeightedGraph, ...]:
-        cols = tuple(zip(*self.base_edges)) or ((),) * (2 + len(self.channels))
-        return tuple(WeightedGraph(self.n, tuple(zip(cols[0], cols[1], w))) for w in cols[2:])
-
     def base_graph(self, channel: str | None = None) -> WeightedGraph:
-        return self._base_graphs[self._channel_index(channel)]
+        u, v, w = self._base_columns
+        ws = w[:, self._channel_index(channel)].tolist()
+        return WeightedGraph(self.n, tuple(zip(u.tolist(), v.tolist(), ws)))
 
     @cached_property
     def candidate_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((e[0], e[1]) for e in self.candidates)
-
-    @cached_property
-    def candidate_array(self) -> np.ndarray:
-        """The candidates as a read-only c x (2 + channels) float array."""
-        a = np.array(self.candidates, dtype=float).reshape(self.num_candidates, 2 + len(self.channels))
-        a.setflags(write=False)
-        return a
 
     @cached_property
     def kernels(self) -> tuple:
@@ -664,17 +656,15 @@ class EdgeSelectionInstance:
         gathered rows; and the Newton trial the free block's Hessian,
         |F|^2. The kernel keeps none of them.
 
-        Each kernel's log_det0 is its base graph's tau by the one tau rule
-        (connected_tau), so it has the bits of tree_connectivity(base). A
-        channel whose merged base edges are {a, a + 1} for a = 1..n-1,
-        the odometry path of every g2o instance (slam.to_instance, and
-        reduce_removal_to_addition's base), is neither assembled nor
-        factored: log_det0 is its sum of log weights and Z comes in closed
-        form (path_whitened_incidence). Every other base is assembled
-        once, and whitened by a triangular solve against its factor; its
-        log_det0 is that factor's unless the tau rule's determinant lemma
-        takes the base (the path plus at most LEMMA_MAX_EXTRA * order
-        other edges).
+        Each kernel's log_det0 is the tau rule (connected_tau) on its
+        channel of the merged base columns. A base whose merged edges are
+        {a, a + 1} for a = 1..n-1, the odometry path of every g2o instance
+        (slam.to_instance, and reduce_removal_to_addition's base), is
+        neither assembled nor factored: log_det0 is its sum of log weights
+        and Z comes in closed form (path_whitened_incidence). Every other
+        base is assembled once per channel and whitened by a triangular
+        solve against its factor. A weighted resistance (gram_diag) that
+        overflows float64 raises NumericalError here, for every solver.
         """
         from .treeconn import SubsetLogDet, whitened_incidence
 
@@ -684,18 +674,20 @@ class EdgeSelectionInstance:
                 "instances first (reduce_removal_to_addition)"
             )
         pairs = self.candidate_pairs
+        u, v, w = self._base_columns
+        on_path = np.all(v - u == 1)  # the base is connected, so this is the whole path
         kernels = []
-        for ch, mult in self.channels:
-            g = self.base_graph(ch)
+        for i, (ch, mult) in enumerate(self.channels):
             weights = self.candidate_weights(ch)
-            u, v, w = g._columns
-            # g is connected, so edges that all join a and a + 1 are the whole path
-            if np.all(v - u == 1):
-                kernel = SubsetLogDet(connected_tau(g), path_whitened_incidence(w, pairs, weights))
+            if on_path:
+                kernel = SubsetLogDet(connected_tau(self.n, u, v, w[:, i]),
+                                      path_whitened_incidence(w[:, i], pairs, weights))
             else:
-                L = build_reduced_laplacian(g)
+                L = ReducedLaplacian._trusted(self.n, _laplacian(u, v, w[:, i], self.n - 1))
                 Z = whitened_incidence(L, pairs) * np.sqrt(weights)
-                kernel = SubsetLogDet(connected_tau(g, L), np.ascontiguousarray(Z.T))
+                kernel = SubsetLogDet(connected_tau(self.n, u, v, w[:, i], L), np.ascontiguousarray(Z.T))
+            if not np.all(np.isfinite(kernel.gram_diag)):
+                raise NumericalError(f"a candidate's weighted resistance overflows: {_UNRESOLVED}")
             kernels.append((mult, kernel))
         return tuple(kernels)
 
@@ -710,7 +702,7 @@ class EdgeSelectionInstance:
         return inst
 
     def candidate_weights(self, channel: str | None = None) -> np.ndarray:
-        w = np.ascontiguousarray(self.candidate_array[:, 2 + self._channel_index(channel)])
+        w = np.ascontiguousarray(self._candidate_columns[2][:, self._channel_index(channel)])
         w.setflags(write=False)
         return w
 
@@ -719,14 +711,26 @@ class EdgeSelectionInstance:
         col = 2 + self._channel_index(channel)
         return [(e[0], e[1], e[col]) for e in map(self.candidates.__getitem__, indices)]
 
-    def merged_base_edges(self) -> tuple[tuple, ...]:
-        """Base edges after parallel-edge merging, in instance arity."""
-        return _merge_parallel(self.base_edges)
+    def design_taus(self, indices: Iterable[int] = ()) -> tuple[float, ...]:
+        """Each channel's tau, by the tau rule, of the base plus the candidates ``indices``.
+
+        The design's candidate columns go after the merged base columns, in
+        the order given, and all channels are merged at once, so each pair's
+        weights add as in base_graph(ch).with_edges(candidate_edges(indices,
+        ch)). A removal instance's candidates are base edges already: it
+        scores its base only (a removal design is scored on its reduction).
+        """
+        idx = _design_indices(self, indices)
+        if idx and self.direction != DIRECTION_ADD:
+            raise ArgumentError("a removal instance scores its base only; reduce it first")
+        cols = (np.concatenate((b, c[idx])) for b, c in zip(self._base_columns, self._candidate_columns))
+        u, v, w = _merge_columns(*cols, self.n)
+        return tuple(connected_tau(self.n, u, v, w[:, i]) for i in range(len(self.channels)))
 
     def describe(self) -> dict:
         return {
             "n": self.n,
-            "m_init": self.base_graph(self.channels[0][0]).num_edges,
+            "m_init": len(self._base_columns[0]),
             "c": self.num_candidates,
             "k": self.k,
             "direction": self.direction,
@@ -747,7 +751,8 @@ def reduce_removal_to_addition(inst: EdgeSelectionInstance) -> EdgeSelectionInst
     if inst.direction != DIRECTION_REMOVE:
         raise ArgumentError("only removal instances can be reduced")
     cand_pairs = {_canonical_pair(e[0], e[1]) for e in inst.candidates}
-    skeleton = tuple(e for e in inst.merged_base_edges() if e[:2] not in cand_pairs)
+    u, v, w = inst._base_columns
+    skeleton = tuple(e for e in zip(u.tolist(), v.tolist(), *w.T.tolist()) if e[:2] not in cand_pairs)
     try:
         return EdgeSelectionInstance(
             n=inst.n,
@@ -769,7 +774,7 @@ def _design_indices(
 ) -> list[int]:
     """The design's candidate indices, checked: no repeats, each in 0..c-1,
     and exactly ``size`` of them when given."""
-    idx = [int(i) for i in design]
+    idx = [_as_vertex(i, "candidate index") for i in design]
     bad = [i for i in idx if not 0 <= i < inst.num_candidates]
     if bad:
         raise ArgumentError(

@@ -32,7 +32,7 @@ import numpy as np
 from . import treeconn
 from ._lapack import dpotrf, dtrtri
 from .errors import ArgumentError, InfeasibleError, SizeGuardError
-from .graphs import EdgeSelectionInstance, _design_indices, connected_tau
+from .graphs import EdgeSelectionInstance
 
 # exhaustive_select refuses to walk more subsets than this
 EXHAUSTIVE_MAX_SUBSETS = 10**6
@@ -102,18 +102,18 @@ class SelectionResult:
 class GainFunction:
     """Tree-connectivity gain of candidate subsets over the base graph.
 
-    Calling it with an index subset rebuilds the augmented graph from
-    scratch, a new graph per channel scored by the one tau rule
-    (graphs.connected_tau), so it is the slow, trustworthy evaluation the
+    Calling it with an index subset scores the augmented graph from
+    scratch (EdgeSelectionInstance.design_taus: the base's and the
+    design's merged columns, each channel read by the one tau rule,
+    graphs.connected_tau), so it is the slow, trustworthy evaluation the
     fast greedy path is checked against. On a path base, every g2o
     instance's, a design of at most LEMMA_MAX_EXTRA * order candidates
     (graphs.LEMMA_MAX_EXTRA, 0.55) takes the determinant lemma over the
     path: one |X| x |X| factor, X the design's edges off the path. Other
     designs assemble and factor the reduced Laplacian, unless the graph
-    is a tree. It checks no
-    connectivity: the instance guard proved the base graph connected,
-    adding candidates keeps it so, and the dense factor's pivot floor
-    still refuses what float64 cannot resolve.
+    is a tree. It checks no connectivity: the instance guard proved the
+    base graph connected, adding candidates keeps it so, and the dense
+    factor's pivot floor still refuses what float64 cannot resolve.
     The gain is absolute(subset) - baseline_total, exactly 0 for the
     empty subset: the baselines, each channel's base tau read off the
     instance's kernels, are the from-scratch bits of the base graphs.
@@ -135,12 +135,9 @@ class GainFunction:
         Computed directly rather than as baseline + gain, so the value
         is bit-identical to evaluating the final graph from scratch.
         """
-        inst = self.instance
-        idx = _design_indices(inst, subset)
         total = 0.0
-        for channel, mult in inst.channels:
-            g = inst.base_graph(channel).with_edges(inst.candidate_edges(idx, channel))
-            total += mult * connected_tau(g)
+        for (_, mult), tau in zip(self.instance.channels, self.instance.design_taus(subset)):
+            total += mult * tau
         return total
 
 
@@ -184,8 +181,8 @@ def _greedy_run(
     # rep[i] is that row for candidate i, found by one stable lexsort; the
     # kernel's Z is read in place, and the rows of later duplicates are
     # updated but never read.
-    keys = inst.candidate_array.copy()
-    keys[:, :2].sort(axis=1)
+    u, v, w = inst._candidate_columns
+    keys = np.column_stack((np.minimum(u, v), np.maximum(u, v), w))
     order = np.lexsort(keys.T)  # stable: equal rows stay in index order
     ranked = keys[order]
     new = np.ones(c, dtype=bool)

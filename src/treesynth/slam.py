@@ -28,12 +28,10 @@ from .graphs import (
     DIRECTION_REMOVE,
     OBJECTIVE_SLAM,
     EdgeSelectionInstance,
-    WeightedGraph,
     _as_vertex,
     _canonical_pair,
     _merge_parallel,
 )
-from .treeconn import tree_connectivity
 
 VERTEX_TAG = "VERTEX_SE2"
 EDGE_TAG = "EDGE_SE2"
@@ -89,9 +87,9 @@ def parse_g2o(
         datasets whose odometry is not id-consecutive.
 
     Raises DataError on malformed lines (with a line number), on
-    non-positive information diagonals, and on pose ids that are not
-    contiguous 0..n-1: the VERTEX ids, or without VERTEX lines the ids
-    the edges reference.
+    information diagonals that are not positive and finite, and on pose
+    ids that are not contiguous 0..n-1: the VERTEX ids, or without VERTEX
+    lines the ids the edges reference.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
@@ -142,9 +140,9 @@ def parse_g2o(
             if i == j:
                 raise DataError(f"{name}:{lineno}: self-loop edge on pose {i}")
             i11, i12, i13, i22, i23, i33 = nums[3:]
-            if i11 <= 0 or i22 <= 0 or i33 <= 0:
+            if not all(0.0 < x < math.inf for x in (i11, i22, i33)):  # refuses nan too
                 raise DataError(
-                    f"{name}:{lineno}: information diagonal must be positive "
+                    f"{name}:{lineno}: information diagonal must be positive and finite "
                     f"(I11={i11}, I22={i22}, I33={i33})"
                 )
             offdiag = math.sqrt(2.0 * (i12 * i12 + i13 * i13 + i23 * i23))
@@ -253,15 +251,12 @@ def to_instance(
 def channel_taus(n: int, edges: Iterable[tuple]) -> tuple[float, float]:
     """(tau_p, tau_theta): tree-connectivity of each weight channel.
 
-    Over (u, v, wp, wt) edges on vertices 1..n. DataError when the graph
-    is disconnected (the proxy would be meaningless).
+    Over (u, v, wp, wt) edges on vertices 1..n, the base of a
+    slam-double instance without candidates, merged once for both
+    channels (EdgeSelectionInstance.design_taus). DataError when the
+    graph is disconnected (the proxy would be meaningless).
     """
-    edges = list(edges)
-    gp = WeightedGraph(n, tuple((u, v, wp) for u, v, wp, _ in edges))
-    gt = WeightedGraph(n, tuple((u, v, wt) for u, v, _, wt in edges))
-    if not gp.connected:
-        raise DataError(f"graph is disconnected ({gp.component_count} components)")
-    return tree_connectivity(gp).tau, tree_connectivity(gt).tau
+    return EdgeSelectionInstance(n, tuple(edges), (), 0, objective=OBJECTIVE_SLAM).design_taus()
 
 
 def dopt_proxy(n: int, edges: Iterable[tuple]) -> float:

@@ -2,14 +2,15 @@
 
 The weighted spanning-tree count of a connected graph equals the
 determinant of any reduced Laplacian, so its log (tau, the quantity this
-package maximizes) comes from the one tau rule (graphs.connected_tau):
-straight from the weights of a spanning tree, by the determinant lemma
-over the path 1-2-...-n when the graph holds that path and at most
-LEMMA_MAX_EXTRA * order other edges (0.55 of the order, where the
-measured costs cross), and otherwise from one dense Cholesky factor of
-the reduced Laplacian. A spectral form, sum of log nonzero Laplacian
-eigenvalues minus log n, serves as an independent cross-check, and a literal subset-enumeration oracle covers
-small graphs in tests. Whether a graph is connected, and the oracle's
+package maximizes) comes from the one tau rule (graphs.connected_tau),
+which reads an edge set's merged columns (u < v, one row per pair,
+graphs._merge_columns): straight from the weights of a spanning tree, by
+the determinant lemma over the path 1-2-...-n when the graph holds that
+path and at most LEMMA_MAX_EXTRA * order other edges (0.55 of the order,
+where the measured costs cross), and otherwise from one dense Cholesky
+factor of the reduced Laplacian. A spectral form, sum of log nonzero
+Laplacian eigenvalues minus log n, serves as an independent cross-check,
+and a literal subset-enumeration oracle covers small graphs in tests. Whether a graph is connected, and the oracle's
 test of whether n - 1 edges form a spanning tree, are both the one
 union-find of graphs._component_count.
 
@@ -65,7 +66,7 @@ def tree_connectivity(g: WeightedGraph) -> TreeConnectivity:
     """
     if not is_connected(g):
         return TreeConnectivity(0.0, False)
-    return TreeConnectivity(connected_tau(g), True)
+    return TreeConnectivity(connected_tau(g.n, *g._columns), True)
 
 
 def tree_connectivity_spectral(g: WeightedGraph) -> TreeConnectivity:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,8 +11,10 @@ import numpy as np
 import pytest
 
 from treesynth import (
+    ArgumentError,
     ConvergenceError,
     EdgeSelectionInstance,
+    WeightedGraph,
     certify,
     cli,
     gap_for_design,
@@ -231,6 +234,21 @@ def test_evaluate_slam_double_instance(tmp_path, capsys):
         assert doc[f"tau_{channel}_full"] == tree_connectivity(full).tau
     for key in ("base", "full"):
         assert doc[f"dopt_proxy_{key}"] == 2.0 * doc[f"tau_p_{key}"] + doc[f"tau_theta_{key}"]
+
+
+def test_evaluate_removal_instance_full_graph_is_its_base(tmp_path, capsys):
+    # K4 at unit weights has 16 spanning trees; the removal candidates are
+    # base edges already, so they were once counted twice in tau_full
+    k4 = tuple((u, v, 1.0) for u in range(1, 5) for v in range(u + 1, 5))
+    removal = EdgeSelectionInstance(4, k4, ((1, 2, 1.0), (1, 3, 1.0)), 1, direction="remove")
+    with pytest.raises(ArgumentError, match="scores its base only"):
+        removal.design_taus([0])
+    path = tmp_path / "remove.json"
+    save_instance(removal, path)
+    assert run("evaluate", "--instance", str(path)) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["tau_full"] == doc["tau_base"] == tree_connectivity(WeightedGraph(4, k4)).tau
+    assert doc["tau_base"] == pytest.approx(math.log(16), rel=1e-14, abs=0.0)
 
 
 def test_evaluate_g2o(mini_g2o, capsys):
@@ -503,6 +521,17 @@ def test_exit_code_malformed_g2o(tmp_path):
     bad = tmp_path / "bad.g2o"
     bad.write_text("EDGE_SE2 0 1 broken\n")
     assert run("evaluate", "--g2o", str(bad)) == 3
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_exit_code_nonfinite_information_g2o(tmp_path, capsys, value):
+    bad = tmp_path / "bad.g2o"
+    bad.write_text("EDGE_SE2 0 1 0 0 0 1 0 0 1 0 1\nEDGE_SE2 1 2 0 0 0 1 0 0 1 0 1\n"
+                   "EDGE_SE2 0 2 0 0 0 1 0 0 1 0 1\n"
+                   f"EDGE_SE2 0 1 1 0 0 {value} 0 0 1 0 1\n")
+    for argv in (("evaluate", "--g2o", str(bad)), ("certify", "--g2o", str(bad), "--k", "1")):
+        assert run(*argv) == 3
+        assert f"{bad}:4: information diagonal" in capsys.readouterr().err
 
 
 def test_exit_code_repeat_below_one(inst_path, capsys):

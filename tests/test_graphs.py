@@ -74,7 +74,10 @@ def test_parallel_edges_merge_to_the_same_bits_everywhere():
         g = WeightedGraph(4, tuple((u, v, e[channel]) for u, v, *e in edges))
         assert g.weight(1, 3) == merged[channel]
     inst = EdgeSelectionInstance(4, edges, (), 0, objective="slam-double")
-    assert (1, 3, *merged) in inst.merged_base_edges()
+    u, v, w = inst._base_columns  # merged once for both channels
+    assert (1, 3, *merged) in zip(u.tolist(), v.tolist(), *w.T.tolist())
+    for channel, bits in zip(("p", "theta"), merged):
+        assert inst.base_graph(channel).weight(1, 3) == bits
     assert to_instance(ds, 1, "remove").candidates == ((1, 3, *merged),)
     # a removal candidate carrying the merged weights is a base edge
     removal = EdgeSelectionInstance(4, inst.base_edges, ((3, 1, *merged),), 1,
@@ -668,3 +671,48 @@ def test_graph_construction_is_idempotent(raw):
     again = WeightedGraph(6, g.edges)
     assert g.edges == again.edges
     assert g == again
+
+
+@pytest.mark.parametrize("objective", ["single-weight", "slam-double"])
+def test_design_taus_match_the_per_channel_graph_route_bit_for_bit(objective):
+    """design_taus merges the base's columns and the design's once for all
+    channels; the route it replaced built a graph per channel."""
+    def graph_route(inst, idx):
+        return tuple(tree_connectivity(inst.base_graph(ch).with_edges(inst.candidate_edges(idx, ch))).tau
+                     for ch, _ in inst.channels)
+
+    columns = 1 if objective == "single-weight" else 2
+    rng = np.random.default_rng(7 + columns)
+    weight = lambda: tuple(float(10.0 ** rng.uniform(0.0, 6.0)) for _ in range(columns))
+    routes = set()
+    for trial in range(16):
+        n = int(rng.integers(5, 40))
+        # the path 1-...-n, one link twice, orientations mixed; every other
+        # trial adds chords to the base, so that it is not the path
+        base = [(a, a + 1, *weight()) if rng.random() < 0.5 else (a + 1, a, *weight())
+                for a in range(1, n)]
+        base.append((2, 1, *weight()))
+        pair = lambda: tuple(int(x) for x in rng.choice(np.arange(1, n + 1), size=2, replace=False))
+        if trial % 2:
+            base += [(*pair(), *weight()) for _ in range(3)]
+        # candidates: random pairs in either orientation, base pairs, exact duplicates
+        cands = [(*pair(), *weight()) for _ in range(2 * n)]
+        cands += [(a + 1, a, *weight()) for a in rng.choice(np.arange(1, n), size=3)]
+        cands += [cands[int(i)] for i in rng.choice(len(cands), size=4)]
+        inst = EdgeSelectionInstance(n, tuple(base), tuple(cands), 0, objective=objective)
+        order, c = n - 1, len(cands)
+        on_path = [i for i, e in enumerate(cands) if abs(e[0] - e[1]) == 1]
+        designs = [(), on_path, list(range(c)), rng.permutation(c)[: int(0.3 * order)].tolist(),
+                   rng.permutation(c)[: int(0.8 * order)].tolist()]
+        for idx in designs:
+            taus = inst.design_taus(idx)
+            assert taus == graph_route(inst, idx), (trial, idx)
+            g = inst.base_graph(inst.channels[0][0]).with_edges(inst.candidate_edges(idx, inst.channels[0][0]))
+            u, v, _ = g._columns
+            if g.num_edges == order:
+                routes.add("tree")
+            elif g.num_edges - order <= graphs.LEMMA_MAX_EXTRA * order and np.sum(v - u == 1) == order:
+                routes.add("lemma")
+            else:
+                routes.add("dense")
+    assert routes == {"tree", "lemma", "dense"}

@@ -13,16 +13,20 @@ from treesynth import (
     EdgeSelectionInstance,
     GainFunction,
     InfeasibleError,
+    NumericalError,
     SizeGuardError,
     WeightedGraph,
+    build_bundle,
     certify,
     exhaustive_select,
     gain_function,
     greedy_select,
+    gap_for_design,
     greedy_to_threshold,
     parse_g2o,
     random_instance,
     reduce_removal_to_addition,
+    removal_set_from_addition,
     round_deterministic,
     round_randomized,
     solve_p2,
@@ -563,7 +567,7 @@ def test_threshold_stops_as_soon_as_reached():
 
 
 def test_threshold_stop_builds_no_graph_per_round(monkeypatch):
-    from treesynth import greedy
+    from treesynth import graphs
 
     rng = np.random.default_rng(21)
     for inst in (random_add_instance(rng, 10, 14, 12, 4),
@@ -571,9 +575,15 @@ def test_threshold_stop_builds_no_graph_per_round(monkeypatch):
         full = greedy_select(EdgeSelectionInstance(
             inst.n, inst.base_edges, inst.candidates, 12, objective=inst.objective))
         gains = np.cumsum([s.gain for s in full.trace])
+        inst.kernels  # built once, before counting
         calls = []
-        scratch = greedy.connected_tau
-        monkeypatch.setattr(greedy, "connected_tau", lambda g: calls.append(1) or scratch(g))
+        for name in ("connected_tau", "_merge_columns"):
+            scratch = getattr(graphs, name)
+            monkeypatch.setattr(graphs, name, lambda *a, name=name, scratch=scratch:
+                                calls.append(name) or scratch(*a))
+        build = graphs.WeightedGraph.__post_init__
+        monkeypatch.setattr(graphs.WeightedGraph, "__post_init__",
+                            lambda g: calls.append("graph") or build(g))
         counts = []
         for rounds in (1, 3, 8):
             calls.clear()
@@ -582,11 +592,12 @@ def test_threshold_stop_builds_no_graph_per_round(monkeypatch):
             res = greedy_to_threshold(inst, tau_min)
             assert res.selected == full.selected[:rounds]
             assert res.gain >= tau_min
-            counts.append(len(calls))
+            counts.append(tuple(map(calls.count, ("graph", "_merge_columns", "connected_tau"))))
         monkeypatch.undo()
-        # the full-pool check and the final design, per channel; the
+        # no graph at all; the full-pool check and the final design: one
+        # merge each for all channels and one tau per channel; the
         # baselines come from the instance's kernels
-        assert counts == [2 * len(inst.channels)] * 3
+        assert counts == [(0, 2, 2 * len(inst.channels))] * 3
 
 
 def test_threshold_stop_at_greedys_own_gain_keeps_its_k_edges():
@@ -631,3 +642,30 @@ def test_removal_greedy_equals_direct_search_on_k4():
         for rm in itertools.combinations(range(3), 2)
     )
     assert best.tau_achieved == direct
+
+
+@pytest.mark.parametrize("score", [
+    lambda inst, design: gain_function(inst).absolute(design),
+    lambda inst, design: removal_set_from_addition(inst, design),
+    lambda inst, design: gap_for_design(inst, design, build_bundle(0.0, 1.0, 1.0, 2.0)),
+], ids=["absolute", "removal_set", "gap_for_design"])
+@pytest.mark.parametrize("design", [[0.9, 1.7], [0.5, 2.2], [0, "1"]])
+def test_design_indices_are_checked_not_truncated(score, design):
+    # int() once read [0.9, 1.7] as the design (0, 1)
+    inst = random_instance(6, 7, seed=1, k=2)
+    with pytest.raises(ArgumentError, match="candidate index must be an integer"):
+        score(inst, design)
+    score(inst, [np.int64(0), 1])  # numpy integers are integers
+
+
+def test_overflowing_candidate_resistance_is_refused_by_every_solver():
+    # the path 1-...-6 at unit weights: the candidate {1, 3} at 1e308 has
+    # w times its resistance 2 beyond float64, which one solver refused,
+    # another blamed on its caller and a third returned as inf
+    path = tuple((a, a + 1, 1.0) for a in range(1, 6))
+    inst = EdgeSelectionInstance(6, path, ((2, 5, 2.0), (1, 3, 1e308)), 1)
+    pi = np.array([0.5, 0.5])
+    for solve in (greedy_select, exhaustive_select, solve_p2,
+                  lambda inst: round_randomized(inst, pi, trials=4)):
+        with pytest.raises(NumericalError, match="weighted resistance overflows"):
+            solve(inst)

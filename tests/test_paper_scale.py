@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from treesynth import certify, convex, graphs, parse_g2o, to_instance, tree_connectivity_spectral
+from treesynth import certify, gain_function, graphs, parse_g2o, to_instance, tree_connectivity_spectral
 
 POSEGRAPH = Path(__file__).resolve().parents[1] / "perfbench" / "posegraph.py"
 K = 161
@@ -49,15 +49,18 @@ def test_certify_at_intel_shape_with_library_defaults(seed, monkeypatch):
         assert kernel.log_det0 == float(np.sum(np.log(weights)))
 
     # every design certify scores holds the path and k <= LEMMA_MAX_EXTRA *
-    # order other edges, so the tau rule's determinant lemma scores it: no reduced
-    # Laplacian is assembled once the kernels are built
+    # order other edges, so the tau rule's determinant lemma scores it: no
+    # Laplacian is assembled, through the one assembly, once the kernels are built
     assembled = []
-    for module in (graphs, convex):
-        build = module.build_reduced_laplacian
-        monkeypatch.setattr(module, "build_reduced_laplacian",
-                            lambda g, build=build: assembled.append(g) or build(g))
+    assemble = graphs._laplacian
+    monkeypatch.setattr(graphs, "_laplacian", lambda *cols: assembled.append(cols) or assemble(*cols))
     bundle = certify(inst)  # a ConvergenceError fails the test
     assert assembled == []
+    # the guard sees the dense case: a design past the cut is assembled once per channel
+    assert 600 > graphs.LEMMA_MAX_EXTRA * (inst.n - 1)
+    gain_function(inst).absolute(range(600))
+    assert len(assembled) == len(inst.channels)
+    assembled.clear()
     assert bundle.relaxed.stop_reason in ("residual", "gap")
     assert bundle.lower <= bundle.upper
     for design in (bundle.greedy, bundle.rounded):

@@ -95,3 +95,18 @@ def test_paired_bench_help():
     out = _run("paired_bench.py", "--help")
     assert out.returncode == 0, out.stderr
     assert "Paired benchmark of the working tree against a base commit." in out.stdout
+
+
+def test_tau_crossover_runs_and_agrees(tmp_path):
+    from treesynth import graphs
+
+    out = tmp_path / "crossover.json"
+    proc = _run("tau_crossover.py", "--repeat", "1", "--number", "1", "--output", str(out))
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    assert doc["cut"] == graphs.LEMMA_MAX_EXTRA
+    assert set(doc["orders"]) == {"posegraph-300", "intel-shape"}
+    for name, order in doc["orders"].items():
+        # a case on each side of the cut, and both routes give one tau
+        assert {case["route"] for case in order["cases"]} == {"lemma", "dense"}, name
+        assert all(abs(case["tau_diff"]) <= 1e-9 for case in order["cases"]), name

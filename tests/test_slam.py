@@ -86,6 +86,13 @@ def test_parse_rejects_structural_problems():
         parse_g2o(["EDGE_SE2 0 1000000 0 0 0 1 0 0 1 0 1"])
     with pytest.raises(DataError, match="file not found"):
         parse_g2o("/nonexistent/file.g2o")
+    # NaN is not <= 0, so a NaN diagonal once reached the instance check,
+    # which named no line
+    good = "EDGE_SE2 0 1 0 0 0 1 0 0 1 0 1"
+    for bad in ("EDGE_SE2 0 1 1 0 0 nan 0 0 1 0 1", "EDGE_SE2 0 1 1 0 0 inf 0 0 1 0 1",
+                "EDGE_SE2 0 1 1 0 0 1 0 0 nan 0 1", "EDGE_SE2 0 1 1 0 0 1 0 0 1 0 -inf"):
+        with pytest.raises(DataError, match="<stream>:2: information diagonal must be positive and finite"):
+            parse_g2o([good, bad])
 
 
 def test_subunit_weights_need_explicit_normalization():

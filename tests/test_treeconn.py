@@ -168,10 +168,10 @@ def _path_with_chords(rng, n, chords, e):
 def test_tau_rule_takes_the_lemma_over_the_path(e, monkeypatch):
     from treesynth import graphs
 
-    assembled = []
-    build = graphs.build_reduced_laplacian
-    monkeypatch.setattr(graphs, "build_reduced_laplacian",
-                        lambda g: assembled.append(g) or build(g))
+    assembled = []  # the one assembly, behind every dense factor
+    assemble = graphs._laplacian
+    monkeypatch.setattr(graphs, "_laplacian",
+                        lambda *cols: assembled.append(cols) or assemble(*cols))
     rng = np.random.default_rng(100 + e)
     eps = np.finfo(float).eps
     n, chords = 10, 3
@@ -453,7 +453,7 @@ def test_path_base_kernels_assemble_and_factor_nothing(monkeypatch):
     from treesynth import _lapack, graphs
 
     calls = []
-    for module, name in ((graphs, "build_reduced_laplacian"), (graphs, "dpotrf"),
+    for module, name in ((graphs, "_laplacian"), (graphs, "dpotrf"),
                          (treeconn, "dpotrf"), (_lapack, "dpotrf")):
         fn = getattr(module, name)
         monkeypatch.setattr(module, name,
@@ -468,12 +468,12 @@ def test_path_base_kernels_assemble_and_factor_nothing(monkeypatch):
             weights = [w for _, _, w in inst.base_graph(channel).edges]
             assert kernel.log_det0 == float(np.sum(np.log(weights)))
     assert calls == []
-    # a base that is not the path is assembled once per channel and factored
-    # for Z; the path plus one chord takes the tau rule's determinant lemma,
-    # whose 1 x 1 form is factored for log_det0
+    # a base that is not the path is assembled once per channel, through the
+    # one assembly, and factored for Z; the path plus one chord takes the tau
+    # rule's determinant lemma, whose 1 x 1 form is factored for log_det0
     chord = EdgeSelectionInstance(12, (*path, (2, 9, 3.0)), cands, 3)
     chord.kernels
-    assert calls == ["build_reduced_laplacian", "dpotrf", "dpotrf"]
+    assert calls == ["_laplacian", "dpotrf", "dpotrf"]
 
 
 def test_g2o_instances_take_the_closed_form(mini_g2o):
