@@ -4,7 +4,8 @@ Runs the unchanged ``perfbench/run.py`` alternately in a temporary
 export of the base commit (``git archive``) and in this working tree,
 ``--pairs`` times per workload and seed; within each pair the side that
 runs first alternates, so a drift in the machine's speed does not favour
-either. Each run's last line of standard output is its JSON result. The
+either. Each run's last line of standard output is its JSON result, and
+its ``metric`` lines add the metrics that JSON leaves out. The
 output file holds every run's metrics and, per workload, seed and metric,
 each side's median and quartiles and the number of pairs the change won,
 and per workload and seed each side's quartiles of the runs' attempted
@@ -14,9 +15,9 @@ read per call, and of the runs' minor page faults per attempted instance
 fault count that jumps between sides on code the change does not touch
 is a sign of a different heap layout, not of different work. After
 writing the file it prints the verdict: per workload, seed and end-to-end
-metric of BENCHMARK.json, each side's median, the relative change, the
-pairs won and whether the change is clear, and each side's faults per
-call in quartiles.
+metric of BENCHMARK.json and then every other metric the runs reported,
+each side's median, the relative change, the pairs won and whether the
+change is clear, and each side's faults per call in quartiles.
 
 Usage:
     python scripts/paired_bench.py --base HEAD~1 --workload posegraph-300 \\
@@ -40,12 +41,24 @@ ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("base", "change")
 
 
-def last_json(stdout: str) -> dict:
-    """The JSON object on the last non-empty line of a run's output."""
+def parse_run(stdout: str) -> dict:
+    """A run's result: the JSON object on its last non-empty line of output.
+
+    Its ``metrics`` also gain every ``metric NAME UNIT {...}`` line the run
+    printed for a metric the JSON does not hold (round_rand_s, fail_ratio,
+    opt_gap), valued at the record's median, or else its value.
+    """
     lines = [line for line in stdout.splitlines() if line.strip()]
     if not lines:
         raise ValueError("the run printed nothing")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    metrics = result.setdefault("metrics", {})
+    for line in lines[:-1]:
+        if line.startswith("metric "):
+            _, name, unit, rec = line.split(" ", 3)
+            rec = json.loads(rec)
+            metrics.setdefault(name, {"value": rec.get("median", rec.get("value")), "unit": unit})
+    return result
 
 
 def quartiles(values: list[float]) -> dict:
@@ -110,15 +123,17 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
 def verdict_lines(summary: dict, metrics: list[str]) -> list[str]:
     """The summary's verdict as text, per workload and seed.
 
-    One line per metric of ``metrics`` that the summary holds: each side's
-    median, the relative change, the pairs the change won and whether the
-    change is clear; then one line with each side's minor page faults per
-    call, median [first-third quartile].
+    One line per metric of ``metrics`` that the summary holds, then per
+    other metric it holds (such as round_rand_s), in name order: each
+    side's median, the relative change, the pairs the change won and
+    whether the change is clear; then one line with each side's minor page
+    faults per call, median [first-third quartile].
     """
     lines = []
     for workload, seeds in summary.items():
         for seed, entries in seeds.items():
-            for metric in metrics:
+            others = sorted(set(entries) - set(metrics) - {"attempted", "minflt_per_call"})
+            for metric in [*metrics, *others]:
                 m = entries.get(metric)
                 if m is None:
                     continue
@@ -151,7 +166,7 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, in
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"{' '.join(cmd)} in {tree} exited with {proc.returncode}")
-    return last_json(proc.stdout), faults
+    return parse_run(proc.stdout), faults
 
 
 def main(argv=None) -> int:

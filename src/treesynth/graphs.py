@@ -648,13 +648,14 @@ class EdgeSelectionInstance:
         instances raise ArgumentError here, to be reduced first
         (reduce_removal_to_addition). Built on first use and held for the
         instance's lifetime: order * c floats per channel (Z), plus c^2 (G)
-        once the relaxation, or exhaustive search with k >= 2, has run
-        with c <= order. A relaxation also holds, until it returns, the
-        factor of its last point, at most min(c, order)^2 per channel; each
-        gradient one s * c array for s nonzero selectors (order * c when
-        s > order), its one right-side triangular solve overwriting the
-        gathered rows; and the Newton trial the free block's Hessian,
-        |F|^2. The kernel keeps none of them.
+        once the relaxation, randomized rounding, or exhaustive search with
+        k >= 2, has run with c <= order. A relaxation also holds, until it
+        returns, the factor of its last point, at most min(c, order)^2 per
+        channel; each gradient one s * c array for s nonzero selectors
+        (order * c when s > order), its one right-side triangular solve
+        overwriting the gathered rows; and the Newton trial the free block's
+        Hessian, |F|^2. Randomized rounding holds one design's factor at a
+        time. The kernel keeps none of them.
 
         Each kernel's log_det0 is the tau rule (connected_tau) on its
         channel of the merged base columns. A base whose merged edges are

@@ -86,8 +86,9 @@ def parse_g2o(
         edges, replacing the consecutive-id convention. Needed for
         datasets whose odometry is not id-consecutive.
 
-    Raises DataError on malformed lines (with a line number), on
-    information diagonals that are not positive and finite, and on pose
+    Raises DataError on malformed lines and on weights that overflow
+    float64, raw or normalized (both with a line number), on information
+    diagonals that are not positive and finite, and on pose
     ids that are not contiguous 0..n-1: the VERTEX ids, or without VERTEX
     lines the ids the edges reference.
     """
@@ -181,11 +182,14 @@ def parse_g2o(
 
     odometry = []
     closures = []
-    for _, i, j, wp, wt in raw_edges:
+    for lineno, i, j, wp, wt in raw_edges:
         is_base = (
             _canonical_pair(i, j) in override if override is not None else abs(i - j) == 1
         )
         edge = (i + 1, j + 1, wp * alpha, wt * alpha)
+        if math.inf in edge:
+            raise DataError(f"{name}:{lineno}: weight overflows float64 (0.5 * (I11 + I22) = "
+                            f"{wp}, I33 = {wt}, normalization alpha = {alpha})")
         (odometry if is_base else closures).append(edge)
 
     if override is None:

@@ -36,10 +36,10 @@ from .graphs import ReducedLaplacian, WeightedGraph, _component_count, connected
 # anything that is big on both axes.
 ORACLE_MAX_EDGES = 12
 ORACLE_MAX_VERTICES = 8
-# bytes of one batch of subset work: the gathered columns of one
-# SubsetLogDet call (randomized rounding) and the d and u of one frontier
-# chunk of exhaustive search; larger batches bought little speed and
-# raised peak memory
+# bytes of one batch of subset work: the trial bits of one chunk of
+# randomized rounding, which dedupes its designs within a chunk, and the d
+# and u of one frontier chunk of exhaustive search; larger batches bought
+# little speed and raised peak memory
 LEMMA_BATCH_BYTES = 1 << 17
 
 
@@ -143,10 +143,8 @@ class SubsetLogDet:
     log_det0 is the sum of the base's log weights, and on the path plus
     at most LEMMA_MAX_EXTRA * order other edges it comes from the
     determinant lemma over the path, neither with a condition-number
-    term; on any other base it comes from L0's dense factor. A batch shares one
-    stacked slogdet on the smaller Sylvester form, s x s or
-    order x order, and each subset's value does not depend on the rest
-    of its batch. Memory is O(order * c) plus the batch.
+    term; on any other base it comes from L0's dense factor. Memory is
+    O(order * c) plus G when c <= order.
 
     A selector pi with support S and r = sqrt(pi_S) gives log det L(pi)
     = log_det0 + log det(I + r G_SS r), G = Z^T Z the candidate Gram
@@ -158,30 +156,14 @@ class SubsetLogDet:
     call holds one s x c array (order x c on the order side, where Z is
     copied and never written). X also gives the Hessian block of any
     free set F at |F|^2 s extra flops; it is dropped when the call
-    returns.
+    returns. A subset S is scored as the selector of its 0/1 indicator
+    (randomized rounding's trials); exhaustive search chains Cholesky
+    pivots down its subset tree instead.
     """
 
     def __init__(self, log_det0: float, Zt: np.ndarray):
         self.log_det0 = log_det0
         self.Zt = Zt
-
-    def batch_rows(self, width: int) -> int:
-        """Subsets of ``width`` candidates per call within LEMMA_BATCH_BYTES."""
-        return max(1, LEMMA_BATCH_BYTES // (8 * max(1, width * self.Zt.shape[1])))
-
-    def __call__(self, cols: np.ndarray) -> np.ndarray:
-        """log det L(S) for every row S of the b x s index array ``cols``.
-
-        Randomized rounding scores its trials here; exhaustive search
-        chains Cholesky pivots down its subset tree instead.
-        """
-        Zs = self.Zt[cols]  # b x s x order
-        if cols.shape[1] <= self.Zt.shape[1]:
-            gram = Zs @ Zs.transpose(0, 2, 1)
-        else:
-            gram = Zs.transpose(0, 2, 1) @ Zs
-        gram += np.eye(gram.shape[-1])
-        return self.log_det0 + np.linalg.slogdet(gram)[1]
 
     @cached_property
     def gram(self) -> np.ndarray | None:

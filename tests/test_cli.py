@@ -534,6 +534,19 @@ def test_exit_code_nonfinite_information_g2o(tmp_path, capsys, value):
         assert f"{bad}:4: information diagonal" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("closure, flags", [
+    ("EDGE_SE2 0 2 0 0 0 1e308 0 0 1e308 0 1", ()),
+    ("EDGE_SE2 0 2 0 0 0 1e308 0 0 1 0 0.25", ("--normalize",)),  # alpha = 4
+], ids=["raw", "normalized"])
+def test_exit_code_overflowing_weight_g2o(tmp_path, capsys, closure, flags):
+    bad = tmp_path / "bad.g2o"
+    bad.write_text("EDGE_SE2 0 1 0 0 0 1 0 0 1 0 1\nEDGE_SE2 1 2 0 0 0 1 0 0 1 0 1\n"
+                   "EDGE_SE2 0 2 0 0 0 1 0 0 1 0 1\n" + closure + "\n")
+    for argv in (("evaluate", "--g2o", str(bad)), ("synthesize", "--g2o", str(bad), "--k", "1")):
+        assert run(*argv, *flags) == 3
+        assert f"{bad}:4: weight overflows float64" in capsys.readouterr().err
+
+
 def test_exit_code_repeat_below_one(inst_path, capsys):
     assert run("synthesize", "--instance", str(inst_path), "--repeat", "0") == 2
     # refused before anything is written

@@ -677,13 +677,42 @@ def test_randomized_rounding_trials_do_not_depend_on_batch(monkeypatch):
     pi = rng.uniform(0.1, 0.9, size=12)
     short = round_randomized(inst, pi, seed=6, trials=300)
     long = round_randomized(inst, pi, seed=6, trials=600)
-    # batches of 7 trials instead of 195
-    monkeypatch.setattr(treeconn, "LEMMA_BATCH_BYTES", 8 * 12 * 7 * 7)
+    # chunks of 7 trials' bits (c = 12) instead of one chunk of all 600
+    monkeypatch.setattr(treeconn, "LEMMA_BATCH_BYTES", 12 * 7)
     split = round_randomized(inst, pi, seed=6, trials=600)
     assert np.array_equal(short.tree_counts, long.tree_counts[:300])
     assert np.array_equal(short.num_selected, long.num_selected[:300])
     assert np.array_equal(split.tree_counts, long.tree_counts)
     assert np.array_equal(split.num_selected, long.num_selected)
+
+
+def test_randomized_rounding_factors_each_distinct_design_once(monkeypatch):
+    rng = np.random.default_rng(4)
+    inst = slam_instance(random_add_instance(rng, 8, 10, 12, 4), rng)
+    channels = len(inst.channels)
+    calls = []
+    factor = treeconn.SubsetLogDet.factor
+
+    def counted(self, pi):
+        calls.append(pi.copy())
+        return factor(self, pi)
+
+    monkeypatch.setattr(treeconn.SubsetLogDet, "factor", counted)
+    # a 0/1 pi: all 300 trials keep candidates 0-3, one design
+    pi = (np.arange(12) < 4) * 1.0
+    rr = round_randomized(inst, pi, seed=6, trials=300)
+    assert len(calls) == channels and all(np.array_equal(p, pi) for p in calls)
+    assert np.all(rr.num_selected == 4)
+    assert np.all(rr.log_tree_counts == rr.log_tree_counts[0])
+    # two fair coins on top: at most four designs in each chunk of 7 trials
+    pi[[5, 9]] = 0.5
+    monkeypatch.setattr(treeconn, "LEMMA_BATCH_BYTES", 12 * 7)
+    calls.clear()
+    round_randomized(inst, pi, seed=6, trials=300)
+    bits = np.random.default_rng(6).random((300, 12)) < pi
+    distinct = sum(len(np.unique(bits[t : t + 7], axis=0)) for t in range(0, 300, 7))
+    assert len(calls) == channels * distinct
+    assert 4 < distinct < 300  # several designs, fewer factors than trials
 
 
 def test_randomized_rounding_counts_match_dense_determinants():

@@ -36,7 +36,7 @@ from treesynth import (
 )
 from treesynth import greedy, treeconn
 from treesynth.greedy import EXHAUSTIVE_TIE_MARGIN
-from conftest import random_add_instance, slam_instance
+from conftest import direct_log_det_and_grad, random_add_instance, slam_instance
 
 
 def star_instance(k=2):
@@ -446,8 +446,13 @@ def test_chained_values_match_the_lemma_on_every_subset():
         walked_complements += 2 * k > c
         assert sorted(tuple(s) for s in subsets.tolist()) == list(
             itertools.combinations(range(c), k))
-        lemma = sum(mult * kern(subsets) for mult, kern in inst.kernels)
-        assert np.all(np.abs(values - lemma) <= 1e-12 * (scale_of(inst) + np.abs(lemma)))
+        # an independent reference: slogdet of the assembled Laplacian at
+        # each subset's 0/1 indicator
+        dense = np.array([
+            sum(mult * direct_log_det_and_grad(inst, np.isin(np.arange(c), s) * 1.0, ch)[0]
+                for ch, mult in inst.channels)
+            for s in subsets])
+        assert np.all(np.abs(values - dense) <= 1e-12 * (scale_of(inst) + np.abs(dense)))
     assert walked_complements == 6
 
 

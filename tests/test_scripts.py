@@ -37,20 +37,30 @@ def test_paired_bench_summarizes_canned_runs():
     # minor page faults per attempted instance: the change's heap layout differs
     faults = [(280.0, 4100.0), (290.0, 4300.0), (285.0, 4200.0), (295.0, 4338.0),
               (278.0, 4114.0)]
+    # round_rand_s, printed only on a metric line; the change halves it
+    rounding = [(0.0020, 0.0010), (0.0021, 0.0011), (0.0019, 0.0010), (0.0020, 0.0009),
+                (0.0022, 0.0010)]
     runs = []
-    for pair, (values, attempted, minflt) in enumerate(zip(times, counts, faults)):
-        for side, value, n, per_call in zip(("base", "change"), values, attempted, minflt):
+    for pair, (values, attempted, minflt, rr) in enumerate(zip(times, counts, faults, rounding)):
+        for side, value, n, per_call, rr_s in zip(("base", "change"), values, attempted, minflt,
+                                                  rr):
             stdout = "\n".join([
                 "workload posegraph-300 seed 1 trace 0",
+                # the JSON line's value wins over a metric line's
                 'metric greedy_s s {"median": 0.0}',
+                "metric round_rand_s s " + json.dumps({"median": rr_s, "n": 30}),
+                'metric fail_ratio ratio {"attempted": {"relax": 30}, "failed": {}, "value": 0.0}',
                 json.dumps({"correct": True, "attempted": n, "metrics": {
                     "greedy_s": {"value": value, "unit": "s"},
                     "cert_width": {"value": 16.25, "unit": "nats"},
                 }}),
                 "",
             ])
+            result = pb.parse_run(stdout)
+            assert result["metrics"]["round_rand_s"] == {"value": rr_s, "unit": "s"}
+            assert result["metrics"]["fail_ratio"] == {"value": 0.0, "unit": "ratio"}
             runs.append({"workload": "posegraph-300", "seed": 1, "pair": pair, "side": side,
-                         "result": pb.last_json(stdout), "minflt_per_call": per_call})
+                         "result": result, "minflt_per_call": per_call})
     summary = pb.summarize(runs, {"greedy_s": "lower"})["posegraph-300"]["1"]
     greedy = summary["greedy_s"]
     assert greedy["base"]["median"] == 0.021
@@ -80,12 +90,21 @@ def test_paired_bench_summarizes_canned_runs():
     assert (minflt["change"]["q1"], minflt["change"]["median"],
             minflt["change"]["q3"]) == (4114.0, 4200.0, 4300.0)
     assert minflt["base"]["n"] == minflt["change"]["n"] == 5
-    # the printed verdict: one line per end-to-end metric held, then the faults
+    # the metric lines' metrics reach the summary
+    assert summary["round_rand_s"]["base"]["median"] == 0.002
+    assert summary["round_rand_s"]["change"]["median"] == 0.001
+    assert summary["round_rand_s"]["wins"] == 5 and summary["round_rand_s"]["clear"]
+    assert summary["fail_ratio"]["change_rel"] is None and summary["fail_ratio"]["wins"] == 0
+    # the printed verdict: one line per end-to-end metric held, then the
+    # other metrics by name, then the faults
     lines = pb.verdict_lines(pb.summarize(runs, {"greedy_s": "lower"}),
                              ["greedy_s", "cert_width", "peak_rss_mb"])
     assert lines == [
         "posegraph-300 seed 1 greedy_s: base 0.021 change 0.016 (-23.8%), wins 4/5, clear yes",
         "posegraph-300 seed 1 cert_width: base 16.25 change 16.25 (+0.0%), wins 0/5, clear no",
+        "posegraph-300 seed 1 fail_ratio: base 0 change 0 (n/a), wins 0/5, clear no",
+        "posegraph-300 seed 1 round_rand_s: base 0.002 change 0.001 (-50.0%), wins 5/5, "
+        "clear yes",
         "posegraph-300 seed 1 faults per call: base 285.0 [280.0-290.0], "
         "change 4200.0 [4114.0-4300.0]",
     ]

@@ -109,6 +109,34 @@ def test_subunit_weights_need_explicit_normalization():
     assert min(weights) >= 1.0
 
 
+def test_overflowing_weights_are_refused_with_their_line():
+    # each diagonal is finite, but the channel weight 0.5 * (I11 + I22)
+    # overflows; it once reached the instance check as inf, which named no
+    # line and used the relabeled pose ids
+    good = "EDGE_SE2 0 1 0 0 0 1 0 0 1 0 1"
+    for bad in ("EDGE_SE2 1 2 0 0 0 1e308 0 0 1e308 0 1",
+                "EDGE_SE2 1 2 0 0 0 1.7e308 0 0 1.7e308 0 1.7e308"):
+        for normalize in (False, True):
+            with pytest.raises(DataError, match=r"<stream>:2: weight overflows float64 "
+                                                r"\(0.5 \* \(I11 \+ I22\) = inf, "):
+                parse_g2o([good, bad], normalize=normalize)
+    # finite raw weights that overflow once normalized: alpha = 4 lifts
+    # the 0.25 weights to 1 and 5e307 beyond float64, in either channel
+    small = "EDGE_SE2 0 1 0 0 0 0.25 0 0 0.25 0 0.25"
+    for bad, weights in (("EDGE_SE2 1 2 0 0 0 1e308 0 0 1 0 1", "5e+307, I33 = 1.0"),
+                         ("EDGE_SE2 1 2 0 0 0 1 0 0 1 0 5e307", "1.0, I33 = 5e+307")):
+        with pytest.raises(DataError) as err:
+            parse_g2o([small, bad], normalize=True)
+        assert str(err.value) == ("<stream>:2: weight overflows float64 (0.5 * (I11 + I22) = "
+                                  f"{weights}, normalization alpha = 4.0)")
+        # without normalize the weights below 1 are refused first
+        with pytest.raises(DataError, match="below 1"):
+            parse_g2o([small, bad])
+    # the largest weights that stay finite load
+    ds = parse_g2o([small, "EDGE_SE2 1 2 0 0 0 4e307 0 0 4e307 0 2e307"], normalize=True)
+    assert ds.odometry[1][2:] == (1.6e308, 8e307)
+
+
 def test_missing_odometry_link_blocks_instance_conversion():
     lines = [
         "EDGE_SE2 0 1 0 0 0 2 0 0 2 0 3",
