@@ -71,8 +71,12 @@ class CertificateBundle:
 def build_bundle(
     tau_init: float, tau_greedy: float, tau_cvx: float, tau_cvx_star: float
 ) -> CertificateBundle:
-    """Assemble the sandwich from the two legs' tau values."""
-    u_greedy = GREEDY_RATIO * tau_greedy + (1.0 - GREEDY_RATIO) * tau_init
+    """Assemble the sandwich from the two legs' tau values.
+
+    u_greedy is never below tau_greedy: at zero gain (k = 0, or no
+    candidate gains) the rescaling rounds a few ulps under it.
+    """
+    u_greedy = max(GREEDY_RATIO * tau_greedy + (1.0 - GREEDY_RATIO) * tau_init, tau_greedy)
     return CertificateBundle(
         tau_init=tau_init,
         tau_greedy=tau_greedy,

@@ -37,13 +37,14 @@ from typing import Sequence
 import numpy as np
 
 from . import treeconn
-from ._lapack import dpotrf, dpotrs
-from .errors import ArgumentError, ConvergenceError
+from ._lapack import dpotrs
+from .errors import ArgumentError, ConvergenceError, NumericalError
 from .graphs import (
     EdgeSelectionInstance,
     ReducedLaplacian,
     _as_seed,
     _as_vertex,
+    _cholesky,
     build_reduced_laplacian,
 )
 from .greedy import SelectionResult, _selection_result
@@ -103,12 +104,18 @@ class RelaxedSolution:
         }
 
 
+def _finite_vector(x, c: int, what: str) -> np.ndarray:
+    """x as c finite floats; ArgumentError naming ``what`` otherwise."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.shape != (c,):
+        raise ArgumentError(f"{what} must have {c} entries, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ArgumentError(f"{what} entries must be finite")
+    return x
+
+
 def _validate_pi(pi, c: int) -> np.ndarray:
-    pi = np.asarray(pi, dtype=float).reshape(-1)
-    if pi.shape != (c,):
-        raise ArgumentError(f"selector must have {c} entries, got shape {pi.shape}")
-    if not np.all(np.isfinite(pi)):
-        raise ArgumentError("selector entries must be finite")
+    pi = _finite_vector(pi, c, "selector")
     if np.any(pi < -1e-9) or np.any(pi > 1.0 + 1e-9):
         raise ArgumentError("selector entries must lie in [0, 1]")
     return np.clip(pi, 0.0, 1.0)
@@ -239,7 +246,7 @@ def _projected_ascent(inst, lam, project, fw_gap, newton, start, tolerance, max_
     if not (tolerance >= 0.0 and max_iters >= 0):
         raise ArgumentError(f"tolerance and max_iters must be >= 0, got {tolerance}, {max_iters}")
     objective = _Objective(inst, lam)
-    pi = project(np.asarray(start, dtype=float).reshape(-1))
+    pi = project(_finite_vector(start, inst.num_candidates, "start"))
     value, grad = objective(pi)
     curve = [objective.offset + value]
     iterations = newton_steps = 0
@@ -304,11 +311,12 @@ def _projected_ascent(inst, lam, project, fw_gap, newton, start, tolerance, max_
 def _newton_point(Q, free, newton, pi, grad):
     """The Newton trial point on pi's free set ``free``, Q = -Hessian_FF, or None.
 
-    None when Q has no Cholesky factor, or one with a pivot at rounding
-    level: exact duplicate candidates in F make Q singular.
+    None when _cholesky refuses Q at the floor |F| eps max diag(Q): exact
+    duplicate candidates in F make Q singular.
     """
-    R, info = dpotrf(Q, lower=1, clean=0)
-    if info or np.diag(R).min() ** 2 <= free.size * np.finfo(float).eps * np.diag(Q).max():
+    try:
+        R = _cholesky(Q, free.size * np.finfo(float).eps * np.diag(Q).max())
+    except NumericalError:
         return None
     point = pi.copy()
     point[free] = newton(lambda b: dpotrs(R, b, lower=1)[0], grad[free], pi[free])
@@ -375,13 +383,10 @@ def _fp_allowance(order: int, value: float, objective: _Objective) -> float:
     first sums. Gradient entry i is diag(G)_i - |x_i|^2 or |x_i|^2, both
     terms at most diag(G)_i, so eps * c * sum(mult * diag(G)) covers the
     second. The backward error of the factorizations themselves, which
-    grows with the condition number of L(pi), is not covered. On a tree
-    base, the path of every g2o instance among them, log_det0 is the sum
-    of the base's log weights (graphs.connected_tau), covered by the
-    first term with no condition-number term, and on the path Z is exact
-    to a few ulps per entry (no solve). On any other base log_det0 comes
-    from the dense base factor, whose error grows with the condition
-    number of L0 and is not covered either.
+    grows with the condition number of L(pi), is not covered, nor is the
+    error of log_det0 and Z on a base that takes the dense factor; the
+    path base of every g2o instance carries none beyond rounding
+    (graphs.connected_tau).
     """
     diag = sum(mult * kernel.gram_diag for mult, kernel in objective.kernels)
     return float(np.finfo(float).eps * (order * abs(value) + diag.size * diag.sum()))
@@ -395,7 +400,8 @@ def solve_p2(
 ) -> RelaxedSolution:
     """Budgeted relaxation: maximize the objective over the capped simplex.
 
-    Any feasible ``start`` may be supplied (it is projected first);
+    Any ``start`` of c finite entries may be supplied (it is projected
+    first; another length or a non-finite entry raises ArgumentError);
     the default is the uniform k/c vector. The ascent stops once the
     residual |pi - P(pi + grad)|_inf is at most ``tolerance`` or the
     Frank-Wolfe gap sum top-k(grad) - grad.pi is at most tolerance *
@@ -440,7 +446,8 @@ def solve_p3(
     solve_p2's, with the box gap sum max(grad, 0) - grad.pi of the
     penalized objective. tau_cvx_star reports the unpenalized objective
     at the final selector while the recorded curve tracks the penalized
-    one the solver climbs; it is not a certificate.
+    one the solver climbs; it is not a certificate. ``start`` is checked
+    and projected as in solve_p2; the default is 0.5 everywhere.
     """
     lam = float(lam)
     if lam < 0 or not math.isfinite(lam):
@@ -527,15 +534,13 @@ def round_randomized(
 ) -> RandomizedRounding:
     """Sample Bernoulli roundings of pi and tabulate per-trial statistics.
 
-    A trial that keeps the candidate set S has, by the matrix determinant
-    lemma, det L(S) = det L0 * det(I + Z_S^T Z_S) per channel (the
-    instance's kernels, treeconn.SubsetLogDet). Trials are drawn in chunks
-    whose bits fit LEMMA_BATCH_BYTES; each distinct design of a chunk is
-    scored once per channel through the relaxation's own factor and log
-    det at its 0/1 indicator, so a trial's counts do not depend on the
-    other trials drawn with it. Memory is the instance's Z, plus G (c^2)
-    when c <= order as for the relaxation, plus one chunk of bits and its
-    float64 draws (8x the bits), and the factor of one design.
+    Trials are drawn in chunks whose bits fit LEMMA_BATCH_BYTES; each
+    distinct design of a chunk is scored once per channel through the
+    relaxation's own factor and log det at its 0/1 indicator (the
+    instance's kernels, treeconn.SubsetLogDet), so a trial's counts do
+    not depend on the other trials drawn with it. Memory is the kernels,
+    one chunk of bits and its float64 draws (8x the bits), and the factor
+    of one design.
     """
     pi = _validate_pi(pi, inst.num_candidates)
     trials = _as_vertex(trials, "trials")

@@ -31,8 +31,8 @@ DIRECTION_REMOVE = "remove"
 OBJECTIVE_SINGLE = "single-weight"
 OBJECTIVE_SLAM = "slam-double"
 
-# Cholesky pivots below this fraction of the largest diagonal entry are
-# refused with _UNRESOLVED instead of silently producing a garbage factor.
+# A reduced Laplacian's squared Cholesky pivots at or below this fraction of
+# its largest diagonal entry are refused (_cholesky), not made a garbage factor.
 PIVOT_RTOL = 1e-12
 # The largest n whose pair keys u * (n + 1) + v fit in int64 (_merge_columns).
 MAX_VERTICES = 3_037_000_498
@@ -51,6 +51,26 @@ _UNRESOLVED = (
     "the graph is disconnected up to rounding, or its weights spread more "
     "widely than float64 resolves"
 )
+
+
+def _cholesky(A: np.ndarray, floor: float) -> np.ndarray:
+    """The lower Cholesky factor of A, Fortran-ordered and zero above: the one factorization.
+
+    Its one refusal rule: NumericalError naming both causes (_UNRESOLVED)
+    when dpotrf fails, a pivot is not finite, or a squared pivot is at or
+    below ``floor``. A reduced Laplacian's floor is PIVOT_RTOL times its
+    largest diagonal entry. A determinant-lemma form I + Z_S^T Z_S has all
+    eigenvalues at least 1, so with Cholesky's backward error (Higham,
+    Accuracy and Stability of Numerical Algorithms, Thm 10.3) its floor is 0.
+    """
+    R, info = dpotrf(A, lower=1, clean=1)
+    # pivots are >= 0 and a NaN propagates to the min; Python floats square without warnings
+    low, high = float(R.diagonal().min(initial=math.inf)), float(R.diagonal().max(initial=0.0))
+    if info or not (low * low > floor and high < math.inf):
+        raise NumericalError(
+            f"Cholesky factorization refused, the matrix is not positive definite: {_UNRESOLVED}"
+        )
+    return R
 
 
 def _canonical_pair(u: int, v: int) -> tuple[int, int]:
@@ -324,11 +344,9 @@ class ReducedLaplacian:
     Vertex n is the anchor, so row i belongs to vertex i + 1. Positive
     definite exactly when the generating graph is connected, in which
     case its determinant is the weighted spanning-tree count. The
-    lower Cholesky factor, LAPACK's dpotrf in Fortran order, is computed
-    on first use and cached. Pivots below PIVOT_RTOL times the largest
-    diagonal entry raise NumericalError: the graph is disconnected up to
-    rounding, or it is connected but its weights spread more widely than
-    float64 resolves (a 1e15 edge in series with a 1 edge).
+    lower Cholesky factor is computed on first use and cached; _cholesky
+    refuses it at the floor PIVOT_RTOL times the largest diagonal entry,
+    which a 1e15 edge in series with a 1 edge falls below.
     """
 
     n: int
@@ -370,15 +388,7 @@ class ReducedLaplacian:
     @cached_property
     def cholesky(self) -> np.ndarray:
         """Lower-triangular factor C with C C^T = matrix, Fortran-ordered, zero above."""
-        factor, info = dpotrf(self.matrix, lower=1, clean=1)
-        if info:
-            raise NumericalError(
-                f"Cholesky factorization failed, matrix is not positive definite: {_UNRESOLVED}"
-            )
-        pivots = np.diag(factor) ** 2
-        floor = PIVOT_RTOL * float(np.max(np.diag(self.matrix)))
-        if np.any(pivots < floor):
-            raise NumericalError(f"Cholesky pivot underflow: {_UNRESOLVED}")
+        factor = _cholesky(self.matrix, PIVOT_RTOL * float(np.max(np.diag(self.matrix))))
         factor.setflags(write=False)
         return factor
 
@@ -473,19 +483,14 @@ def path_lemma_tau(path_weights: np.ndarray, pairs, weights) -> float:
     ``pairs`` and ``weights`` are the edges X, none of them a path pair.
     tau = sum log p + log det(I + Z_X^T Z_X), Z_X the path's closed-form
     whitening of X (path_whitened_incidence), from one Cholesky factor of
-    the |X| x |X| form. That form's eigenvalues are all at least 1, so the
-    factor's error needs no condition number; a form that overflows, or
-    whose factor fails, is refused with _UNRESOLVED.
+    the |X| x |X| form, refused as _cholesky refuses every lemma form.
     """
     Zt = path_whitened_incidence(path_weights, pairs, weights)
-    with np.errstate(over="ignore"):  # refused below
+    with np.errstate(over="ignore"):  # refused by the factor
         K = Zt @ Zt.T
     K.flat[:: K.shape[0] + 1] += 1.0
-    R, info = dpotrf(K, lower=1, clean=0)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(R))))
-    if info or not math.isfinite(log_det):
-        raise NumericalError(f"Cholesky factorization failed: {_UNRESOLVED}")
-    return float(np.sum(np.log(path_weights))) + log_det
+    R = _cholesky(K, 0.0)
+    return float(np.sum(np.log(path_weights))) + 2.0 * float(np.sum(np.log(np.diag(R))))
 
 
 def connected_tau(n: int, u, v, w, lap: ReducedLaplacian | None = None) -> float:
@@ -503,12 +508,16 @@ def connected_tau(n: int, u, v, w, lap: ReducedLaplacian | None = None) -> float
       dense factor, ``lap`` when the caller has assembled it, whose error
       grows with the matrix's condition number.
 
-    The lemma costs about |X|^2 order flops and the dense factor about
-    order^3 / 3, so past some share of extra edges the dense factor is
-    faster; LEMMA_MAX_EXTRA is the measured share (see its comment), so
-    the designs of the paper's budgets, well under half the poses, take
-    the lemma and full g2o graphs, with about as many closures as poses,
-    the dense factor. The graph must be connected; the caller checks.
+    The first two carry no condition-number term: the lemma's Z is exact
+    to a few ulps per entry (path_whitened_incidence) and its form's
+    eigenvalues are all at least 1. Both factors are refused by the one
+    rule of _cholesky. The lemma costs about |X|^2 order flops and the
+    dense factor about order^3 / 3, so past some share of extra edges the
+    dense factor is faster; LEMMA_MAX_EXTRA is the measured share (see
+    its comment), so the designs of the paper's budgets, well under half
+    the poses, take the lemma and full g2o graphs, with about as many
+    closures as poses, the dense factor. The graph must be connected;
+    the caller checks.
     """
     order = n - 1
     if len(w) == order:
@@ -647,25 +656,18 @@ class EdgeSelectionInstance:
         and exhaustive search read, so it is also their one guard: removal
         instances raise ArgumentError here, to be reduced first
         (reduce_removal_to_addition). Built on first use and held for the
-        instance's lifetime: order * c floats per channel (Z), plus c^2 (G)
-        once the relaxation, randomized rounding, or exhaustive search with
-        k >= 2, has run with c <= order. A relaxation also holds, until it
-        returns, the factor of its last point, at most min(c, order)^2 per
-        channel; each gradient one s * c array for s nonzero selectors
-        (order * c when s > order), its one right-side triangular solve
-        overwriting the gathered rows; and the Newton trial the free block's
-        Hessian, |F|^2. Randomized rounding holds one design's factor at a
-        time. The kernel keeps none of them.
+        instance's lifetime: order * c floats per channel (Z), plus c^2
+        (G) once read when c <= order. What an evaluation holds until it
+        returns, SubsetLogDet states; the kernel keeps none of it.
 
         Each kernel's log_det0 is the tau rule (connected_tau) on its
-        channel of the merged base columns. A base whose merged edges are
-        {a, a + 1} for a = 1..n-1, the odometry path of every g2o instance
-        (slam.to_instance, and reduce_removal_to_addition's base), is
-        neither assembled nor factored: log_det0 is its sum of log weights
-        and Z comes in closed form (path_whitened_incidence). Every other
-        base is assembled once per channel and whitened by a triangular
-        solve against its factor. A weighted resistance (gram_diag) that
-        overflows float64 raises NumericalError here, for every solver.
+        channel of the merged base columns. Z comes in closed form
+        (path_whitened_incidence) on the path base {a, a + 1}, a =
+        1..n-1, the odometry of every g2o instance, which is neither
+        assembled nor factored; every other base is assembled once per
+        channel and whitened by a triangular solve against its factor. A
+        weighted resistance (gram_diag) that overflows float64 raises
+        NumericalError here, for every solver.
         """
         from .treeconn import SubsetLogDet, whitened_incidence
 

@@ -30,7 +30,6 @@ from typing import Iterable
 import numpy as np
 
 from . import treeconn
-from ._lapack import dpotrf, dtrtri
 from .errors import ArgumentError, InfeasibleError, SizeGuardError
 from .graphs import EdgeSelectionInstance
 
@@ -106,14 +105,10 @@ class GainFunction:
     scratch (EdgeSelectionInstance.design_taus: the base's and the
     design's merged columns, each channel read by the one tau rule,
     graphs.connected_tau), so it is the slow, trustworthy evaluation the
-    fast greedy path is checked against. On a path base, every g2o
-    instance's, a design of at most LEMMA_MAX_EXTRA * order candidates
-    (graphs.LEMMA_MAX_EXTRA, 0.55) takes the determinant lemma over the
-    path: one |X| x |X| factor, X the design's edges off the path. Other
-    designs assemble and factor the reduced Laplacian, unless the graph
-    is a tree. It checks no connectivity: the instance guard proved the
-    base graph connected, adding candidates keeps it so, and the dense
-    factor's pivot floor still refuses what float64 cannot resolve.
+    fast greedy path is checked against. It checks no connectivity: the
+    instance guard proved the base graph connected, adding candidates
+    keeps it so, and the factor's refusal (graphs._cholesky) still
+    refuses what float64 cannot resolve.
     The gain is absolute(subset) - baseline_total, exactly 0 for the
     empty subset: the baselines, each channel's base tau read off the
     instance's kernels, are the from-scratch bits of the base graphs.
@@ -373,9 +368,8 @@ def _subset_values(inst: EdgeSelectionInstance):
     with Cholesky's backward stability, whether s or order is the larger.
     The walk is depth first: one chunk per depth is live, its d and u
     within LEMMA_BATCH_BYTES (or one node), and a node's U is its
-    ancestors' rows. The one c x c matrix per channel is G when 2 <= k <=
-    c / 2 (the kernel's own when it keeps one, c <= order), or K when k >
-    c / 2; it is dropped when the walk ends.
+    ancestors' rows. The one c x c matrix per channel, dropped when the
+    walk ends, is G when 2 <= k <= c / 2, or K when k > c / 2.
     """
     c, k = inst.num_candidates, inst.k
     kernels = inst.kernels
@@ -388,9 +382,9 @@ def _subset_values(inst: EdgeSelectionInstance):
         if not complement:
             diags.append(kern.gram_diag)
             if r >= 2:
-                mats.append(kern.Zt @ kern.Zt.T if kern.gram is None else kern.gram)
+                mats.append(kern.gram_rows(np.arange(c), principal=True))
             continue
-        K, log_det = _complement_kernel(kern)
+        K, log_det = kern.complement()
         base += m * log_det
         mats.append(K)
         diags.append(np.diag(K))
@@ -446,16 +440,6 @@ def _subset_values(inst: EdgeSelectionInstance):
         # the last depth before the leaves needs d alone
         u = g if t + 2 < r else None
         levels.append(_Level(par, j, val, lo, d, u, c - r + t + 1))
-
-
-def _complement_kernel(kern: treeconn.SubsetLogDet) -> tuple[np.ndarray, float]:
-    """K = (I + G)^-1 and log det(I + G), from one Cholesky factor of I + G."""
-    A = kern.Zt @ kern.Zt.T if kern.gram is None else kern.gram.copy()
-    A.flat[:: A.shape[0] + 1] += 1.0
-    R, _ = dpotrf(A, lower=1, overwrite_a=1)  # I + G = R R^T has no pivot below 1
-    log_det = 2.0 * float(np.sum(np.log(np.diag(R))))
-    Rinv, _ = dtrtri(R, lower=1, overwrite_c=1)  # R's buffer, freed on return
-    return Rinv.T @ Rinv, log_det
 
 
 def _leaf_rows(levels: list[_Level], par: np.ndarray, j: np.ndarray, subsets):

@@ -2,17 +2,13 @@
 
 The weighted spanning-tree count of a connected graph equals the
 determinant of any reduced Laplacian, so its log (tau, the quantity this
-package maximizes) comes from the one tau rule (graphs.connected_tau),
-which reads an edge set's merged columns (u < v, one row per pair,
-graphs._merge_columns): straight from the weights of a spanning tree, by
-the determinant lemma over the path 1-2-...-n when the graph holds that
-path and at most LEMMA_MAX_EXTRA * order other edges (0.55 of the order,
-where the measured costs cross), and otherwise from one dense Cholesky
-factor of the reduced Laplacian. A spectral form, sum of log nonzero
+package maximizes) comes from the one tau rule, graphs.connected_tau, on
+an edge set's merged columns. A spectral form, sum of log nonzero
 Laplacian eigenvalues minus log n, serves as an independent cross-check,
-and a literal subset-enumeration oracle covers small graphs in tests. Whether a graph is connected, and the oracle's
-test of whether n - 1 edges form a spanning tree, are both the one
-union-find of graphs._component_count.
+and a literal subset-enumeration oracle covers small graphs in tests.
+Whether a graph is connected, and the oracle's test of whether n - 1
+edges form a spanning tree, are both the one union-find of
+graphs._component_count.
 
 Scoring a candidate edge {u, v} with weight w against a graph reduces to
 its effective resistance Delta: appending the edge multiplies the tree
@@ -28,9 +24,16 @@ from functools import cached_property
 
 import numpy as np
 
-from ._lapack import dpotrf, dtrsm
-from .errors import DataError, NumericalError, SizeGuardError
-from .graphs import ReducedLaplacian, WeightedGraph, _component_count, connected_tau, is_connected
+from ._lapack import dtrsm, dtrtri
+from .errors import DataError, SizeGuardError
+from .graphs import (
+    ReducedLaplacian,
+    WeightedGraph,
+    _cholesky,
+    _component_count,
+    connected_tau,
+    is_connected,
+)
 
 # The enumeration oracle walks all (n-1)-subsets of edges; refuse
 # anything that is big on both axes.
@@ -56,14 +59,7 @@ class TreeConnectivity:
 
 
 def tree_connectivity(g: WeightedGraph) -> TreeConnectivity:
-    """tau by the one tau rule (graphs.connected_tau). The production path.
-
-    A spanning tree's tau is its sum of log weights; a graph that holds
-    the path 1-2-...-n and at most LEMMA_MAX_EXTRA * order other edges
-    (graphs.LEMMA_MAX_EXTRA) adds the log det of the determinant lemma's
-    small form over that path; every other connected graph's comes from
-    one Cholesky factorization of its reduced Laplacian.
-    """
+    """tau by the one tau rule (graphs.connected_tau). The production path."""
     if not is_connected(g):
         return TreeConnectivity(0.0, False)
     return TreeConnectivity(connected_tau(g.n, *g._columns), True)
@@ -135,26 +131,18 @@ class SubsetLogDet:
     whitened, weighted incidence of all candidates, kept as Z^T (c x
     order). The instance builds both (EdgeSelectionInstance.kernels):
     log_det0 is the base graph's tau by the one tau rule
-    (graphs.connected_tau), and Z comes in closed form on the path base
-    1-2-...-n (graphs.path_whitened_incidence), exact to a few ulps per
-    entry, and otherwise from one triangular solve against the base
-    factor (whitened_incidence), whose error grows with L0's condition
-    number. On a tree base, the path of every g2o instance among them,
-    log_det0 is the sum of the base's log weights, and on the path plus
-    at most LEMMA_MAX_EXTRA * order other edges it comes from the
-    determinant lemma over the path, neither with a condition-number
-    term; on any other base it comes from L0's dense factor. Memory is
-    O(order * c) plus G when c <= order.
+    (graphs.connected_tau). Memory is O(order * c) plus G when c <= order.
 
     A selector pi with support S and r = sqrt(pi_S) gives log det L(pi)
     = log_det0 + log det(I + r G_SS r), G = Z^T Z the candidate Gram
     matrix, or the order x order side if smaller: O(s^3 + s^2 c) per
     evaluation, whose factor (factor(pi)) the kernel returns and never
-    keeps. G is kept only when c <= order, so it is no larger than Z.
-    The gradient is one right-side triangular solve, X^T = B^T R^{-T}:
-    on the s x s form it is written over the gathered rows B, so the
-    call holds one s x c array (order x c on the order side, where Z is
-    copied and never written). X also gives the Hessian block of any
+    keeps; graphs._cholesky refuses it as a lemma form. G is kept only
+    when c <= order, so it is no larger than Z, and only gram_rows reads
+    it. The gradient is one right-side triangular solve, X^T = B^T
+    R^{-T}: on the s x s form it is written over the gathered rows B, so
+    the call holds one s x c array (order x c on the order side, where Z
+    is copied and never written). X also gives the Hessian block of any
     free set F at |F|^2 s extra flops; it is dropped when the call
     returns. A subset S is scored as the selector of its 0/1 indicator
     (randomized rounding's trials); exhaustive search chains Cholesky
@@ -175,6 +163,27 @@ class SubsetLogDet:
         """diag(G): the squared column norms of Z, w_i times i's base resistance."""
         return np.einsum("ij,ij->i", self.Zt, self.Zt)
 
+    def gram_rows(self, rows: np.ndarray, principal: bool = False) -> np.ndarray:
+        """Fresh rows ``rows`` of G, or with ``principal`` its block G[rows, rows].
+
+        Without a kept G, products with Z; a principal block is one
+        symmetric product, which BLAS rounds apart from a product with Z.
+        """
+        if self.gram is None:
+            Y = self.Zt[rows]
+            return Y @ (Y if principal else self.Zt).T
+        return self.gram[np.ix_(rows, rows)] if principal else self.gram[rows]
+
+    def complement(self) -> tuple[np.ndarray, float]:
+        """K = (I + G)^-1 and log det(I + G), from one Cholesky factor of I + G."""
+        A = self.gram_rows(np.arange(self.Zt.shape[0]), principal=True)
+        A.flat[:: A.shape[0] + 1] += 1.0
+        R = _cholesky(A, 0.0)
+        del A  # the inverse below needs only R
+        log_det = 2.0 * float(np.sum(np.log(np.diag(R))))
+        Rinv, _ = dtrtri(R, lower=1, overwrite_c=1)  # R's buffer, freed on return
+        return Rinv.T @ Rinv, log_det
+
     def factor(self, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(S, r, R) at pi: its support, sqrt(pi) on it, the lower factor of the smaller form."""
         S = np.flatnonzero(pi)
@@ -186,10 +195,7 @@ class SubsetLogDet:
             U = self.Zt[S] * r[:, None]
             K = U @ U.T if S.size <= self.Zt.shape[1] else U.T @ U
         K.flat[:: K.shape[0] + 1] += 1.0
-        R, info = dpotrf(K, lower=1, clean=0)
-        if info:
-            raise NumericalError("selector-weighted Laplacian lost positive definiteness")
-        return S, r, R
+        return S, r, _cholesky(K, 0.0)
 
     def log_det(self, factor: tuple) -> float:
         """log det L(pi) - log_det0 from pi's factor; power-of-2 weight scaling leaves it exact."""
@@ -214,7 +220,7 @@ class SubsetLogDet:
         else:
             # B is fresh (a gather or a product); B.T is its memory in
             # Fortran order, which the solve overwrites with X^T
-            B = self.Zt[S] @ self.Zt.T if self.gram is None else self.gram[S]
+            B = self.gram_rows(S)
             B *= r[:, None]
             Xt = dtrsm(1.0, R, B.T, side=1, lower=1, trans_a=1, overwrite_b=1)
             grad = self.gram_diag - np.einsum("ij,ij->i", Xt, Xt)
@@ -223,8 +229,7 @@ class SubsetLogDet:
         XF = Xt[free]
         W = XF @ XF.T
         if not order_side:
-            ZF = self.Zt[free]
-            W = (ZF @ ZF.T if self.gram is None else self.gram[np.ix_(free, free)]) - W
+            W = self.gram_rows(free, principal=True) - W
         return grad, W
 
 

@@ -14,6 +14,7 @@ from treesynth import (
     gap_for_design,
     greedy_select,
     parse_g2o,
+    random_instance,
     round_deterministic,
     solve_p2,
     to_instance,
@@ -45,6 +46,19 @@ def test_certify_brackets_exhaustive_optimum():
         opt = exhaustive_select(inst).tau_achieved
         assert bundle.lower <= opt + 1e-6
         assert opt <= bundle.upper + 1e-6
+
+
+def test_zero_gain_certificates_bracket_the_optimum():
+    # at zero gain the greedy bound's rescaling rounds an ulp or two below
+    # tau_greedy, which once made upper < lower = OPT for 28 of these 200
+    for seed in range(200):
+        inst = random_instance(8, 9, "sampled", sample_size=6, seed=seed, k=0)
+        bundle = certify(inst)
+        assert bundle.lower <= exhaustive_select(inst).tau_achieved <= bundle.upper
+        assert bundle.u_greedy >= bundle.tau_greedy
+    # with a gain the rescaled value is kept as it is
+    b = build_bundle(tau_init=1.0, tau_greedy=2.0, tau_cvx=1.8, tau_cvx_star=2.5)
+    assert b.u_greedy == 2.0 / GREEDY_FACTOR + (1.0 - 1.0 / GREEDY_FACTOR) * 1.0
 
 
 def test_certify_lower_never_exceeds_upper_on_larger_instances():

@@ -322,6 +322,20 @@ def test_bench_k_sweep_with_oracle_brackets_opt(tmp_path):
         assert lower <= opt <= upper
 
 
+def test_zero_gain_certificate_keeps_lower_below_upper(mini_g2o, capsys):
+    # at k = 0 the greedy bound once rounded below tau_greedy:
+    # lower=57.525897042325255 upper=57.52589704232525
+    assert run("certify", "--g2o", str(mini_g2o), "--k", "0") == 0
+    bundle = json.loads(capsys.readouterr().out)["bundle"]
+    assert bundle["lower"] <= bundle["upper"] == bundle["u_greedy"] == bundle["tau_greedy"]
+    assert run("bench", "--g2o", str(mini_g2o), "--k-sweep", "0:2", "--oracle",
+               "--format", "json") == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [row["k"] for row in rows] == [0, 1, 2]
+    for row in rows:
+        assert row["lower"] <= row["opt"] <= row["upper"]
+
+
 def test_bench_k_sweep_builds_one_kernel_per_channel(monkeypatch, mini_g2o, capsys):
     from treesynth import treeconn
 
@@ -417,6 +431,40 @@ def test_exit_code_candidate_count_needs_sampled_mode(capsys):
 
 def test_exit_code_empty_sweep():
     assert run("bench", "--n", "6", "--m-init", "7", "--k-sweep", "5:2", "--seed", "0") == 2
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("5", "must look like LO:HI or LO:HI:STEP"),
+    ("1:x", "bounds must be integers"),
+    ("1:3:0", "step must be >= 1"),
+    ("9:10", "sweep point k=9 outside 0..8 candidates"),  # c = 15 - 7
+])
+def test_exit_code_malformed_sweep(capsys, spec, message):
+    assert run("bench", "--n", "6", "--m-init", "7", "--k-sweep", spec) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and not captured.out
+
+
+def test_synthesize_all_skips_exhaustive_search_above_its_guard(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    assert run("gen", "--n", "10", "--m-init", "9", "--k", "10", "--output", str(path)) == 0
+    capsys.readouterr()
+    # C(36, 10) = 254186856 subsets
+    assert run("synthesize", "--instance", str(path), "--algorithm", "all") == 0
+    captured = capsys.readouterr()
+    assert "note: skipping exhaustive search, C(c, k) = 254186856 subsets" in captured.err
+    assert set(json.loads(captured.out)["results"]) == {"greedy", "convex"}
+
+
+def test_exit_code_duplicate_removal_candidate(tmp_path, capsys):
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps({
+        "n": 3, "base_edges": [[1, 2, 1.0], [2, 3, 1.0], [1, 3, 1.0]],
+        "candidates": [[1, 3, 1.0], [3, 1, 1.0]], "k": 1, "direction": "remove",
+        "objective": "single-weight",
+    }))
+    assert run("synthesize", "--instance", str(path)) == 3
+    assert "duplicate removal candidate (1, 3)" in capsys.readouterr().err
 
 
 def test_exit_code_negative_seed(capsys):
@@ -517,10 +565,13 @@ def test_zero_solver_stop_settings_stay_accepted(inst_path, capsys):
         assert "must be >= 0" not in capsys.readouterr().err
 
 
-def test_exit_code_malformed_g2o(tmp_path):
+def test_exit_code_malformed_g2o(tmp_path, capsys):
     bad = tmp_path / "bad.g2o"
     bad.write_text("EDGE_SE2 0 1 broken\n")
     assert run("evaluate", "--g2o", str(bad)) == 3
+    bad.write_text("VERTEX_SE2 -1 0 0 0\nEDGE_SE2 0 1 0 0 0 1 0 0 1 0 1\n")
+    assert run("evaluate", "--g2o", str(bad)) == 3
+    assert f"{bad}:1: negative vertex id -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -224,9 +224,16 @@ def test_pi_validation():
 def test_solvers_refuse_nan_or_negative_stop_settings():
     inst = star_instance()
     for solve in (solve_p2, lambda i, **kw: solve_p3(i, 0.5, **kw)):
-        for bad in ({"tolerance": math.nan}, {"tolerance": -1.0}, {"max_iters": -3}):
+        # a warm start of another length once failed in numpy's broadcast,
+        # and a NaN entry was returned as the solution
+        for bad in ({"tolerance": math.nan}, {"tolerance": -1.0}, {"max_iters": -3},
+                    {"start": np.zeros(2)}, {"start": [math.nan, 0.0, 0.0]},
+                    {"start": [0.5, math.inf, 0.5]}):
             with pytest.raises(ArgumentError):
                 solve(inst, **bad)
+        # a finite start outside the feasible set is projected
+        pi = solve(inst, start=[5.0, -3.0, 0.2]).pi
+        assert np.all((pi >= 0.0) & (pi <= 1.0))
     # a zero tolerance and a zero iteration cap stay accepted
     assert solve_p2(inst, tolerance=0.0).stop_reason == "residual"
     assert solve_p2(inst, max_iters=0).iterations == 0
@@ -282,8 +289,8 @@ def test_solver_factors_each_accepted_point_once(monkeypatch):
     rng = np.random.default_rng(12)
     inst = slam_instance(random_add_instance(rng, 9, 12, 10, 4), rng)
     calls = []
-    dpotrf = treeconn.dpotrf
-    monkeypatch.setattr(treeconn, "dpotrf", lambda *a, **kw: calls.append(1) or dpotrf(*a, **kw))
+    cholesky = treeconn._cholesky  # the kernels' binding of the one factor routine
+    monkeypatch.setattr(treeconn, "_cholesky", lambda *a: calls.append(1) or cholesky(*a))
     reused = solve_p2(inst)
     reused_calls = len(calls)
 

@@ -295,6 +295,29 @@ def test_reduced_laplacian_disconnected_graph_fails_factorization():
         L.cholesky  # noqa: B018  (property access is the operation under test)
 
 
+@pytest.mark.parametrize("matrix, floor", [
+    ([[1.0, 2.0], [2.0, 1.0]], 0.0),  # indefinite: the factor fails
+    ([[math.inf]], 0.0),  # an overflowed lemma form: a pivot that is not finite
+    ([[math.nan]], 0.0),
+    ([[4.0, 2.0], [2.0, 4.0]], 4.0),  # a squared pivot at the floor
+], ids=["indefinite", "inf", "nan", "at-floor"])
+def test_cholesky_refuses_by_one_rule(matrix, floor):
+    with pytest.raises(NumericalError, match="not positive definite") as err:
+        graphs._cholesky(np.array(matrix), floor)
+    assert "disconnected up to rounding" in str(err.value)
+    assert "weights spread more widely than float64 resolves" in str(err.value)
+
+
+def test_cholesky_returns_the_lower_factor():
+    A = np.array([[4.0, 2.0], [2.0, 1e300]])
+    R = graphs._cholesky(A, 3.0)  # squared pivots 4 and 1e300 - 1
+    assert R.flags.f_contiguous and R[0, 1] == 0.0
+    assert np.allclose(R @ R.T, A, rtol=1e-15, atol=0.0)
+    # the largest finite diagonal squares to a finite pivot again
+    big = graphs._cholesky(np.array([[np.finfo(float).max]]), 0.0)
+    assert big[0, 0] == math.sqrt(np.finfo(float).max)
+
+
 def test_cholesky_refusal_names_both_causes(tmp_path, capsys):
     # 1e15 in series with 1 on the path 1-2-3: the base plus the candidate
     # is the path plus one edge, which the tau rule's determinant lemma

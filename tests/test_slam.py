@@ -54,6 +54,7 @@ def test_parse_accepts_line_iterables():
         ("EDGE_SE2 0 one 0 0 0 1 0 0 1 0 1", "numeric"),
         ("EDGE_SE2 0 0 0 0 0 1 0 0 1 0 1", "self loop"),
         ("EDGE_SE2 -1 1 0 0 0 1 0 0 1 0 1", "negative id"),
+        ("VERTEX_SE2 -1 0.0 0.0 0.0", "negative id"),
         ("EDGE_SE2 0 1 0 0 0 -1 0 0 1 0 1", "nonpositive information"),
         ("EDGE_SE2 0 1 0 0 0 1 0 0 1 0 0", "nonpositive information"),
     ],

@@ -361,6 +361,18 @@ def test_selector_kernel_matches_direct_evaluation():
         # the gradient's solve overwrites its own buffer in place, never
         # the kernel's arrays (G is built here so that it is compared too)
         memory = [_kernel_memory(kernel) for _, kernel in inst.kernels]
+        for (_, kernel), before in zip(inst.kernels, memory):
+            # fresh rows and principal blocks of G, and (I + G)^-1 with its log det
+            G, I = kernel.Zt @ kernel.Zt.T, np.eye(c)
+            rows = rng.permutation(c)[: max(1, c // 2)]
+            for block, ref in ((kernel.gram_rows(rows), G[rows]),
+                               (kernel.gram_rows(rows, principal=True), G[np.ix_(rows, rows)])):
+                np.testing.assert_allclose(block, ref, rtol=1e-12, atol=1e-12 * G.max())
+                block[...] = np.nan
+            K, log_det = kernel.complement()
+            np.testing.assert_allclose(K @ (I + G), I, rtol=0, atol=1e-9)
+            assert log_det == pytest.approx(np.linalg.slogdet(I + G)[1], rel=1e-12)
+            assert _kernel_memory(kernel) == before
         for pi in (np.zeros(c), np.ones(c), rng.uniform(0.05, 1.0, size=c), mixed, few):
             free = np.flatnonzero((pi > 0.0) & (pi < 1.0))
             for (channel, _), (_, kernel), before in zip(inst.channels, inst.kernels, memory):
@@ -453,8 +465,7 @@ def test_path_base_kernels_assemble_and_factor_nothing(monkeypatch):
     from treesynth import _lapack, graphs
 
     calls = []
-    for module, name in ((graphs, "_laplacian"), (graphs, "dpotrf"),
-                         (treeconn, "dpotrf"), (_lapack, "dpotrf")):
+    for module, name in ((graphs, "_laplacian"), (graphs, "dpotrf"), (_lapack, "dpotrf")):
         fn = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda *a, fn=fn, name=name, **kw: calls.append(name) or fn(*a, **kw))
