@@ -37,6 +37,7 @@ from .errors import (
     TreesynthError,
 )
 from .graphs import (
+    CHANNELS,
     DIRECTION_ADD,
     DIRECTION_REMOVE,
     OBJECTIVE_SLAM,
@@ -288,7 +289,7 @@ def cmd_evaluate(args) -> int:
     # both sources fall through to the instance loader, which refuses them
     if args.g2o and not args.instance:
         ds = _load_dataset(args)
-        tau_p, tau_t = channel_taus(ds.poses, ds.odometry + ds.loop_closures)
+        taus = channel_taus(ds.poses, ds.odometry + ds.loop_closures)
         doc = {
             "poses": ds.poses,
             "odometry_edges": len(ds.odometry),
@@ -296,9 +297,9 @@ def cmd_evaluate(args) -> int:
             "ignored_lines": ds.report.ignored_lines,
             "offdiag_flagged": ds.report.offdiag_flagged,
             "normalization_alpha": ds.report.alpha,
-            "tau_p": tau_p,
-            "tau_theta": tau_t,
-            "dopt_proxy": 2.0 * tau_p + tau_t,
+            "tau_p": taus[0],
+            "tau_theta": taus[1],
+            "dopt_proxy": sum(mult * tau for (_, mult), tau in zip(CHANNELS[OBJECTIVE_SLAM], taus)),
         }
     else:
         inst = _load_instance_from_args(args, need_k=False)

@@ -45,7 +45,7 @@ from .graphs import (
     _as_seed,
     _as_vertex,
     _cholesky,
-    build_reduced_laplacian,
+    _merge_columns,
 )
 from .greedy import SelectionResult, _selection_result
 
@@ -124,12 +124,15 @@ def _validate_pi(pi, c: int) -> np.ndarray:
 def laplacian_of_pi(
     inst: EdgeSelectionInstance, pi, channel: str | None = None
 ) -> ReducedLaplacian:
-    """Reduced Laplacian of base plus pi-scaled candidates, one channel."""
+    """Reduced Laplacian of base plus pi-scaled candidates, one channel.
+
+    The base's merged columns, then the candidates at weights pi_i w_i, merged once.
+    """
     pi = _validate_pi(pi, inst.num_candidates)
-    base = build_reduced_laplacian(inst.base_graph(channel))
-    A = base.incidence_matrix(inst.candidate_pairs)
-    A *= np.sqrt(pi * inst.candidate_weights(channel))
-    return ReducedLaplacian._trusted(inst.n, base.matrix + A @ A.T)
+    u, v, w = (np.concatenate(cols) for cols in zip(inst._base_columns, inst._candidate_columns))
+    w = w[:, inst._channel_index(channel)]
+    w[w.size - pi.size:] *= pi
+    return ReducedLaplacian._of_columns(inst.n, *_merge_columns(u, v, w, inst.n))
 
 
 def relaxed_objective_and_gradient(
@@ -217,8 +220,9 @@ def _projected_ascent(inst, lam, project, fw_gap, newton, start, tolerance, max_
     zero to about 1e-16 whenever the rounding of the step's sum makes its
     shift negative, and the support would jump to all c. The Newton trial
     is skipped when F has fewer than 2 entries or Q is singular
-    (_newton_point), and a rejected one falls through to the
-    Barzilai-Borwein trials.
+    (_newton_point). It must also strictly raise f: a gain that rounds
+    to 0 passes the Armijo test and would hold pi on a face that is not
+    optimal. A rejected one falls through to the Barzilai-Borwein trials.
     Those start at P(pi + alpha * grad) with the Barzilai-Borwein step
     alpha = s.s / s.y of the last accepted move, s = pi_new - pi_old and
     y = grad_old - grad_new (Barzilai and Borwein, IMA J. Numer. Anal.
@@ -254,11 +258,11 @@ def _projected_ascent(inst, lam, project, fw_gap, newton, start, tolerance, max_
     alpha = 1.0
     Q = None  # the free block's -Hessian once the support has settled
 
-    def accepts(cand):
+    def accepts(cand, newton=False):
         gd = float(grad @ (cand - pi))
         # objective only here; the gradient is computed on acceptance
         cand_value = objective.value_only(cand)
-        return gd > 0.0 and cand_value >= value + ARMIJO_SIGMA * gd
+        return gd > 0.0 and cand_value >= value + ARMIJO_SIGMA * gd and (cand_value > value or not newton)
 
     def solution(reason):
         return RelaxedSolution(pi, certified(objective, pi, curve[-1], gap), iterations, residual,
@@ -280,7 +284,7 @@ def _projected_ascent(inst, lam, project, fw_gap, newton, start, tolerance, max_
         cand = None
         if Q is not None:
             trial = _newton_point(Q, free, newton, pi, grad)
-            if trial is not None and accepts(trial):
+            if trial is not None and accepts(trial, newton=True):
                 cand = trial
                 newton_steps += 1
         t = 1.0

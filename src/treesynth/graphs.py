@@ -31,6 +31,9 @@ DIRECTION_REMOVE = "remove"
 OBJECTIVE_SINGLE = "single-weight"
 OBJECTIVE_SLAM = "slam-double"
 
+# Each objective's weight channels with their multipliers: slam-double scores
+# twice the translational tree-connectivity plus the rotational one.
+CHANNELS = {OBJECTIVE_SINGLE: ((None, 1.0),), OBJECTIVE_SLAM: (("p", 2.0), ("theta", 1.0))}
 # A reduced Laplacian's squared Cholesky pivots at or below this fraction of
 # its largest diagonal entry are refused (_cholesky), not made a garbage factor.
 PIVOT_RTOL = 1e-12
@@ -368,14 +371,15 @@ class ReducedLaplacian:
         object.__setattr__(self, "matrix", m)
 
     @classmethod
-    def _trusted(cls, n: int, matrix: np.ndarray) -> ReducedLaplacian:
-        """Wrap a matrix the package assembled itself, without __post_init__.
+    def _of_columns(cls, n: int, u, v, w) -> ReducedLaplacian:
+        """The reduced Laplacian of merged columns on 1..n (_merge_columns), by _laplacian.
 
-        For float matrices of the right order that are symmetric by
-        construction and owned by no one else: the copy and the symmetry
-        check are about half of a small build.
+        The package's own constructor: its matrix is symmetric by
+        construction and owned by no one else, so it skips __post_init__,
+        whose copy and symmetry check are about half of a small build.
         """
         lap = object.__new__(cls)
+        matrix = _laplacian(u, v, w, n - 1)
         matrix.setflags(write=False)
         object.__setattr__(lap, "n", n)
         object.__setattr__(lap, "matrix", matrix)
@@ -438,14 +442,10 @@ class ReducedLaplacian:
 
 
 def build_reduced_laplacian(g: WeightedGraph) -> ReducedLaplacian:
-    """Assemble the reduced Laplacian of g, dropping vertex n.
-
-    The (n-1) x (n-1) matrix is assembled directly (_laplacian): one
-    bincount for the diagonal, in a per-edge loop's summation order.
-    """
+    """The reduced Laplacian of g, dropping vertex n, from its merged columns."""
     if g.n < 2:
         raise ArgumentError("reduced Laplacian needs at least 2 vertices")
-    return ReducedLaplacian._trusted(g.n, _laplacian(*g._columns, g.n - 1))
+    return ReducedLaplacian._of_columns(g.n, *g._columns)
 
 
 def path_whitened_incidence(path_weights: np.ndarray, pairs, weights) -> np.ndarray:
@@ -526,7 +526,7 @@ def connected_tau(n: int, u, v, w, lap: ReducedLaplacian | None = None) -> float
     if len(w) - order <= LEMMA_MAX_EXTRA * order and np.count_nonzero(on_path) == order:
         off = ~on_path
         return path_lemma_tau(w[on_path], np.stack((u[off], v[off]), axis=1), w[off])
-    return (ReducedLaplacian._trusted(n, _laplacian(u, v, w, order)) if lap is None else lap).log_det()
+    return (ReducedLaplacian._of_columns(n, u, v, w) if lap is None else lap).log_det()
 
 
 @dataclass(frozen=True)
@@ -619,10 +619,8 @@ class EdgeSelectionInstance:
 
     @cached_property
     def channels(self) -> tuple[tuple[str | None, float], ...]:
-        """Weight channels with their objective multipliers."""
-        if self.objective == OBJECTIVE_SINGLE:
-            return ((None, 1.0),)
-        return (("p", 2.0), ("theta", 1.0))
+        """Weight channels with their objective multipliers (CHANNELS)."""
+        return CHANNELS[self.objective]
 
     def _channel_index(self, channel: str | None) -> int:
         """Position of ``channel`` in ``channels``: the one channel check.
@@ -655,44 +653,22 @@ class EdgeSelectionInstance:
         The one candidate kernel that greedy, the relaxation, both roundings
         and exhaustive search read, so it is also their one guard: removal
         instances raise ArgumentError here, to be reduced first
-        (reduce_removal_to_addition). Built on first use and held for the
-        instance's lifetime: order * c floats per channel (Z), plus c^2
-        (G) once read when c <= order. What an evaluation holds until it
-        returns, SubsetLogDet states; the kernel keeps none of it.
-
-        Each kernel's log_det0 is the tau rule (connected_tau) on its
-        channel of the merged base columns. Z comes in closed form
-        (path_whitened_incidence) on the path base {a, a + 1}, a =
-        1..n-1, the odometry of every g2o instance, which is neither
-        assembled nor factored; every other base is assembled once per
-        channel and whitened by a triangular solve against its factor. A
-        weighted resistance (gram_diag) that overflows float64 raises
-        NumericalError here, for every solver.
+        (reduce_removal_to_addition). Each is built on first use from its
+        channel of the merged base columns and held for the instance's
+        lifetime; how it builds itself, what it refuses and what it keeps,
+        SubsetLogDet states.
         """
-        from .treeconn import SubsetLogDet, whitened_incidence
+        from .treeconn import SubsetLogDet
 
         if self.direction != DIRECTION_ADD:
             raise ArgumentError(
                 "the solvers expect an addition instance; reduce removal "
                 "instances first (reduce_removal_to_addition)"
             )
-        pairs = self.candidate_pairs
         u, v, w = self._base_columns
-        on_path = np.all(v - u == 1)  # the base is connected, so this is the whole path
-        kernels = []
-        for i, (ch, mult) in enumerate(self.channels):
-            weights = self.candidate_weights(ch)
-            if on_path:
-                kernel = SubsetLogDet(connected_tau(self.n, u, v, w[:, i]),
-                                      path_whitened_incidence(w[:, i], pairs, weights))
-            else:
-                L = ReducedLaplacian._trusted(self.n, _laplacian(u, v, w[:, i], self.n - 1))
-                Z = whitened_incidence(L, pairs) * np.sqrt(weights)
-                kernel = SubsetLogDet(connected_tau(self.n, u, v, w[:, i], L), np.ascontiguousarray(Z.T))
-            if not np.all(np.isfinite(kernel.gram_diag)):
-                raise NumericalError(f"a candidate's weighted resistance overflows: {_UNRESOLVED}")
-            kernels.append((mult, kernel))
-        return tuple(kernels)
+        pairs = self.candidate_pairs
+        return tuple((mult, SubsetLogDet(self.n, (u, v, w[:, i]), pairs, self.candidate_weights(ch)))
+                     for i, (ch, mult) in enumerate(self.channels))
 
     def with_budget(self, k: int) -> EdgeSelectionInstance:
         """The instance with budget k; an addition instance shares its kernels.

@@ -24,6 +24,7 @@ from typing import Iterable
 
 from .errors import ArgumentError, DataError
 from .graphs import (
+    CHANNELS,
     DIRECTION_ADD,
     DIRECTION_REMOVE,
     OBJECTIVE_SLAM,
@@ -264,10 +265,9 @@ def channel_taus(n: int, edges: Iterable[tuple]) -> tuple[float, float]:
 
 
 def dopt_proxy(n: int, edges: Iterable[tuple]) -> float:
-    """D-optimality proxy of a dual-weighted graph: twice the
-    translational tree-connectivity plus the rotational one."""
-    tau_p, tau_theta = channel_taus(n, edges)
-    return 2.0 * tau_p + tau_theta
+    """D-optimality proxy of a dual-weighted graph: its channel taus weighted
+    as the slam-double objective weights them (graphs.CHANNELS)."""
+    return sum(mult * tau for (_, mult), tau in zip(CHANNELS[OBJECTIVE_SLAM], channel_taus(n, edges)))
 
 
 def find_dataset(name: str | Path) -> Path | None:

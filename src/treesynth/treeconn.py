@@ -25,14 +25,16 @@ from functools import cached_property
 import numpy as np
 
 from ._lapack import dtrsm, dtrtri
-from .errors import DataError, SizeGuardError
+from .errors import DataError, NumericalError, SizeGuardError
 from .graphs import (
+    _UNRESOLVED,
     ReducedLaplacian,
     WeightedGraph,
     _cholesky,
     _component_count,
     connected_tau,
     is_connected,
+    path_whitened_incidence,
 )
 
 # The enumeration oracle walks all (n-1)-subsets of edges; refuse
@@ -116,8 +118,7 @@ def whitened_incidence(L: ReducedLaplacian, pairs) -> np.ndarray:
     greedy selection and randomized rounding update without forming it.
     One right-side triangular solve, Y^T = A^T C^{-T}, written over the
     fresh A; order x len(pairs). Its error grows with the condition
-    number of L; on a path base the kernel uses the closed form
-    (graphs.path_whitened_incidence) instead.
+    number of L.
     """
     A = L.incidence_matrix(pairs)
     return dtrsm(1.0, L.cholesky, A.T, side=1, lower=1, trans_a=1, overwrite_b=1).T
@@ -129,9 +130,16 @@ class SubsetLogDet:
     det L(S) = det L0 * det(I + Z_S^T Z_S), where L(S) is the base L0
     plus the candidates in S and Z = C^{-1} A diag(sqrt(w)) is the
     whitened, weighted incidence of all candidates, kept as Z^T (c x
-    order). The instance builds both (EdgeSelectionInstance.kernels):
-    log_det0 is the base graph's tau by the one tau rule
-    (graphs.connected_tau). Memory is O(order * c) plus G when c <= order.
+    order). The kernel builds both from one channel's merged base columns
+    (u, v, w) on 1..n and the candidates' ``pairs`` and ``weights``:
+    log_det0 is the base's tau by the one tau rule (graphs.connected_tau).
+    On the path base {a, a + 1}, a = 1..n-1, the odometry of every g2o
+    instance, Z comes in closed form (graphs.path_whitened_incidence) and
+    nothing is assembled or factored; any other base is assembled once,
+    and its one factor serves connected_tau and the whitening solve
+    (whitened_incidence). A weighted resistance, diag(G), that overflows
+    float64 raises NumericalError. Memory is order * c floats (Z), plus
+    c^2 (G) once read when c <= order.
 
     A selector pi with support S and r = sqrt(pi_S) gives log det L(pi)
     = log_det0 + log det(I + r G_SS r), G = Z^T Z the candidate Gram
@@ -149,9 +157,18 @@ class SubsetLogDet:
     pivots down its subset tree instead.
     """
 
-    def __init__(self, log_det0: float, Zt: np.ndarray):
-        self.log_det0 = log_det0
-        self.Zt = Zt
+    def __init__(self, n: int, base: tuple, pairs, weights: np.ndarray):
+        u, v, w = base
+        if np.all(v - u == 1):  # the base is connected, so this is the whole path
+            self.log_det0 = connected_tau(n, u, v, w)
+            self.Zt = path_whitened_incidence(w, pairs, weights)
+        else:
+            L = ReducedLaplacian._of_columns(n, u, v, w)
+            Z = whitened_incidence(L, pairs) * np.sqrt(weights)
+            self.log_det0 = connected_tau(n, u, v, w, L)
+            self.Zt = np.ascontiguousarray(Z.T)
+        if not np.all(np.isfinite(self.gram_diag)):
+            raise NumericalError(f"a candidate's weighted resistance overflows: {_UNRESOLVED}")
 
     @cached_property
     def gram(self) -> np.ndarray | None:

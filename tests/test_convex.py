@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -209,6 +210,59 @@ def test_laplacian_of_pi_channel_rules():
     for channel in (None, "bogus"):
         with pytest.raises(ArgumentError):
             laplacian_of_pi(dual, np.zeros(3), channel)
+
+
+def _bareiss_log_det(rows):
+    """log det of a matrix of Fractions with nonzero leading minors, exact up to the logs.
+
+    Bareiss elimination: step i's pivot is the i-th leading minor, every
+    division is exact, and the last pivot is the determinant.
+    """
+    M = [list(r) for r in rows]
+    prev = Fraction(1)
+    for i in range(len(M) - 1):
+        for j in range(i + 1, len(M)):
+            for col in range(i + 1, len(M)):
+                M[j][col] = (M[j][col] * M[i][i] - M[j][i] * M[i][col]) / prev
+        prev = M[i][i]
+    det = M[-1][-1]
+    return math.log(det.numerator) - math.log(det.denominator)
+
+
+def test_laplacian_of_pi_matches_an_exact_determinant():
+    # the reduced Laplacian of base plus pi_i w_i-weighted candidates,
+    # assembled exactly in Fractions from the float inputs, against the
+    # dense factor of laplacian_of_pi; weights spread over 8 decades, a
+    # third of the selectors are 0, and a reversed candidate on a base pair
+    # merges with that base edge. The dense factor's error grows with the
+    # condition number, so the bound is the first-order eps order^2 kappa
+    rng = np.random.default_rng(41)
+    eps = np.finfo(float).eps
+    for t in range(20):
+        n = int(rng.integers(6, 10))
+        topo = random_add_instance(rng, n, int(rng.integers(n - 1, n + 3)), int(rng.integers(4, 9)), 1)
+        width = 1 + t % 2  # single-weight, then slam-double
+
+        def spread(edges):
+            return tuple((u, v, *(float(10 ** rng.uniform(0.0, 8.0)) for _ in range(width)))
+                         for u, v, *_ in edges)
+
+        base = spread(topo.base_edges)
+        cands = spread(topo.candidates + ((base[0][1], base[0][0], 1.0),))
+        inst = EdgeSelectionInstance(n, base, cands, 1, objective=("single-weight", "slam-double")[t % 2])
+        pi = rng.uniform(0.0, 1.0, size=len(cands))
+        pi[rng.permutation(len(cands))[: len(cands) // 3]] = 0.0
+        for j, (channel, _) in enumerate(inst.channels):
+            L = [[Fraction(0)] * (n - 1) for _ in range(n - 1)]
+            weighted = [(e[0], e[1], Fraction(e[2 + j])) for e in base]
+            weighted += [(e[0], e[1], Fraction(p) * Fraction(e[2 + j])) for e, p in zip(cands, pi)]
+            for u, v, w in weighted:
+                for a, b, sign in ((u, u, 1), (v, v, 1), (u, v, -1), (v, u, -1)):
+                    if a < n and b < n:  # vertex n is the anchor
+                        L[a - 1][b - 1] += sign * w
+            lap = laplacian_of_pi(inst, pi, channel)
+            bound = eps * (n - 1) ** 2 * np.linalg.cond(lap.matrix)
+            assert abs(lap.log_det() - _bareiss_log_det(L)) <= bound
 
 
 def test_pi_validation():
@@ -470,6 +524,19 @@ def test_solver_converges_at_defaults_on_random_instances():
             inst = slam_instance(inst, rng)
         sol = solve_p2(inst)
         assert sol.iterations <= 12
+        assert sol.tau_cvx_star >= exhaustive_select(inst).tau_achieved
+
+
+def test_solver_leaves_a_face_whose_newton_gain_rounds_to_zero():
+    # on these a Newton trial passed the Armijo test with an objective
+    # increase of exactly 0 in every iteration, so pi stayed on a face that
+    # is not optimal until the 5,000-iteration cap; a Newton trial must now
+    # raise f, and the Barzilai-Borwein trials that follow a rejected one
+    # leave the face
+    for n, m, seed, k, c in ((8, 9, 38, 4, 5), (14, 16, 0, 4, 7), (14, 16, 56, 5, 7)):
+        inst = random_instance(n, m, "sampled", (1.0, 5.0), seed=seed, k=k, sample_size=c)
+        sol = solve_p2(inst)
+        assert sol.iterations <= 12 and sol.newton_steps > 0
         assert sol.tau_cvx_star >= exhaustive_select(inst).tau_achieved
 
 

@@ -39,9 +39,9 @@ def test_every_solver_reads_one_kernel_per_channel(monkeypatch):
     built = []
     init = treeconn.SubsetLogDet.__init__
 
-    def count(self, log_det0, Zt):
-        built.append(len(Zt))
-        init(self, log_det0, Zt)
+    def count(self, n, base, pairs, weights):
+        built.append(len(pairs))
+        init(self, n, base, pairs, weights)
 
     monkeypatch.setattr(treeconn.SubsetLogDet, "__init__", count)
     for inst in _instances():

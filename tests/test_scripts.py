@@ -1,11 +1,18 @@
-"""The example scripts under scripts/ run end to end as subprocesses."""
+"""The example scripts under scripts/ run end to end as subprocesses, and
+the README's library quick start runs as written."""
 
+import contextlib
 import importlib.util
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -129,3 +136,16 @@ def test_tau_crossover_runs_and_agrees(tmp_path):
         # a case on each side of the cut, and both routes give one tau
         assert {case["route"] for case in order["cases"]} == {"lemma", "dense"}, name
         assert all(abs(case["tau_diff"]) <= 1e-9 for case in order["cases"]), name
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(compile(code, "README.md", "exec"), {})
+    first, second = printed.getvalue().splitlines()
+    assert float(first) == pytest.approx(math.log(11), rel=1e-15)
+    lower, upper, width = map(float, second.split())
+    assert lower <= upper and width == upper - lower
